@@ -4,9 +4,10 @@
                    [--out PATH] [--format json|csv] [--threshold KEY=VAL]...
     jetcalc fit growth|compare [--scenario NAME] [--family F] [--max-order M]
 
-Exit codes: 0 all checks pass, 1 at least one failed check, 2 bad
-configuration or unparsable input.  JETCALC_THREADS caps the thread pool
-used when running independent suites of `verify all`.
+Exit codes: 0 all checks pass, 1 at least one failed check or no check
+run, 2 bad configuration or unparsable input.  JETCALC_THREADS, a positive
+integer, caps the thread pool used when running independent suites of
+`verify all`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,20 @@ class SuiteConfig:
             "families": list(self.families),
             "scenarios": [s.name for s in self.scenarios],
         }
+
+
+def _thread_count():
+    text = os.environ.get("JETCALC_THREADS", "")
+    if not text:
+        return 1
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"JETCALC_THREADS must be a positive integer, "
+                         f"got {text!r}")
+    return threads
 
 
 def _parse_thresholds(pairs):
@@ -130,11 +145,14 @@ def cmd_verify(args):
         overrides = _parse_thresholds(args.threshold)
         if args.suite != "all" and args.suite not in SUITES:
             raise ValueError(f"unknown suite {args.suite!r}")
+        if args.max_order < 0:
+            raise ValueError(f"--max-order must be nonnegative, "
+                             f"got {args.max_order}")
+        threads = _thread_count()
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    threads = int(os.environ.get("JETCALC_THREADS", "1") or 1)
     try:
         if threads > 1 and len(names) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -160,7 +178,9 @@ def cmd_verify(args):
           f"checks passed", file=sys.stderr)
     for cid in failing:
         print(f"FAILED {cid}", file=sys.stderr)
-    return 1 if failing else 0
+    if not rows:
+        print("no checks ran", file=sys.stderr)
+    return 1 if failing or not rows else 0
 
 
 def cmd_fit(args):

@@ -149,10 +149,9 @@ class FieldTensor:
         """Multiply by a TaylorScalar."""
         d = min(self.degree, s.degree)
         data = self.chart.ctx.contract(
-            self.chart.ctx.truncate(s.coeffs, d).reshape(-1, 1), d,
+            self.chart.ctx.truncate(s.coeffs, d), d,
             self.chart.ctx.truncate(self.data, d), d, [], [], d)
-        # contract with no axes = outer; drop the dummy length-1 axis
-        return FieldTensor(self.chart, self.slots, data[:, 0, ...], d)
+        return FieldTensor(self.chart, self.slots, data, d)
 
     def permuted(self, perm):
         slots = [self.slots[p] for p in perm]

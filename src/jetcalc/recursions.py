@@ -161,7 +161,9 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
 
     `direction` is "forward" (total-space derivatives from lifted base
     derivatives) or "inverse".  Entries at level m are eagerly truncated to
-    the degree still needed, which keeps high orders cheap.
+    the degree still needed, and every term of level m + 1 but the covariant
+    derivative (which drops a degree itself) is formed from entries cut to
+    the degree level m + 1 keeps, which keeps high orders cheap.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(direction)
@@ -175,6 +177,7 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
     for m in range(m_max):
         level = [(c, s) for (mm, c, s) in entries if mm == m]
         new = {}
+        need = max(m_max - (m + 1), 0) + keep_degree
 
         def acc(c, s, term):
             key = (m + 1, c, s)
@@ -188,6 +191,8 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             n_out = n_aux_main + m
             dA = spec.geo.cov(A)
             acc(c, s, dA.move_slot(dA.order - 1, n_out))
+            # the other terms keep no more degrees than the new level needs
+            A = A.truncated(need)
             acc(c, s + 1, _shift_term(spec, A, n_out))
             if inverse:
                 out_layout = list(spec.aux[0]) + [(spec.arg_space, COV)] * m
@@ -213,17 +218,18 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             for (src, dst, pass_pos) in spec.couplings:
                 for s in range(m + 1):
                     if (m, src, s) in entries:
-                        acc(dst, s, _couple_in(spec, entries[(m, src, s)],
-                                               n_aux_main + m, pass_pos))
+                        acc(dst, s, _couple_in(
+                            spec, entries[(m, src, s)].truncated(need),
+                            n_aux_main + m, pass_pos))
         else:
             for (src, dst, moves) in spec.inv_couplings:
                 for s in range(m + 1):
                     P = pure_tables.get(m, src, s) if pure_tables else None
                     if P is not None:
                         n_aux_pure = len(spec.coupled_pure.aux[0])
-                        emb = _embed_out_table(P, n_aux_pure, m, moves)
+                        emb = _embed_out_table(P.truncated(need),
+                                               n_aux_pure, m, moves)
                         acc(dst, s, emb * -1.0)
-        need = max(m_max - (m + 1), 0) + keep_degree
         for key, val in new.items():
             entries[key] = val.truncated(need)
     return CoefficientTable(spec, m_max, entries, direction)

@@ -80,7 +80,9 @@ def _context_tables(nvars, cap):
             pi.append(i)
             pj.append(j)
             pk.append(lookup[I + J])
-    pairs = (np.array(pi), np.array(pj), np.array(pk))
+    # grouped by output coefficient, so every masked subset is too
+    order = np.argsort(pk, kind="stable")
+    pairs = (np.array(pi)[order], np.array(pj)[order], np.array(pk)[order])
     # derivative table per variable: out[dst] = factor * a[src]
     dmaps = []
     for v in range(nvars):
@@ -96,6 +98,52 @@ def _context_tables(nvars, cap):
             fac.append(float(I[v]))
         dmaps.append((np.array(src), np.array(dst), np.array(fac)))
     return indices, lookup, orders, pairs, dmaps
+
+
+#: Floats allowed in each operand of one batched chunk (2^14 floats = 128 KB):
+#: the gathered blocks of a and b and their products.
+CHUNK_FLOATS = 1 << 14
+
+
+def _series_contract(a, b, axes_a, axes_b, pairs, n_out):
+    """sum over (i, j, k) in `pairs` of a[i] . b[j] into out[k].
+
+    The contracted axes move to the end of a's blocks and the front of b's,
+    so each pair is one (Fa, K) @ (K, Fb) product.  Pairs come grouped by k;
+    they run in chunks of gathered blocks, one batched matmul per chunk and
+    one segment sum per run of equal k.  Pairs whose blocks alone exceed
+    CHUNK_FLOATS are multiplied one at a time into their output block, and
+    scalar series (no tensor axes) take one weighted bincount.
+    """
+    pi, pj, pk = pairs
+    if a.ndim == b.ndim == 1:       # scalar series: one weighted count
+        return np.bincount(pk, a[pi] * b[pj], n_out)
+    axa = [x + 1 for x in axes_a]
+    axb = [x + 1 for x in axes_b]
+    free_a = [x for x in range(1, a.ndim) if x not in axa]
+    free_b = [x for x in range(1, b.ndim) if x not in axb]
+    dims_a = tuple(a.shape[x] for x in free_a)
+    dims_b = tuple(b.shape[x] for x in free_b)
+    fa, fb = math.prod(dims_a), math.prod(dims_b)
+    kk = math.prod(a.shape[x] for x in axa)
+    A = a.transpose([0] + free_a + axa)
+    B = b.transpose([0] + axb + free_b)
+    out = np.zeros((n_out, fa, fb))
+    step = CHUNK_FLOATS // max(fa * kk, kk * fb, fa * fb, 1)
+    if step == 0:
+        prod = np.empty((fa, fb))
+        for i, j, k in zip(pi.tolist(), pj.tolist(), pk.tolist()):
+            np.matmul(A[i].reshape(fa, kk), B[j].reshape(kk, fb), out=prod)
+            out[k] += prod
+    else:
+        for s in range(0, len(pk), step):
+            ck = pk[s:s + step]
+            ga = A[pi[s:s + step]].reshape(-1, fa, kk)
+            gb = B[pj[s:s + step]].reshape(-1, kk, fb)
+            prod = ga * gb if kk == 1 else np.matmul(ga, gb)
+            heads = np.flatnonzero(np.concatenate(([True], ck[1:] != ck[:-1])))
+            out[ck[heads]] += np.add.reduceat(prod, heads, axis=0)
+    return out.reshape((n_out,) + dims_a + dims_b)
 
 
 class TaylorContext:
@@ -132,10 +180,8 @@ class TaylorContext:
     def mul(self, a, da, b, db, dout=None):
         """Coefficient product of scalar series arrays (no tensor axes)."""
         dout = min(da, db) if dout is None else dout
-        out = np.zeros(self.size(dout))
-        pi, pj, pk = self.pair_arrays(da, db, dout)
-        np.add.at(out, pk, a[pi] * b[pj])
-        return out
+        return _series_contract(a, b, (), (), self.pair_arrays(da, db, dout),
+                                self.size(dout))
 
     def contract(self, a, da, b, db, axes_a, axes_b, dout=None):
         """Tensor contraction with series-valued entries.
@@ -145,22 +191,9 @@ class TaylorContext:
         Result shape: (size(dout), *free_a, *free_b).
         """
         dout = min(da, db) if dout is None else min(dout, min(da, db))
-        pi, pj, pk = self.pair_arrays(da, db, dout)
-        axa = [x + 1 for x in axes_a]
-        axb = [x + 1 for x in axes_b]
-        free_a = [x for x in range(1, a.ndim) if x not in axa]
-        free_b = [x for x in range(1, b.ndim) if x not in axb]
-        shape = ((self.size(dout),)
-                 + tuple(a.shape[x] for x in free_a)
-                 + tuple(b.shape[x] for x in free_b))
-        out = np.zeros(shape)
-        axes0 = ([x - 1 for x in axa], [x - 1 for x in axb])
-        for i, j, k in zip(pi, pj, pk):
-            if axes0[0]:
-                out[k] += np.tensordot(a[i], b[j], axes=axes0)
-            else:
-                out[k] += np.multiply.outer(a[i], b[j])
-        return out
+        return _series_contract(a, b, axes_a, axes_b,
+                                self.pair_arrays(da, db, dout),
+                                self.size(dout))
 
     def derive(self, a, da, var):
         """d/dx_var of a coefficient array; degree drops by one."""
@@ -176,14 +209,6 @@ class TaylorContext:
 
     def truncate(self, a, dto):
         return a[: self.size(dto)]
-
-    def promote(self, a, dfrom, dto):
-        """Zero-pad a degree-`dfrom` array so it indexes like degree `dto`."""
-        if dto <= dfrom:
-            return self.truncate(a, dto)
-        out = np.zeros((self.size(dto),) + a.shape[1:])
-        out[: self.size(dfrom)] = a
-        return out
 
 
 @dataclass

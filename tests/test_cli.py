@@ -116,3 +116,37 @@ def test_threads_env_accepted(tmp_path):
     res = run_cli("verify", "jets", "--out", str(out),
                   env_extra={"JETCALC_THREADS": "2"})
     assert res.returncode == 0
+
+
+def test_negative_max_order_exits_two(tmp_path):
+    scn = {
+        "name": "customflat", "n": 1, "k": 1,
+        "metric": [["1"]], "fibre_metric": [["1"]],
+        "connection": None,
+        "base_points": [[0.1]], "fibre_points": [[0.8]],
+        "degree": 5, "seed": 5,
+    }
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps(scn))
+    res = run_cli("verify", "recursions", "--max-order", "-1",
+                  "--scenario", str(p))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr
+    assert "checks passed" not in res.stderr
+
+
+def test_run_without_rows_exits_one(tmp_path, monkeypatch):
+    from jetcalc import cli
+    monkeypatch.setitem(cli.SUITES, "jets", lambda config: [])
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "jets", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["summary"]["total"] == 0
+
+
+def test_bad_threads_env_exits_two():
+    for value in ("abc", "0", "-2"):
+        res = run_cli("verify", "taylor",
+                      env_extra={"JETCALC_THREADS": value})
+        assert res.returncode == 2, value
+        assert "configuration error" in res.stderr
+        assert "Traceback" not in res.stderr

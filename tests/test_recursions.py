@@ -113,3 +113,23 @@ def test_unknown_family_rejected():
     ts = scn.total_at(cap=3)
     with pytest.raises(ValueError):
         bundle_family("Q", ts)
+
+
+@pytest.mark.parametrize("kind", ["P", "L", "C"])
+def test_kept_degree_does_not_change_lower_degrees(kind):
+    # an extra kept degree is pure surplus: dropping it gives the plain table
+    scn = builtin_scenario("twisted-bundle")
+    ts = scn.total_at(cap=6)
+    fam = bundle_family(kind, ts)
+    plain = build_coefficients(fam, 3, "forward")
+    extra = build_coefficients(fam, 3, "forward", keep_degree=1)
+    assert sorted(k for k, _ in plain.items()) == \
+        sorted(k for k, _ in extra.items())
+    for key, A in plain.items():
+        B = extra.get(*key)
+        if key[0] > 0:      # level 0 is the identity map at the chart's cap
+            assert B.degree == A.degree + 1
+        B = B.truncated(A.degree)
+        assert B.degree == A.degree and B.slots == A.slots
+        scale = max(float(np.abs(A.data).max()), 1e-300)
+        assert float(np.abs(B.data - A.data).max()) <= 1e-13 * scale

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetcalc import taylor
+from jetcalc.fields import TAN, Chart, FieldTensor
+from jetcalc.tensor_core import COV
 from jetcalc.taylor import (TaylorContext, TaylorScalar, derive, expand,
                             eval_expr, finite_difference_check, parse_expr,
                             partial)
@@ -132,3 +135,73 @@ def test_same_seed_reproducible_context():
     c1 = TaylorContext(3, 4)
     c2 = TaylorContext(3, 4)
     assert c1.indices == c2.indices
+
+
+def _pairwise_contract(ctx, a, da, b, db, axes_a, axes_b, dout):
+    """Reference: one tensordot per (i, j, k) coefficient triple."""
+    dout = min(dout, da, db)
+    pi, pj, pk = ctx.pair_arrays(da, db, dout)
+    blocks = [np.tensordot(a[i], b[j], axes=(axes_a, axes_b))
+              for i, j in zip(pi, pj)]
+    out = np.zeros((ctx.size(dout),) + blocks[0].shape)
+    for k, block in zip(pk, blocks):
+        out[k] += block
+    return out
+
+
+# (shape of a's blocks, shape of b's blocks, axes_a, axes_b)
+_CONTRACT_CASES = [
+    ((), (), [], []),
+    ((3,), (2, 2), [], []),
+    ((3, 4), (4, 2), [1], [0]),
+    ((2, 3, 4), (4, 5, 3), [2, 1], [0, 2]),
+]
+
+
+#: the default budget; one that cuts runs of equal k across chunks; and 0,
+#: which sends every pair down the one-pair-at-a-time path
+_BUDGETS = [taylor.CHUNK_FLOATS, 5, 0]
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("nvars", [1, 2, 4])
+@pytest.mark.parametrize("case", _CONTRACT_CASES)
+def test_contract_matches_pairwise_reference(monkeypatch, budget, nvars,
+                                             case):
+    monkeypatch.setattr(taylor, "CHUNK_FLOATS", budget)
+    dims_a, dims_b, axes_a, axes_b = case
+    ctx = TaylorContext(nvars, 4)
+    rng = np.random.default_rng(nvars)
+    for da, db, dout in [(4, 4, 4), (4, 3, 3), (3, 4, 1), (4, 4, 0)]:
+        a = rng.uniform(-1, 1, (ctx.size(da),) + dims_a)
+        b = rng.uniform(-1, 1, (ctx.size(db),) + dims_b)
+        got = ctx.contract(a, da, b, db, axes_a, axes_b, dout)
+        want = _pairwise_contract(ctx, a, da, b, db, axes_a, axes_b, dout)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_pair_table_grouped_by_output():
+    ctx = TaylorContext(3, 4)
+    for da, db, dout in [(4, 4, 4), (4, 2, 3), (1, 4, 2)]:
+        pk = ctx.pair_arrays(da, db, dout)[2]
+        assert np.all(np.diff(pk) >= 0)
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+def test_mul_and_scale_series_match_reference(monkeypatch, budget):
+    monkeypatch.setattr(taylor, "CHUNK_FLOATS", budget)
+    chart = Chart([0.2, -0.1], 4)
+    ctx = chart.ctx
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-1, 1, ctx.size(4))
+    b = rng.uniform(-1, 1, ctx.size(3))
+    want = _pairwise_contract(ctx, a, 4, b, 3, [], [], 3)
+    assert np.allclose(ctx.mul(a, 4, b, 3), want, rtol=0, atol=1e-13)
+    s = TaylorScalar(ctx, 3, b)
+    T = FieldTensor(chart, [(TAN, COV), (TAN, COV)],
+                    rng.uniform(-1, 1, (ctx.size(4), 2, 2)), 4)
+    got = T.scale_series(s)
+    assert got.degree == 3 and got.slots == T.slots
+    want = _pairwise_contract(ctx, b, 3, T.data, 4, [], [], 3)
+    assert np.allclose(got.data, want, rtol=0, atol=1e-13)

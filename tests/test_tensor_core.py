@@ -281,3 +281,46 @@ def test_sym_rank_binomial():
         for k in (1, 2, 3, 4):
             reg = make_registry({"V": dim}, orthonormal=True)
             assert tc.sym_rank(reg, "V", k) == math.comb(dim + k - 1, k)
+
+
+def _explicit_inner(a, b):
+    """sum over all indices of a * b weighted by one Gram per slot."""
+    x = b.data
+    for ax, slot in enumerate(a.slots):
+        spec = a.registry[slot.space]
+        g = spec.gram if slot.variance == CONTRA else spec.gram_inv
+        x = np.moveaxis(np.tensordot(g, x, axes=([1], [ax])), 0, ax)
+    return float(np.sum(a.data * x))
+
+
+@pytest.mark.parametrize("orthonormal", [True, False])
+@pytest.mark.parametrize("slots", [
+    [("U", CONTRA)],
+    [("U", COV), ("V", COV)],
+    [("V", CONTRA), ("U", COV), ("V", CONTRA)],
+    [("U", COV), ("V", CONTRA), ("U", CONTRA), ("V", COV)],
+])
+def test_whitened_norm_matches_gram_sum(orthonormal, slots):
+    reg = make_registry({"U": 2, "V": 3}, seed=21, orthonormal=orthonormal)
+    a = tc.random_tensor(reg, slots, 101)
+    b = tc.random_tensor(reg, slots, 102)
+    assert tc.inner_product(a, b) == pytest.approx(_explicit_inner(a, b),
+                                                   rel=1e-12)
+    assert a.norm() == pytest.approx(math.sqrt(_explicit_inner(a, a)),
+                                     rel=1e-12)
+    if orthonormal:
+        assert a.norm() == pytest.approx(float(np.linalg.norm(a.data)),
+                                         rel=1e-13)
+
+
+def test_whitened_norm_chunks_and_views(monkeypatch):
+    # a tiny chunk whitens every axis in many blocks; a transposed view
+    # must read its slots in slot order, not in memory order
+    monkeypatch.setattr(tc, "WHITEN_CHUNK", 4)
+    reg = make_registry({"U": 2, "V": 3}, seed=22)
+    a = tc.random_tensor(reg, [("V", COV), ("U", CONTRA), ("V", CONTRA)], 103)
+    p = a.permuted([2, 0, 1])
+    assert not p.data.flags.c_contiguous
+    assert p.norm() == pytest.approx(math.sqrt(_explicit_inner(p, p)),
+                                     rel=1e-12)
+    assert p.norm() == pytest.approx(a.norm(), rel=1e-12)
