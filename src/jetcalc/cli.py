@@ -3,9 +3,12 @@
     jetcalc verify <suite> [--scenario FILE]... [--max-order M] [--seed N]
                    [--out PATH] [--format json|csv] [--threshold KEY=VAL]...
     jetcalc fit growth|compare [--scenario NAME] [--family F] [--max-order M]
+    jetcalc report diff A.json B.json
 
 Exit codes: 0 all checks pass, 1 at least one failed check or no check
-run, 2 bad configuration or unparsable input.  JETCALC_THREADS, a positive
+run, 2 bad configuration or unparsable input.  `report diff` exits 0 when
+the two reports have the same rows and pass flags, 1 when they do
+not, 2 when a report cannot be read.  JETCALC_THREADS, a positive
 integer, caps the thread pool used when running independent suites of
 `verify all`.
 """
@@ -19,7 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import suites as suites_mod
-from .reporting import build_report, emit_report, report_csv, report_json
+from .recursions import BUNDLE_FAMILY_KINDS
+from .reporting import (build_report, diff_reports, emit_report,
+                        load_report_rows, report_csv, report_json)
 from .scenarios import (BUILTIN_NAMES, builtin_scenario, load_scenario,
                         scenario_digest)
 
@@ -100,9 +105,8 @@ def _apply_thresholds(rows, overrides):
 
 def _custom_recursion_rows(config):
     """Expansion/inverse rows for user-supplied scenarios."""
-    from .recursions import (BUNDLE_FAMILY_KINDS, build_coefficients,
-                             bundle_family, verify_expansion,
-                             verify_inverse_pair)
+    from .recursions import (build_coefficients, bundle_family,
+                             verify_expansion, verify_inverse_pair)
     from .suites import CheckRow, _family_objects, _object_field
     rows = []
     fams = config.families or BUNDLE_FAMILY_KINDS
@@ -185,6 +189,13 @@ def cmd_verify(args):
 
 def cmd_fit(args):
     try:
+        if args.max_order < 0:
+            raise ValueError(f"--max-order must be nonnegative, "
+                             f"got {args.max_order}")
+        if args.kind == "growth" and args.family is not None \
+                and args.family not in BUNDLE_FAMILY_KINDS:
+            raise ValueError(f"unknown family {args.family!r}, expected "
+                             f"one of {', '.join(BUNDLE_FAMILY_KINDS)}")
         scn = (load_scenario(args.scenario) if args.scenario
                and os.path.exists(args.scenario)
                else builtin_scenario(args.scenario or "twisted-bundle"))
@@ -225,6 +236,21 @@ def cmd_fit(args):
     return 2
 
 
+def cmd_report(args):
+    try:
+        a, b = load_report_rows(args.a), load_report_rows(args.b)
+    except (ValueError, OSError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    diff = diff_reports(a, b)
+    sys.stdout.write(report_json(diff))
+    changed = diff["new_rows"] or diff["missing_rows"] or diff["flipped"]
+    print(f"{diff['common']} common rows, {len(diff['new_rows'])} new, "
+          f"{len(diff['missing_rows'])} missing, {len(diff['flipped'])} "
+          f"flipped", file=sys.stderr)
+    return 1 if changed else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="jetcalc",
@@ -252,6 +278,12 @@ def main(argv=None):
     pf.add_argument("--max-order", type=int, default=4)
     pf.add_argument("--seed", type=int, default=7)
     pf.set_defaults(func=cmd_fit)
+
+    pr = sub.add_parser("report", help="compare two JSON reports")
+    pr.add_argument("kind", choices=("diff",))
+    pr.add_argument("a", help="the reference report")
+    pr.add_argument("b", help="the report compared with it")
+    pr.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -172,10 +172,19 @@ class FieldTensor:
     # --- multilinear algebra -----------------------------------------------
 
     def product(self, other):
+        """Tensor product.  A factor with degree-0 support only (an identity,
+        say) takes one outer product instead of the series kernel: its other
+        coefficient pairs would add exact zeros."""
         d = min(self.degree, other.degree)
-        data = self.chart.ctx.contract(
-            self.chart.ctx.truncate(self.data, d), d,
-            self.chart.ctx.truncate(other.data, d), d, [], [], d)
+        a = self.chart.ctx.truncate(self.data, d)
+        b = self.chart.ctx.truncate(other.data, d)
+        if not np.any(b[1:]):
+            data = np.multiply.outer(a, b[0])
+        elif not np.any(a[1:]):
+            data = (a[(slice(0, 1), Ellipsis) + (np.newaxis,) * other.order]
+                    * b[(slice(None),) + (np.newaxis,) * self.order])
+        else:
+            data = self.chart.ctx.contract(a, d, b, d, [], [], d)
         return FieldTensor(self.chart, tuple(self.slots) + tuple(other.slots),
                            data, d)
 
@@ -301,7 +310,8 @@ class Geometry:
         return self._registry
 
     def value(self, T):
-        return DenseTensor(self.registry(), T.slots, T.data[0].copy())
+        """The base-point value of T; shares T's degree-0 entries."""
+        return DenseTensor(self.registry(), T.slots, T.data[0])
 
     def norm(self, T):
         return self.value(T).norm()
@@ -319,8 +329,11 @@ class Geometry:
             if G is not None:
                 dout = min(dout, G.degree, T.degree)
         nb = self.chart.n
-        parts = [ctx.derive(T.data, T.degree, v) for v in range(nb)]
-        acc = np.stack([ctx.truncate(p, dout) for p in parts], axis=-1)
+        # the partials to degree dout need T only to degree dout + 1
+        td1 = ctx.truncate(T.data, dout + 1)
+        acc = np.empty((ctx.size(dout),) + T.dims + (nb,))
+        for v in range(nb):
+            acc[..., v] = ctx.derive(td1, dout + 1, v)
         td = ctx.truncate(T.data, dout)
         for pos, slot in enumerate(T.slots):
             G = self.conns.get(slot.space)
@@ -332,13 +345,13 @@ class Geometry:
                 # r: (C, a, j, *rest) -> (C, ...a at pos..., j)
                 r = np.moveaxis(r, 2, r.ndim - 1)
                 r = np.moveaxis(r, 1, 1 + pos)
-                acc = acc + r
+                acc += r
             else:
                 r = ctx.contract(gd, dout, td, dout, [0], [pos], dout)
                 # r: (C, j, b, *rest) -> (C, ...b at pos..., j)
                 r = np.moveaxis(r, 1, r.ndim - 1)
                 r = np.moveaxis(r, 1, 1 + pos)
-                acc = acc - r
+                acc -= r
         return FieldTensor(self.chart, tuple(T.slots) + ((TAN, COV),), acc, dout)
 
     def iterated(self, T, m):
@@ -485,11 +498,6 @@ class ChartGeometry(Geometry):
         self.n = n
         self.g = g
         self.gamma = gamma
-
-    def with_connection(self, gamma):
-        geo = Geometry(self.chart, dict(self.dims), dict(self.grams),
-                       {**self.conns, TAN: gamma})
-        return geo
 
 
 class BundleGeometry(Geometry):

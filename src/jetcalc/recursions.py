@@ -124,6 +124,16 @@ def _identity_map(spec):
     return out.permuted(perm)
 
 
+def _cov_term(spec, A, n_out):
+    dA = spec.geo.cov(A)
+    return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
+
+
+def _substitution_term(A, pos, S, n_out):
+    t = A.substitute(pos, S)
+    return t.move_slot(t.order - 1, n_out)      # S's argument joins OUT
+
+
 def _shift_term(spec, A, n_out):
     ins = spec.shift_tensor
     if ins is None:
@@ -156,6 +166,30 @@ def _embed_out_table(P, n_aux_pure, m, moves):
     return out
 
 
+def _accumulate(new, key, term, sign=1.0):
+    """new[key] += sign * term, added in place into the first term stored.
+
+    Every term passed here is a fresh array that nothing else holds (a
+    covariant derivative, product or substitution formed for this level),
+    so it may be overwritten; a table entry or an input never is.
+    """
+    held = new.get(key)
+    if held is None:
+        if sign != 1.0:
+            term.data *= sign
+        new[key] = term
+        return
+    if held.slots != term.slots:
+        raise ValueError("slot mismatch")
+    held = held.truncated(term.degree)
+    data = term.truncated(held.degree).data
+    if sign == -1.0:
+        held.data -= data
+    else:
+        held.data += data if sign == 1.0 else sign * data
+    new[key] = held
+
+
 def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
     """Build the coefficient table by the family's recursion.
 
@@ -179,21 +213,19 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
         new = {}
         need = max(m_max - (m + 1), 0) + keep_degree
 
-        def acc(c, s, term):
-            key = (m + 1, c, s)
-            if key in new:
-                new[key] = new[key] + term
-            else:
-                new[key] = term
+        n_out = n_aux_main + m
+
+        def acc(c, s, term, sign=1.0):
+            _accumulate(new, (m + 1, c, s), term, sign)
 
         for (c, s) in sorted(level):
+            # terms go straight into the sum: no local keeps one alive
             A = entries[(m, c, s)]
-            n_out = n_aux_main + m
-            dA = spec.geo.cov(A)
-            acc(c, s, dA.move_slot(dA.order - 1, n_out))
+            acc(c, s, _cov_term(spec, A, n_out))
             # the other terms keep no more degrees than the new level needs
             A = A.truncated(need)
-            acc(c, s + 1, _shift_term(spec, A, n_out))
+            if s < m:
+                acc(c, s + 1, _shift_term(spec, A, n_out))
             if inverse:
                 out_layout = list(spec.aux[0]) + [(spec.arg_space, COV)] * m
                 for p, (space, variance) in enumerate(out_layout):
@@ -201,9 +233,7 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
                     if rule is None:
                         continue
                     sign, S = rule
-                    t = A.substitute(p, S)
-                    t = t.move_slot(t.order - 1, n_out)
-                    acc(c, s, t * sign)
+                    acc(c, s, _substitution_term(A, p, S, n_out), sign)
             else:
                 in_layout = list(spec.aux[c]) + [(spec.arg_space, COV)] * s
                 for p, (space, variance) in enumerate(in_layout):
@@ -211,16 +241,15 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
                     if rule is None:
                         continue
                     sign, S = rule
-                    t = A.substitute(n_out + p, S)
-                    t = t.move_slot(t.order - 1, n_out)
-                    acc(c, s, t * sign)
+                    acc(c, s, _substitution_term(A, n_out + p, S, n_out),
+                        sign)
         if not inverse:
             for (src, dst, pass_pos) in spec.couplings:
                 for s in range(m + 1):
                     if (m, src, s) in entries:
                         acc(dst, s, _couple_in(
                             spec, entries[(m, src, s)].truncated(need),
-                            n_aux_main + m, pass_pos))
+                            n_out, pass_pos))
         else:
             for (src, dst, moves) in spec.inv_couplings:
                 for s in range(m + 1):
@@ -230,6 +259,12 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
                         emb = _embed_out_table(P.truncated(need),
                                                n_aux_pure, m, moves)
                         acc(dst, s, emb * -1.0)
+        # the diagonal entries, the level's largest, take the shift term
+        # alone; formed last, they never meet another term's temporaries
+        for (c, s) in sorted(level):
+            if s == m:
+                acc(c, s + 1, _shift_term(
+                    spec, entries[(m, c, s)].truncated(need), n_out))
         for key, val in new.items():
             entries[key] = val.truncated(need)
     return CoefficientTable(spec, m_max, entries, direction)

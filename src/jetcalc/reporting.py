@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from . import __version__
 
@@ -62,3 +63,54 @@ def emit_report(report, fmt, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
+
+
+def load_report_rows(path):
+    """{row id: (tag, value, passed)} of a JSON report file.
+
+    A row id is the check id, followed by the row's inputs in parentheses
+    when it has any: one check id can cover several inputs.  Raises OSError
+    when the file cannot be read and ValueError when it is not a jetcalc
+    JSON report.
+    """
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    rows = {}
+    try:
+        for r in report["rows"]:
+            rid = (f"{r['check_id']} ({r['inputs']})" if r["inputs"]
+                   else r["check_id"])
+            if rid in rows:
+                raise ValueError(f"{path}: row {rid!r} appears twice")
+            rows[rid] = (r["tag"], float(r["value"]), r["passed"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a jetcalc report") from exc
+    return rows
+
+
+def diff_reports(a, b):
+    """Compare the rows of two reports (as `load_report_rows` gives them).
+
+    Lists rows new in b and missing from b, rows whose pass flag
+    flipped, and per tag family (the tag up to its first '/') the largest
+    drift |value_b - value_a| / max(1, |value_a|) over the common rows.
+    """
+    common = sorted(a.keys() & b.keys())
+    drift = {}
+    for rid in common:
+        (tag, va, _), vb = a[rid], b[rid][1]
+        same = va == vb or (math.isnan(va) and math.isnan(vb))
+        d = 0.0 if same else abs(vb - va) / max(1.0, abs(va))
+        d = math.inf if math.isnan(d) else d
+        family = tag.split("/")[0]
+        if family not in drift or d > drift[family][0]:
+            drift[family] = (d, rid)
+    return {
+        "common": len(common),
+        "new_rows": sorted(b.keys() - a.keys()),
+        "missing_rows": sorted(a.keys() - b.keys()),
+        "flipped": [{"row": rid, "a": a[rid][2], "b": b[rid][2]}
+                    for rid in common if a[rid][2] != b[rid][2]],
+        "max_drift": {family: {"drift": repr(d), "row": rid}
+                      for family, (d, rid) in sorted(drift.items())},
+    }

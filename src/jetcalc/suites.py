@@ -34,9 +34,6 @@ from .seminorms import (CompactSample, WeightSequence,
 from .taylor import expand, finite_difference_check
 from .tensor_core import CONTRA, COV, DenseTensor, SpaceRegistry
 
-SUITE_NAMES = ("tensor-laws", "taylor", "geometry", "jets", "submersion",
-               "recursions", "connection-compare", "seminorms", "continuity")
-
 NONFLAT_SCENARIOS = ("conformal-base", "sphere-chart", "twisted-bundle")
 
 

@@ -104,6 +104,58 @@ def _context_tables(nvars, cap):
 #: the gathered blocks of a and b and their products.
 CHUNK_FLOATS = 1 << 14
 
+#: Floats allowed in each operand of one block of a pair multiplied on its
+#: own (2^20 floats = 8 MB): a row block of the larger map and its product.
+#: A budget near CHUNK_FLOATS would run one-row blocks when the contracted
+#: size is large.
+BLOCK_FLOATS = 1 << 20
+
+
+def _row_blocks(dims, rows):
+    """Cut axes of shape `dims`, read as one flattened (C order) axis of
+    rows, into consecutive blocks of at most `rows` rows (`rows` >= 1).
+
+    Yields (index, first row, row count): the index selects the block on
+    those axes, and its rows are a range of the flattened axis.
+    """
+    cut, trail = len(dims), 1
+    while cut and trail * dims[cut - 1] <= rows:
+        cut -= 1
+        trail *= dims[cut]
+    if cut == 0:
+        yield (), 0, trail
+        return
+    ax = cut - 1
+    step = max(1, rows // trail)
+    for n, head in enumerate(np.ndindex(*dims[:ax])):
+        for q in range(0, dims[ax], step):
+            e = min(q + step, dims[ax])
+            yield (head + (slice(q, e),), (n * dims[ax] + q) * trail,
+                   (e - q) * trail)
+
+
+def _pair_product(ai, bj, dims_a, dims_b, out):
+    """out += ai . bj for one coefficient pair; ai has shape (*dims_a, *K),
+    bj (*K, *dims_b), out (prod(dims_a), prod(dims_b)).
+
+    Runs in blocks along the side with more free entries (rows of ai or
+    columns of bj), so that neither a reshaped copy of a strided operand
+    nor a product exceeds BLOCK_FLOATS.
+    """
+    fa, fb = out.shape
+    kk = ai.size // fa
+    if fa >= fb:
+        y = bj.reshape(kk, fb)
+        rows = max(1, BLOCK_FLOATS // max(kk, fb))
+        for idx, r0, nr in _row_blocks(dims_a, rows):
+            out[r0:r0 + nr] += ai[idx].reshape(nr, kk) @ y
+    else:
+        x = ai.reshape(fa, kk)
+        lead = (slice(None),) * (bj.ndim - len(dims_b))
+        cols = max(1, BLOCK_FLOATS // max(kk, fa))
+        for idx, c0, nc in _row_blocks(dims_b, cols):
+            out[:, c0:c0 + nc] += x @ bj[lead + idx].reshape(kk, nc)
+
 
 def _series_contract(a, b, axes_a, axes_b, pairs, n_out):
     """sum over (i, j, k) in `pairs` of a[i] . b[j] into out[k].
@@ -112,8 +164,9 @@ def _series_contract(a, b, axes_a, axes_b, pairs, n_out):
     so each pair is one (Fa, K) @ (K, Fb) product.  Pairs come grouped by k;
     they run in chunks of gathered blocks, one batched matmul per chunk and
     one segment sum per run of equal k.  Pairs whose blocks alone exceed
-    CHUNK_FLOATS are multiplied one at a time into their output block, and
-    scalar series (no tensor axes) take one weighted bincount.
+    CHUNK_FLOATS are multiplied one at a time into their output block, in
+    row blocks of the side with more free entries; scalar series (no tensor
+    axes) take one weighted bincount.
     """
     pi, pj, pk = pairs
     if a.ndim == b.ndim == 1:       # scalar series: one weighted count
@@ -131,10 +184,8 @@ def _series_contract(a, b, axes_a, axes_b, pairs, n_out):
     out = np.zeros((n_out, fa, fb))
     step = CHUNK_FLOATS // max(fa * kk, kk * fb, fa * fb, 1)
     if step == 0:
-        prod = np.empty((fa, fb))
         for i, j, k in zip(pi.tolist(), pj.tolist(), pk.tolist()):
-            np.matmul(A[i].reshape(fa, kk), B[j].reshape(kk, fb), out=prod)
-            out[k] += prod
+            _pair_product(A[i], B[j], dims_a, dims_b, out[k])
     else:
         for s in range(0, len(pk), step):
             ck = pk[s:s + step]

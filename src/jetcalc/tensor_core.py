@@ -157,17 +157,16 @@ class DenseTensor:
         return frobenius_norm(self)
 
 
-#: Entries whitened per matrix product when computing Gram norms (512 KB).
+#: Entries whitened per matrix product when computing Gram norms (512 KB),
+#: and the size of the blocks a norm whitens one after another.
 WHITEN_CHUNK = 1 << 16
 
 
-def _whitened(a):
-    """A copy of a.data with every axis multiplied by its slot's whitener,
-    so that Gram inner products become plain dot products.  The copy is
-    whitened in place, WHITEN_CHUNK entries per matrix product."""
-    x = np.array(a.data, dtype=float, order="C")
-    for ax, slot in enumerate(a.slots):
-        upper = a.registry[slot.space].whiteners[slot.variance == COV]
+def _whiten_trailing(x, uppers):
+    """Multiply every axis of x but the first, in place, by its whitener
+    from `uppers`; x is C-contiguous.  WHITEN_CHUNK entries per product."""
+    for ax in range(1, x.ndim):
+        upper = uppers[ax]
         d = x.shape[ax]
         view = x.reshape(math.prod(x.shape[:ax]), d, -1)
         rows, cols = view.shape[0], view.shape[2]
@@ -183,14 +182,54 @@ def _whitened(a):
             for q in range(0, cols, sb):
                 block = view[p:p + sa, :, q:q + sb]
                 block[...] = upper @ block
-    return x.reshape(-1)
 
 
-def _chunked_dot(x, y):
-    """x . y as exactly added chunk dots: one plain dot over millions of
-    entries drifts by about sqrt(N) ulps."""
-    return math.fsum(np.dot(x[i:i + WHITEN_CHUNK], y[i:i + WHITEN_CHUNK])
-                     for i in range(0, x.size, WHITEN_CHUNK))
+def _memory_order(x):
+    """Axis order of x from the largest stride to the smallest: x transposed
+    to it is C-contiguous whenever x is a transposed contiguous array."""
+    if x.flags.c_contiguous:
+        return list(range(x.ndim))
+    return sorted(range(x.ndim), key=lambda ax: -abs(x.strides[ax]))
+
+
+def _whitened_blocks(a, order):
+    """a.data with every axis multiplied by its slot's whitener, so that
+    Gram inner products become plain dot products, as consecutive flat
+    blocks of the whitened array transposed to the axis `order`.
+
+    The first axis of `order` is whitened one block of output rows at a
+    time (U[rows] @ data, about WHITEN_CHUNK entries but at least one row),
+    and the other axes in place on that block, so a norm never holds a
+    whitened copy of all of a.
+    """
+    x = np.asarray(a.data, dtype=float).transpose(order)
+    if x.ndim == 0:
+        yield x.reshape(1)
+        return
+    uppers = [a.registry[a.slots[ax].space].whiteners[a.slots[ax].variance
+                                                      == COV]
+              for ax in order]
+    d0 = x.shape[0]
+    step = max(1, WHITEN_CHUNK // (x.size // d0))
+    flat = x.reshape(d0, -1) if x.flags.c_contiguous else None
+    buf = np.empty((min(step, d0),) + x.shape[1:])
+    for p in range(0, d0, step):
+        # U is upper triangular: rows p.. read only x[p:]
+        u = uppers[0][p:p + step, p:]
+        block = buf[:len(u)]
+        if flat is None:    # a strided view: no contiguous copy of it
+            np.einsum("ij,j...->i...", u, x[p:], out=block)
+        else:
+            np.matmul(u, flat[p:], out=block.reshape(len(u), -1))
+        _whiten_trailing(block, uppers)
+        yield block.reshape(-1)
+
+
+def _chunk_dots(x, y):
+    """x . y in dots of WHITEN_CHUNK entries, to be added exactly: one plain
+    dot over millions of entries drifts by about sqrt(N) ulps."""
+    return (np.dot(x[i:i + WHITEN_CHUNK], y[i:i + WHITEN_CHUNK])
+            for i in range(0, x.size, WHITEN_CHUNK))
 
 
 def inner_product(a, b):
@@ -198,12 +237,16 @@ def inner_product(a, b):
     Grams are identities."""
     if a.slots != b.slots:
         raise ValueError("slot mismatch in inner product")
-    return _chunked_dot(_whitened(a), _whitened(b))
+    order = _memory_order(a.data)
+    return math.fsum(dot for xa, xb in zip(_whitened_blocks(a, order),
+                                           _whitened_blocks(b, order))
+                     for dot in _chunk_dots(xa, xb))
 
 
 def frobenius_norm(a):
-    w = _whitened(a)
-    return math.sqrt(_chunked_dot(w, w))
+    return math.sqrt(math.fsum(
+        dot for x in _whitened_blocks(a, _memory_order(a.data))
+        for dot in _chunk_dots(x, x)))
 
 
 def tensor_product(a, b):

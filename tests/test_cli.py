@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 PKG = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -148,5 +150,87 @@ def test_bad_threads_env_exits_two():
         res = run_cli("verify", "taylor",
                       env_extra={"JETCALC_THREADS": value})
         assert res.returncode == 2, value
+        assert "configuration error" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [["--family", "Q"], ["--max-order", "-1"]])
+def test_fit_growth_bad_input_exits_two(args, monkeypatch, capsys):
+    from jetcalc import cli
+
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("a scenario was built for a bad configuration")
+
+    monkeypatch.setattr(cli, "builtin_scenario", no_build)
+    monkeypatch.setattr(cli, "load_scenario", no_build)
+    assert cli.main(["fit", "growth", *args]) == 2
+    out = capsys.readouterr()
+    assert "configuration error" in out.err and out.out == ""
+
+
+def _write_report(path, rows):
+    from jetcalc.reporting import build_report, emit_report
+    from jetcalc.suites import CheckRow
+    rows = [CheckRow(check_id=f"{tag}/{where}", tag=tag, inputs=inputs,
+                     value=value, threshold=1e-8, passed=passed)
+            for tag, where, inputs, value, passed in rows]
+    emit_report(build_report("test", rows, {}, {}), "json", path)
+
+
+# one check id may cover several inputs; each is its own row
+_ROWS = [("recursions/L-expansion", "p0/1", "", 1e-15, True),
+         ("recursions/L-diagonal-norm", "p0/4", "", 64.0, True),
+         ("taylor/fd-agreement", "flat/p0/1", "I=(1, 0)", 0.0, True),
+         ("taylor/fd-agreement", "flat/p0/1", "I=(0, 1)", 1e-13, True)]
+
+
+def test_report_diff_of_equal_rows_and_flags_exits_zero(tmp_path, capsys):
+    from jetcalc import cli
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write_report(a, _ROWS)
+    _write_report(b, [r[:3] + (r[3] * (1 + 1e-14), r[4]) for r in _ROWS])
+    assert cli.main(["report", "diff", str(a), str(b)]) == 0
+    diff = json.loads(capsys.readouterr().out)
+    assert diff["common"] == 4
+    assert diff["new_rows"] == diff["missing_rows"] == diff["flipped"] == []
+    drift = diff["max_drift"]
+    assert sorted(drift) == ["recursions", "taylor"]
+    assert drift["recursions"]["row"] == "recursions/L-diagonal-norm/p0/4"
+    assert float(drift["recursions"]["drift"]) == pytest.approx(1e-14,
+                                                               rel=1e-3)
+    assert drift["taylor"]["row"] == \
+        "taylor/fd-agreement/flat/p0/1 (I=(0, 1))"
+
+
+def test_report_diff_lists_rows_and_flipped_flags(tmp_path, capsys):
+    from jetcalc import cli
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _write_report(a, _ROWS)
+    _write_report(b, [("recursions/L-expansion", "p0/1", "", 2e-8, False),
+                      _ROWS[1], _ROWS[2],
+                      ("taylor/fd-agreement", "flat/p0/1", "I=(2, 0)", 0.0,
+                       True)])
+    assert cli.main(["report", "diff", str(a), str(b)]) == 1
+    diff = json.loads(capsys.readouterr().out)
+    assert diff["new_rows"] == ["taylor/fd-agreement/flat/p0/1 (I=(2, 0))"]
+    assert diff["missing_rows"] == [
+        "taylor/fd-agreement/flat/p0/1 (I=(0, 1))"]
+    assert diff["flipped"] == [{"row": "recursions/L-expansion/p0/1",
+                                "a": True, "b": False}]
+
+
+def test_report_diff_unreadable_input_exits_two(tmp_path):
+    good, bad = tmp_path / "a.json", tmp_path / "bad.json"
+    _write_report(good, _ROWS)
+    bad.write_text("{ not json")
+    nonreport = tmp_path / "list.json"
+    nonreport.write_text("[1, 2]")
+    twice = tmp_path / "twice.json"
+    _write_report(twice, _ROWS + _ROWS[:1])
+    for args in ([str(good), str(bad)], [str(tmp_path / "none.json"),
+                                         str(good)],
+                 [str(good), str(nonreport)], [str(twice), str(good)]):
+        res = run_cli("report", "diff", *args)
+        assert res.returncode == 2, args
         assert "configuration error" in res.stderr
         assert "Traceback" not in res.stderr

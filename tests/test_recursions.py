@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jetcalc import recursions
 from jetcalc.fields import FIB, TAN
 from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, build_coefficients,
                                 bundle_family, conn_family, growth_profile,
@@ -133,3 +134,45 @@ def test_kept_degree_does_not_change_lower_degrees(kind):
         assert B.degree == A.degree and B.slots == A.slots
         scale = max(float(np.abs(A.data).max()), 1e-300)
         assert float(np.abs(B.data - A.data).max()) <= 1e-13 * scale
+
+
+def _out_of_place(new, key, term, sign=1.0):
+    """Reference accumulation: every sum is a new array."""
+    term = term * sign
+    new[key] = new[key] + term if key in new else term
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("kind", ["P", "L", "C", "D"])
+def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
+                                                     direction):
+    ts = builtin_scenario("twisted-bundle").total_at(cap=5)
+    fam = bundle_family(kind, ts)
+    inputs = [ts.b_tensor()] + list(ts.grams.values()) + \
+        [G for G in ts.conns.values() if G is not None]
+    before = [T.data.copy() for T in inputs]
+    # the pure tables that C and D embed in their inverse are inputs too
+    pure, build = [], recursions.build_coefficients
+
+    def recording_build(*args, **kwargs):
+        tab = build(*args, **kwargs)
+        pure.append((tab, {key: A.data.copy() for key, A in tab.items()}))
+        return tab
+
+    monkeypatch.setattr(recursions, "build_coefficients", recording_build)
+    got = build_coefficients(fam, 3, direction)
+    assert len(pure) == int(kind in ("C", "D") and direction == "inverse")
+    for T, data in zip(inputs, before):
+        assert np.array_equal(T.data, data)
+    for tab, entries in pure:
+        for key, A in tab.items():
+            assert np.array_equal(A.data, entries[key])
+    monkeypatch.setattr(recursions, "_accumulate", _out_of_place)
+    want = build_coefficients(fam, 3, direction)
+    assert sorted(k for k, _ in got.items()) == \
+        sorted(k for k, _ in want.items())
+    for key, A in want.items():
+        B = got.get(*key)
+        assert B.degree == A.degree and B.slots == A.slots
+        scale = max(float(np.abs(A.data).max()), 1.0)
+        assert float(np.abs(B.data - A.data).max()) <= 1e-14 * scale

@@ -1,11 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcalc import taylor
-from jetcalc.fields import TAN, Chart, FieldTensor
-from jetcalc.tensor_core import COV
+from jetcalc.fields import TAN, Chart, FieldTensor, identity_field, random_field
+from jetcalc.tensor_core import CONTRA, COV
 from jetcalc.taylor import (TaylorContext, TaylorScalar, derive, expand,
                             eval_expr, finite_difference_check, parse_expr,
                             partial)
@@ -205,3 +208,92 @@ def test_mul_and_scale_series_match_reference(monkeypatch, budget):
     assert got.degree == 3 and got.slots == T.slots
     want = _pairwise_contract(ctx, b, 3, T.data, 4, [], [], 3)
     assert np.allclose(got.data, want, rtol=0, atol=1e-13)
+
+
+def _strided(x):
+    """The same values as x, as a view whose block axes are not in memory
+    order (x itself when a block has fewer than two axes)."""
+    if x.ndim < 3:
+        return x
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 1, -1)), 1, -1)
+
+
+@pytest.mark.parametrize("dims", [(5,), (2, 3, 4), (3, 1, 2, 2)])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 24, 100])
+def test_row_blocks_cover_rows_in_order(dims, rows):
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    start = 0
+    for idx, r0, nr in taylor._row_blocks(dims, rows):
+        assert r0 == start and 1 <= nr <= rows
+        assert np.array_equal(flat[idx].reshape(-1),
+                              np.arange(r0, r0 + nr))
+        start += nr
+    assert start == flat.size
+
+
+#: blocks of one row (or column), a few rows cutting an axis, and several
+#: whole trailing axes
+@pytest.mark.parametrize("block", [1, 7, 24])
+@pytest.mark.parametrize("case", _CONTRACT_CASES)
+def test_pair_blocks_match_pairwise_reference(monkeypatch, block, case):
+    monkeypatch.setattr(taylor, "CHUNK_FLOATS", 0)
+    monkeypatch.setattr(taylor, "BLOCK_FLOATS", block)
+    dims_a, dims_b, axes_a, axes_b = case
+    ctx = TaylorContext(2, 3)
+    rng = np.random.default_rng(block)
+    for da, db, dout in [(3, 3, 3), (3, 2, 1)]:
+        a = _strided(rng.uniform(-1, 1, (ctx.size(da),) + dims_a))
+        b = _strided(rng.uniform(-1, 1, (ctx.size(db),) + dims_b))
+        got = ctx.contract(a, da, b, db, axes_a, axes_b, dout)
+        want = _pairwise_contract(ctx, a, da, b, db, axes_a, axes_b, dout)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("big", ["a", "b"])
+def test_one_pair_contraction_memory_is_bounded(big):
+    # one coefficient pair whose strided 4 M-float map (32 MB) is contracted
+    # against a small operand: the kernel may allocate its output and a few
+    # blocks, never a contiguous copy of the map or a full-size product
+    ctx = TaylorContext(2, 2)
+    rng = np.random.default_rng(3)
+    m = np.swapaxes(rng.uniform(-1, 1, (1, 16, 64, 64, 64)), 1, -1)
+    v = rng.uniform(-1, 1, (1, 64, 16, 2))
+    tracemalloc.start()
+    try:
+        if big == "a":      # apply a map: (64, 64) free, (64, 16) contracted
+            got = ctx.contract(m, 0, v, 0, [2, 3], [0, 1], 0)
+        else:               # the big side is b: its leading axis contracted
+            got = ctx.contract(v, 0, m, 0, [0], [0], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = got.nbytes + 3 * taylor.BLOCK_FLOATS * 8
+    assert bound < got.nbytes + m.nbytes
+    assert peak <= bound
+    if big == "a":
+        want = np.tensordot(m[0], v[0], axes=([2, 3], [0, 1]))
+    else:
+        want = np.tensordot(v[0], m[0], axes=([0], [0]))
+    assert np.allclose(got[0], want, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("constant_first", [False, True])
+@pytest.mark.parametrize("identity", [False, True])
+def test_constant_factor_product_equals_contract(constant_first, identity):
+    chart = Chart([0.2, -0.1, 0.3], 4)
+    ctx = chart.ctx
+    T = random_field(chart, [(TAN, COV), (TAN, CONTRA)], (3, 3), 5)
+    if identity:
+        K = identity_field(chart, TAN, 3, 3)
+    else:
+        K = random_field(chart, [(TAN, CONTRA)], (3,), 6, degree=3)
+        K.data[1:] = 0.0
+    x, y = (K, T) if constant_first else (T, K)
+    got = x.product(y)
+    d = min(x.degree, y.degree)
+    want = ctx.contract(ctx.truncate(x.data, d), d, ctx.truncate(y.data, d),
+                        d, [], [], d)
+    assert got.degree == d and got.slots == x.slots + y.slots
+    assert got.data.shape == want.shape
+    assert np.array_equal(got.data, want)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,3 +325,28 @@ def test_whitened_norm_chunks_and_views(monkeypatch):
     assert p.norm() == pytest.approx(math.sqrt(_explicit_inner(p, p)),
                                      rel=1e-12)
     assert p.norm() == pytest.approx(a.norm(), rel=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+def test_gram_norm_holds_no_second_copy(layout):
+    # a 2 M-entry (16 MB) tensor: its norm whitens it block by block and
+    # may not allocate anything near a second copy of it
+    reg = make_registry({"U": 8}, seed=23)
+    slots = [("U", CONTRA), ("U", COV)] * 3 + [("U", COV)]
+    rng = np.random.default_rng(24)
+    if layout == "strided":     # a slice: no axis order makes it contiguous
+        data = rng.uniform(-1, 1, (8,) * 6 + (9,))[..., 1:]
+    else:
+        data = rng.uniform(-1, 1, (8,) * 7)
+    a = DenseTensor(reg, slots, data)
+    if layout == "transposed":
+        a = a.permuted([6, 2, 0, 4, 1, 5, 3])
+    assert a.data.flags.c_contiguous == (layout == "contiguous")
+    tracemalloc.start()
+    try:
+        got = a.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.data.nbytes / 2
+    assert got == pytest.approx(math.sqrt(_explicit_inner(a, a)), rel=1e-12)
