@@ -172,17 +172,14 @@ class FieldTensor:
     # --- multilinear algebra -----------------------------------------------
 
     def product(self, other):
-        """Tensor product.  A factor with degree-0 support only (an identity,
-        say) takes one outer product instead of the series kernel: its other
-        coefficient pairs would add exact zeros."""
+        """Tensor product.  When `other` has degree-0 support only (the
+        identity of the shift and coupling terms), one outer product replaces
+        the series kernel: its other coefficient pairs would add exact zeros."""
         d = min(self.degree, other.degree)
         a = self.chart.ctx.truncate(self.data, d)
         b = self.chart.ctx.truncate(other.data, d)
         if not np.any(b[1:]):
             data = np.multiply.outer(a, b[0])
-        elif not np.any(a[1:]):
-            data = (a[(slice(0, 1), Ellipsis) + (np.newaxis,) * other.order]
-                    * b[(slice(None),) + (np.newaxis,) * self.order])
         else:
             data = self.chart.ctx.contract(a, d, b, d, [], [], d)
         return FieldTensor(self.chart, tuple(self.slots) + tuple(other.slots),

@@ -167,26 +167,29 @@ def _embed_out_table(P, n_aux_pure, m, moves):
 
 
 def _accumulate(new, key, term, sign=1.0):
-    """new[key] += sign * term, added in place into the first term stored.
+    """new[key] += sign * term, added in place into the first term stored;
+    `sign` is +1 or -1, as in every substitution rule.
 
     Every term passed here is a fresh array that nothing else holds (a
     covariant derivative, product or substitution formed for this level),
     so it may be overwritten; a table entry or an input never is.
     """
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"sign must be +1 or -1, not {sign}")
     held = new.get(key)
     if held is None:
-        if sign != 1.0:
-            term.data *= sign
+        if sign < 0:
+            np.negative(term.data, out=term.data)
         new[key] = term
         return
     if held.slots != term.slots:
         raise ValueError("slot mismatch")
     held = held.truncated(term.degree)
     data = term.truncated(held.degree).data
-    if sign == -1.0:
+    if sign < 0:
         held.data -= data
     else:
-        held.data += data if sign == 1.0 else sign * data
+        held.data += data
     new[key] = held
 
 

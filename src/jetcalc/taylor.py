@@ -139,8 +139,10 @@ def _pair_product(ai, bj, dims_a, dims_b, out):
     bj (*K, *dims_b), out (prod(dims_a), prod(dims_b)).
 
     Runs in blocks along the side with more free entries (rows of ai or
-    columns of bj), so that neither a reshaped copy of a strided operand
-    nor a product exceeds BLOCK_FLOATS.
+    columns of bj), so that neither a reshaped copy of a strided block of
+    that side nor a product exceeds BLOCK_FLOATS.  The other side is
+    reshaped whole, a full copy if it is strided: it is assumed small (a
+    vector field or structure tensor against a map in every caller).
     """
     fa, fb = out.shape
     kk = ai.size // fa

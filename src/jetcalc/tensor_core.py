@@ -198,9 +198,10 @@ def _whitened_blocks(a, order):
     blocks of the whitened array transposed to the axis `order`.
 
     The first axis of `order` is whitened one block of output rows at a
-    time (U[rows] @ data, about WHITEN_CHUNK entries but at least one row),
-    and the other axes in place on that block, so a norm never holds a
-    whitened copy of all of a.
+    time (U[rows] @ data), and the other axes in place on that block, so a
+    norm never holds a whitened copy of all of a.  A block is about
+    WHITEN_CHUNK entries but at least one slice of the first axis, a.size /
+    d0 entries: a quarter to a half of a on axes of dimension 2 to 4.
     """
     x = np.asarray(a.data, dtype=float).transpose(order)
     if x.ndim == 0:

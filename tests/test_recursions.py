@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jetcalc import recursions
-from jetcalc.fields import FIB, TAN
+from jetcalc.fields import FIB, TAN, Chart, identity_field
 from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, build_coefficients,
                                 bundle_family, conn_family, growth_profile,
                                 pullback_family, pullback_inverse_residual,
@@ -176,3 +176,9 @@ def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
         assert B.degree == A.degree and B.slots == A.slots
         scale = max(float(np.abs(A.data).max()), 1.0)
         assert float(np.abs(B.data - A.data).max()) <= 1e-14 * scale
+
+
+def test_accumulate_rejects_a_sign_other_than_one():
+    term = identity_field(Chart([0.1, 0.2], 3), TAN, 2, 2)
+    with pytest.raises(ValueError):
+        recursions._accumulate({}, (0, (), ()), term, 0.5)

@@ -281,6 +281,8 @@ def test_one_pair_contraction_memory_is_bounded(big):
 @pytest.mark.parametrize("constant_first", [False, True])
 @pytest.mark.parametrize("identity", [False, True])
 def test_constant_factor_product_equals_contract(constant_first, identity):
+    """A constant second factor takes the outer-product path, a constant
+    first factor the kernel; both equal `contract` exactly."""
     chart = Chart([0.2, -0.1, 0.3], 4)
     ctx = chart.ctx
     T = random_field(chart, [(TAN, COV), (TAN, CONTRA)], (3, 3), 5)
