@@ -1,9 +1,16 @@
 """Batch verification driver.
 
-    jetcalc verify <suite> [--scenario FILE]... [--max-order M] [--seed N]
-                   [--out PATH] [--format json|csv] [--threshold KEY=VAL]...
+    jetcalc verify <suite> [--seed N] [--out PATH] [--format json|csv]
+                   [--threshold KEY=VAL]...
+    jetcalc verify recursions --scenario FILE... [--family F]...
+                   [--max-order M] [...]
     jetcalc fit growth|compare [--scenario NAME] [--family F] [--max-order M]
     jetcalc report diff A.json B.json
+
+`verify` rejects a flag that the run would not read: `--scenario` with any
+suite but recursions, `--family` or `--max-order` without `--scenario`, and
+a `--threshold` key that is neither a check tag of the selected suites nor
+the first segment of one.
 
 Exit codes: 0 all checks pass, 1 at least one failed check or no check
 run, 2 bad configuration or unparsable input.  `report diff` exits 0 when
@@ -103,60 +110,52 @@ def _apply_thresholds(rows, overrides):
     return out
 
 
-def _custom_recursion_rows(config):
-    """Expansion/inverse rows for user-supplied scenarios."""
-    from .recursions import (build_coefficients, bundle_family,
-                             verify_expansion, verify_inverse_pair)
-    from .suites import CheckRow, _family_objects, _object_field
-    rows = []
-    fams = config.families or BUNDLE_FAMILY_KINDS
-    for scn in config.scenarios:
-        bun = scn.bundle_at(cap=config.max_order + 2)
-        flat = (bun.conns["tan"].is_zero(1e-14)
-                and bun.conns["fib"].is_zero(1e-14))
-        thr = 1e-11 if flat else 1e-8
-        ts = scn.total_at(cap=config.max_order + 2)
-        for kind in fams:
-            if kind not in BUNDLE_FAMILY_KINDS:
-                raise ValueError(f"unknown family {kind}")
-            fam = bundle_family(kind, ts)
-            fwd = build_coefficients(fam, config.max_order, "forward")
-            inv = build_coefficients(fam, config.max_order, "inverse")
-            obj = _object_field(ts.bundle, kind,
-                                _family_objects(scn, kind, config.seed + 40))
-            for m in range(config.max_order + 1):
-                rows.append(CheckRow.residual(
-                    f"recursions/{kind}-expansion", f"{scn.name}/p0/{m}",
-                    verify_expansion(fam, fwd, obj, m), thr))
-                rows.append(CheckRow.residual(
-                    f"recursions/{kind}-inverse", f"{scn.name}/p0/{m}",
-                    verify_inverse_pair(fam, inv, obj, m), thr))
-    return rows
-
-
 def run_suite(name, config):
-    if name == "recursions" and config.scenarios:
-        return _custom_recursion_rows(config)
     return SUITES[name](config)
+
+
+def _check_flags(args, names, overrides):
+    """Reject flags that the selected suites would not read."""
+    if args.scenario and args.suite != "recursions":
+        raise ValueError("--scenario is read only by the recursions suite")
+    if not args.scenario:
+        for flag, given in (("--family", args.family),
+                            ("--max-order", args.max_order is not None)):
+            if given:
+                raise ValueError(f"{flag} is read only together with "
+                                 f"--scenario")
+    for kind in args.family or ():
+        if kind not in BUNDLE_FAMILY_KINDS:
+            raise ValueError(f"unknown family {kind!r}, expected one of "
+                             f"{', '.join(BUNDLE_FAMILY_KINDS)}")
+    keys = {part for name in names
+            for tag in suites_mod.CHECK_MANIFEST[name]
+            for part in (tag, tag.split("/")[0])}
+    for key in overrides:
+        if key not in keys:
+            raise ValueError(f"--threshold key {key!r} matches no check tag "
+                             f"of {', '.join(names)}")
 
 
 def cmd_verify(args):
     try:
-        config = SuiteConfig(
-            seed=args.seed, max_order=args.max_order,
-            families=tuple(args.family or ()),
-            scenarios=[load_scenario(p) for p in (args.scenario or ())])
-        overrides = _parse_thresholds(args.threshold)
         if args.suite != "all" and args.suite not in SUITES:
             raise ValueError(f"unknown suite {args.suite!r}")
-        if args.max_order < 0:
+        names = list(SUITES) if args.suite == "all" else [args.suite]
+        overrides = _parse_thresholds(args.threshold)
+        _check_flags(args, names, overrides)
+        if args.max_order is not None and args.max_order < 0:
             raise ValueError(f"--max-order must be nonnegative, "
                              f"got {args.max_order}")
+        config = SuiteConfig(
+            seed=args.seed, families=tuple(args.family or ()),
+            scenarios=[load_scenario(p) for p in (args.scenario or ())])
+        if args.max_order is not None:
+            config.max_order = args.max_order
         threads = _thread_count()
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    names = list(SUITES) if args.suite == "all" else [args.suite]
     try:
         if threads > 1 and len(names) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -260,15 +259,18 @@ def main(argv=None):
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", help=f"one of {', '.join(SUITES)} or 'all'")
     pv.add_argument("--scenario", action="append",
-                    help="scenario JSON file (repeatable)")
+                    help="scenario JSON file (repeatable; recursions only)")
     pv.add_argument("--family", action="append",
-                    help="restrict recursion families (repeatable)")
-    pv.add_argument("--max-order", type=int, default=3)
+                    help="restrict recursion families (repeatable; with "
+                         "--scenario only)")
+    pv.add_argument("--max-order", type=int, default=None,
+                    help="recursion order on --scenario files (default 3)")
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--out", help="write the report here instead of stdout")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     pv.add_argument("--threshold", action="append",
-                    help="override, e.g. recursions/P-expansion=1e-6")
+                    help="override, e.g. recursions/P-expansion=1e-6; the "
+                         "key is a tag of the suite or its first segment")
     pv.set_defaults(func=cmd_verify)
 
     pf = sub.add_parser("fit", help="envelope fits")

@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from .taylor import TaylorContext, TaylorScalar, expand
-from .tensor_core import (COV, CONTRA, DenseTensor, Slot, SpaceRegistry,
-                          TensorShape)
+from .tensor_core import (COV, CONTRA, DenseTensor, SpaceRegistry,
+                          TensorShape, symmetrized_data)
 
 __all__ = [
     "TAN",
@@ -29,6 +29,7 @@ __all__ = [
     "Chart",
     "FieldTensor",
     "Geometry",
+    "point_geometry",
     "ChartGeometry",
     "BundleGeometry",
     "levi_civita",
@@ -163,12 +164,6 @@ class FieldTensor:
         perm.insert(dst, perm.pop(src))
         return self.permuted(perm)
 
-    def retag(self, pos, space):
-        """Reinterpret one slot over an isomorphic space (same dimension)."""
-        slots = list(self.slots)
-        slots[pos] = Slot(space, slots[pos].variance)
-        return FieldTensor(self.chart, slots, self.data, self.degree)
-
     # --- multilinear algebra -----------------------------------------------
 
     def product(self, other):
@@ -199,7 +194,14 @@ class FieldTensor:
         return FieldTensor(self.chart, slots, data, d)
 
     def substitute(self, pos, s):
-        """Slot substitution; mirrors tensor_core.substitute for fields."""
+        """Replace slot `pos` using the structure tensor `s`.
+
+        `s` has slots [value][arg1][arg2..argl].  A covariant slot is
+        contracted with the value of `s` and arg1 takes its place (ordinary
+        insertion); a contravariant slot is contracted with arg1 and the
+        value takes its place (the dual action used by tensor derivations).
+        The remaining args of `s` are appended as trailing slots.
+        """
         slot = self.slots[pos]
         val, arg1 = s.slots[0], s.slots[1]
         if slot.variance == COV:
@@ -227,6 +229,8 @@ class FieldTensor:
         """Ins_j into the j-th covariant slot (1-based over covariant block)."""
         cov_positions = [i for i, sl in enumerate(self.slots)
                          if sl.variance == COV]
+        if not 1 <= j <= len(cov_positions):
+            raise ValueError("insertion index out of range")
         return self.substitute(cov_positions[j - 1], s)
 
     def apply_map(self, n_out, arg):
@@ -245,13 +249,36 @@ class FieldTensor:
         slots = list(self.slots[:n_out]) + list(arg.slots[n_in:])
         return FieldTensor(self.chart, slots, data, d)
 
+    def derivation(self, S):
+        """D_S: the tensor derivation of a structure tensor S with slots
+        [value][arg1][arg2..argl].
+
+        The signed sum of substitutions of S at every slot on S's value
+        space: + at contravariant slots, - at covariant ones.  Without such
+        a slot (a scalar, say) it is zero with S's extra slots appended.
+        """
+        space = S.slots[0].space
+        out = None
+        for pos, slot in enumerate(self.slots):
+            if slot.space != space:
+                continue
+            term = self.substitute(pos, S)
+            if slot.variance == COV:
+                term = term * -1.0
+            out = term if out is None else out + term
+        if out is None:
+            extra = S.slots[2:]
+            out = FieldTensor.zeros(self.chart, self.slots + extra,
+                                    self.dims + S.dims[2:],
+                                    min(self.degree, S.degree))
+        return out
+
     def symmetrized(self, axes):
-        axes = list(axes)
-        if len(axes) <= 1:
-            return self.copy()
-        from .tensor_core import sym_axes_data
-        data = sym_axes_data(self.data, [x + 1 for x in axes])
-        return FieldTensor(self.chart, self.slots, data, self.degree)
+        """Average over all permutations of the slots `axes`, which must
+        agree in space and variance."""
+        return FieldTensor(self.chart, self.slots,
+                           symmetrized_data(self.slots, self.data, axes,
+                                            lead=1), self.degree)
 
     def is_zero(self, tol=0.0):
         return bool(np.all(np.abs(self.data) <= tol))
@@ -277,6 +304,20 @@ def random_field(chart, slots, dims, seed, degree=None, scale=1.0):
                     for I in chart.ctx.indices[: chart.ctx.size(degree)]])
     data *= fac.reshape((-1,) + (1,) * len(dims))
     return FieldTensor(chart, slots, data, degree)
+
+
+def point_geometry(grams):
+    """The pointwise algebra of fibres: a Geometry on a one-point chart (no
+    coordinates, degree 0) whose spaces carry the constant Gram matrices
+    `grams` (name -> matrix) and no connections.  Its tensors are degree-0
+    FieldTensors; `random_field(..., degree=0)` and `identity_field` build
+    them."""
+    chart = Chart([], 0)
+    dims = {name: len(g) for name, g in grams.items()}
+    fields = {name: FieldTensor(chart, [(name, COV), (name, COV)],
+                                np.asarray(g, dtype=float)[None], 0)
+              for name, g in grams.items()}
+    return Geometry(chart, dims, fields, {})
 
 
 class Geometry:

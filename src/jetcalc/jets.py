@@ -13,17 +13,8 @@ import math
 import numpy as np
 
 
-__all__ = ["JetVector", "JetMetric", "decompose_jet", "jet_norm",
-           "jet_project", "prolong_decompose", "nested_jet_norm",
-           "delta_hat", "serialize_jet"]
-
-
-class JetMetric:
-    """Gram data for jet components: the geometry registry plus the order."""
-
-    def __init__(self, geometry, order):
-        self.registry = geometry.registry()
-        self.order = int(order)
+__all__ = ["JetVector", "decompose_jet", "jet_norm", "jet_project",
+           "prolong_decompose", "nested_jet_norm", "delta_hat"]
 
 
 class JetVector:
@@ -36,8 +27,7 @@ class JetVector:
         if enforce:
             for j, a in enumerate(self.components):
                 base = a.order - j
-                from .tensor_core import symmetrize
-                sym = symmetrize(a, axes=range(base, base + j)) if j > 1 else a
+                sym = a.symmetrized(range(base, base + j)) if j > 1 else a
                 scale = max(float(np.abs(a.data).max()), 1e-30)
                 gap = float(np.abs(sym.data - a.data).max())
                 if gap > tol * scale:
@@ -70,15 +60,12 @@ def decompose_jet(T, geo, m):
     return JetVector(comps)
 
 
-def jet_norm(jet, metric=None):
+def jet_norm(jet):
     """Square root of the sum of squared component norms.
 
-    The 1/j! weights are already inside the stored components; a JetMetric,
-    when passed, only pins the expected order (the Gram data rides inside
-    the components).
+    The 1/j! weights and the Gram data are already inside the stored
+    components.
     """
-    if metric is not None and metric.order != jet.order:
-        raise ValueError("jet/metric order mismatch")
     total = 0.0
     for a in jet.components:
         total += a.norm() ** 2
@@ -151,15 +138,14 @@ def nested_sym_gap(rows_a, rows_b):
     mixed entries; full symmetrization removes exactly those, so this gap
     is the curvature-free content of the re-slicing identity.
     """
-    from .tensor_core import symmetrize
     num = 0.0
     den = 0.0
     for j, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         for l, (a, b) in enumerate(zip(ra, rb)):
             base = a.order - j - l
             if j + l > 1:
-                a = symmetrize(a, axes=range(base, a.order))
-                b = symmetrize(b, axes=range(base, b.order))
+                a = a.symmetrized(range(base, a.order))
+                b = b.symmetrized(range(base, b.order))
             num += (a - b).norm() ** 2
             den += b.norm() ** 2
     return math.sqrt(num) / max(math.sqrt(den), 1e-12)
@@ -172,19 +158,3 @@ def nested_jet_norm(rows):
         for a in row:
             total += a.norm() ** 2
     return math.sqrt(total)
-
-
-def serialize_jet(jet):
-    """Flatten a jet into report rows: (order, entry index, value).
-
-    Component entries stream in row-major order, matching the graded
-    enumeration used everywhere else; the auxiliary slots come first.
-    """
-    rows = []
-    for j, a in enumerate(jet.components):
-        flat = np.atleast_1d(a.data).reshape(-1)
-        dims = a.data.shape
-        for pos, val in enumerate(flat):
-            idx = np.unravel_index(pos, dims) if dims else ()
-            rows.append((j, tuple(int(i) for i in idx), float(val)))
-    return rows

@@ -319,7 +319,6 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
     geo = geo or table.spec.geo
     rows = []
     for (m, c, s), A in sorted(table.items()):
-        n_out = table.spec.n_aux_out() + m
         rows.append((m, s, c, geo.norm(A)))
     offdiag = [r for r in rows if r[0] != r[1] and r[3] > tol]
     if not offdiag:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tensor_core as tc
 from .fields import (FIB, TAN, BundleGeometry, ChartGeometry, FieldTensor,
-                     bracket, connection_difference, lie_derivative,
-                     random_field, torsion)
+                     bracket, connection_difference, identity_field,
+                     lie_derivative, point_geometry, random_field, torsion)
 from .jets import (decompose_jet, delta_hat, jet_norm, jet_project,
                    nested_jet_norm, nested_sym_gap, nested_table_gap,
                    prolong_decompose)
@@ -32,7 +32,7 @@ from .seminorms import (CompactSample, WeightSequence,
                         jet_norm_profile, local_seminorm, norm_compare,
                         p_infinity, p_omega, topology_equivalence_check)
 from .taylor import expand, finite_difference_check
-from .tensor_core import CONTRA, COV, DenseTensor, SpaceRegistry
+from .tensor_core import CONTRA, COV
 
 NONFLAT_SCENARIOS = ("conformal-base", "sphere-chart", "twisted-bundle")
 
@@ -65,15 +65,25 @@ def _rng(seed, *salt):
     return np.random.Generator(np.random.PCG64([seed, *salt]))
 
 
-def _registry(rng, dims, orthonormal=False):
-    reg = SpaceRegistry()
+def _point_geometry(rng, dims, orthonormal=False):
+    grams = {}
     for name, dim in dims.items():
         if orthonormal:
-            reg.add(name, dim)
+            grams[name] = np.eye(dim)
         else:
             a = rng.uniform(-0.3, 0.3, size=(dim, dim))
-            reg.add(name, dim, np.eye(dim) + 0.5 * (a + a.T))
-    return reg
+            grams[name] = np.eye(dim) + 0.5 * (a + a.T)
+    return point_geometry(grams)
+
+
+def _random(geo, slots, rng):
+    """A degree-0 random tensor of `geo` with entries in [-1, 1]."""
+    return random_field(geo.chart, slots, [geo.dims[s] for s, _ in slots],
+                        int(rng.integers(1 << 30)), degree=0)
+
+
+def _inner(geo, a, b):
+    return tc.inner_product(geo.value(a), geo.value(b))
 
 
 # --------------------------------------------------------------------------
@@ -87,109 +97,96 @@ def suite_tensor_laws(config):
     for i in range(100):
         rng = _rng(seed, 1, i)
         dim = 2 + i % 4
-        reg = _registry(rng, {"V": dim}, orthonormal=(i % 2 == 0))
-        t = tc.identity_tensor(reg, "V")
+        geo = _point_geometry(rng, {"V": dim}, orthonormal=(i % 2 == 0))
+        t = identity_field(geo.chart, "V", dim, 0)
         rows.append(CheckRow.residual(
             "tensor/id-norm", f"case{i}/-/-",
-            abs(t.norm() - math.sqrt(dim)), 1e-12, inputs=f"dim={dim}"))
+            abs(geo.norm(t) - math.sqrt(dim)), 1e-12, inputs=f"dim={dim}"))
     # product norm
     for i in range(100):
         rng = _rng(seed, 2, i)
-        reg = _registry(rng, {"V": 3, "W": 2})
-        a = tc.random_tensor(reg, [("V", COV)] * 3, int(rng.integers(1 << 30)))
-        b = tc.random_tensor(reg, [("W", COV), ("V", CONTRA)],
-                             int(rng.integers(1 << 30)))
-        lhs = tc.tensor_product(a, b).norm()
+        geo = _point_geometry(rng, {"V": 3, "W": 2})
+        a = _random(geo, [("V", COV)] * 3, rng)
+        b = _random(geo, [("W", COV), ("V", CONTRA)], rng)
+        lhs = geo.norm(a.product(b))
         rows.append(CheckRow.residual(
             "tensor/otimes-norm", f"case{i}/-/-",
-            abs(lhs - a.norm() * b.norm()) / max(lhs, 1e-12), 1e-12))
+            abs(lhs - geo.norm(a) * geo.norm(b)) / max(lhs, 1e-12), 1e-12))
     # evaluation bound
     for i in range(100):
         rng = _rng(seed, 3, i)
-        reg = _registry(rng, {"U": 3, "V": 4})
-        L = tc.random_tensor(reg, [("V", CONTRA), ("U", COV)],
-                             int(rng.integers(1 << 30)))
-        u = tc.random_tensor(reg, [("U", CONTRA)], int(rng.integers(1 << 30)))
-        lu = tc.apply_map(L, 1, u)
+        geo = _point_geometry(rng, {"U": 3, "V": 4})
+        L = _random(geo, [("V", CONTRA), ("U", COV)], rng)
+        u = _random(geo, [("U", CONTRA)], rng)
+        lu = L.apply_map(1, u)
         rows.append(CheckRow.residual(
             "tensor/apply-bound", f"case{i}/-/-",
-            lu.norm() - L.norm() * u.norm(), 1e-12))
+            geo.norm(lu) - geo.norm(L) * geo.norm(u), 1e-12))
     # operator-norm upper bound via SVD in orthonormal frames
     for i in range(100):
         rng = _rng(seed, 4, i)
-        reg = _registry(rng, {"U": 3, "V": 4})
-        L = tc.random_tensor(reg, [("V", CONTRA), ("U", COV)],
-                             int(rng.integers(1 << 30)))
-        ru = np.linalg.cholesky(reg["U"].gram).T
-        rv = np.linalg.cholesky(reg["V"].gram).T
-        mat = rv @ L.data @ np.linalg.inv(ru)
+        geo = _point_geometry(rng, {"U": 3, "V": 4})
+        L = _random(geo, [("V", CONTRA), ("U", COV)], rng)
+        ru, rv = (np.linalg.cholesky(geo.grams[s].data[0]).T for s in "UV")
+        mat = rv @ L.data[0] @ np.linalg.inv(ru)
         op = float(np.linalg.svd(mat, compute_uv=False)[0])
         rows.append(CheckRow.residual(
             "tensor/opnorm-upper", f"case{i}/-/-",
-            L.norm() - math.sqrt(3) * op, 1e-10))
+            geo.norm(L) - math.sqrt(3) * op, 1e-10))
     # symmetrization contracts, and is the orthogonal projection
     for i in range(100):
         rng = _rng(seed, 5, i)
         k = 2 + i % 3
-        reg = _registry(rng, {"V": 2 + i % 3})
-        a = tc.random_tensor(reg, [("V", COV)] * k, int(rng.integers(1 << 30)))
+        geo = _point_geometry(rng, {"V": 2 + i % 3})
+        a = _random(geo, [("V", COV)] * k, rng)
         rows.append(CheckRow.residual(
             "tensor/sym-contraction", f"case{i}/-/{k}",
-            tc.symmetrize(a).norm() - a.norm(), 1e-12))
+            geo.norm(a.symmetrized(range(k))) - geo.norm(a), 1e-12))
     for i in range(60):
         rng = _rng(seed, 6, i)
         k = 2 + i % 3
         dim = 2 + i % 3
-        reg = _registry(rng, {"V": dim})
-        a = tc.random_tensor(reg, [("V", COV)] * k, int(rng.integers(1 << 30)))
-        s = tc.symmetrize(tc.random_tensor(reg, [("V", COV)] * k,
-                                           int(rng.integers(1 << 30))))
-        gap = abs(tc.inner_product(tc.symmetrize(a), s) - tc.inner_product(a, s))
+        geo = _point_geometry(rng, {"V": dim})
+        a = _random(geo, [("V", COV)] * k, rng)
+        s = _random(geo, [("V", COV)] * k, rng).symmetrized(range(k))
+        gap = abs(_inner(geo, a.symmetrized(range(k)), s) - _inner(geo, a, s))
         rows.append(CheckRow.residual(
             "tensor/sym-projection", f"case{i}/-/{k}", gap, 1e-10))
     # symmetric-subspace dimension
     for dim in (2, 3, 4):
         for k in (1, 2, 3, 4):
-            reg = _registry(_rng(seed, 7, dim, k), {"V": dim},
-                            orthonormal=True)
             want = math.comb(dim + k - 1, k)
-            got = tc.sym_rank(reg, "V", k)
+            got = tc.sym_rank(dim, k)
             rows.append(CheckRow.flag(
                 "tensor/sym-rank", f"dim{dim}/-/{k}", got == want,
                 inputs=f"rank={got} expect={want}"))
     # insertion operator norms on unit arguments
     for i in range(100):
         rng = _rng(seed, 8, i)
-        reg = _registry(rng, {"U": 3, "V": 2, "W": 2})
-        s_t = tc.random_tensor(reg, [("U", CONTRA), ("U", COV), ("U", COV)],
-                               int(rng.integers(1 << 30)))
-        amap = tc.random_tensor(
-            reg, [("U", COV)] * 2 + [("W", CONTRA)]
-            + [("U", CONTRA)] * 2 + [("V", COV)] + [("U", CONTRA)],
-            int(rng.integers(1 << 30)))
-        beta = tc.random_tensor(reg, [("U", COV)] * 2 + [("V", CONTRA)],
-                                int(rng.integers(1 << 30)))
-        beta = beta * (1.0 / beta.norm())
-        ins = tc.insert(beta, s_t, 1 + i % 2)
-        val = tc.apply_map(amap, 3, ins).norm()
+        geo = _point_geometry(rng, {"U": 3, "V": 2, "W": 2})
+        s_t = _random(geo, [("U", CONTRA), ("U", COV), ("U", COV)], rng)
+        amap = _random(geo, [("U", COV)] * 2 + [("W", CONTRA)]
+                       + [("U", CONTRA)] * 2 + [("V", COV)] + [("U", CONTRA)],
+                       rng)
+        beta = _random(geo, [("U", COV)] * 2 + [("V", CONTRA)], rng)
+        beta = beta * (1.0 / geo.norm(beta))
+        ins = beta.insert(s_t, 1 + i % 2)
+        val = geo.norm(amap.apply_map(3, ins))
         rows.append(CheckRow.residual(
             "tensor/ins-op-1", f"case{i}/-/-",
-            val - amap.norm() * s_t.norm(), 1e-10))
+            val - geo.norm(amap) * geo.norm(s_t), 1e-10))
     for i in range(100):
         rng = _rng(seed, 9, i)
-        reg = _registry(rng, {"U": 3, "V": 2})
-        s_t = tc.random_tensor(reg, [("U", CONTRA), ("U", COV), ("U", COV)],
-                               int(rng.integers(1 << 30)))
-        bmap = tc.random_tensor(
-            reg, [("U", COV)] * 2 + [("U", CONTRA)] * 2 + [("V", COV)],
-            int(rng.integers(1 << 30)))
-        beta = tc.random_tensor(reg, [("U", COV)] * 2 + [("V", CONTRA)],
-                                int(rng.integers(1 << 30)))
-        beta = beta * (1.0 / beta.norm())
-        val = tc.insert(tc.apply_map(bmap, 2, beta), s_t, 1 + i % 2).norm()
+        geo = _point_geometry(rng, {"U": 3, "V": 2})
+        s_t = _random(geo, [("U", CONTRA), ("U", COV), ("U", COV)], rng)
+        bmap = _random(geo, [("U", COV)] * 2 + [("U", CONTRA)] * 2
+                       + [("V", COV)], rng)
+        beta = _random(geo, [("U", COV)] * 2 + [("V", CONTRA)], rng)
+        beta = beta * (1.0 / geo.norm(beta))
+        val = geo.norm(bmap.apply_map(2, beta).insert(s_t, 1 + i % 2))
         rows.append(CheckRow.residual(
             "tensor/ins-op-2", f"case{i}/-/-",
-            val - bmap.norm() * s_t.norm(), 1e-10))
+            val - geo.norm(bmap) * geo.norm(s_t), 1e-10))
     # shuffle count, product associativity, split roundtrip, push, derivation
     for k, l in ((1, 1), (2, 1), (2, 2), (3, 1)):
         got = len(tc.shuffles(k, l))
@@ -198,76 +195,76 @@ def suite_tensor_laws(config):
                                   got == want))
     for i in range(20):
         rng = _rng(seed, 10, i)
-        reg = _registry(rng, {"V": 3})
-        al, be, ga = (tc.random_tensor(reg, [("V", COV)],
-                                       int(rng.integers(1 << 30)))
-                      for _ in range(3))
+        geo = _point_geometry(rng, {"V": 3})
+        al, be, ga = (_random(geo, [("V", COV)], rng) for _ in range(3))
         lhs = tc.sym_product(tc.sym_product(al, be), ga)
         rhs = tc.sym_product(al, tc.sym_product(be, ga))
         rows.append(CheckRow.residual(
             "tensor/sym-product-assoc", f"case{i}/-/-",
-            (lhs - rhs).norm() / max(lhs.norm(), 1e-12), 1e-10))
+            geo.norm(lhs - rhs) / max(geo.norm(lhs), 1e-12), 1e-10))
         two = tc.sym_product(al, be)
-        alt = tc.symmetrize(tc.tensor_product(al, be)) * 2.0
+        alt = al.product(be).symmetrized(range(2)) * 2.0
         rows.append(CheckRow.residual(
             "tensor/sym-product-altform", f"case{i}/-/-",
-            (two - alt).norm() / max(two.norm(), 1e-12), 1e-10))
+            geo.norm(two - alt) / max(geo.norm(two), 1e-12), 1e-10))
     for i in range(20):
         rng = _rng(seed, 11, i)
-        reg = _registry(rng, {"V": 3})
-        a = tc.symmetrize(tc.random_tensor(reg, [("V", COV)] * 3,
-                                           int(rng.integers(1 << 30))))
+        geo = _point_geometry(rng, {"V": 3})
+        a = _random(geo, [("V", COV)] * 3, rng).symmetrized(range(3))
         split = tc.delta_split(a, 2, 1)
-        back = tc.symmetrize(split)
+        back = split.symmetrized(range(3))
         rows.append(CheckRow.residual(
             "tensor/delta-roundtrip", f"case{i}/-/-",
-            (back - a).norm() / max(a.norm(), 1e-12), 1e-10))
+            geo.norm(back - a) / max(geo.norm(a), 1e-12), 1e-10))
     for i in range(20):
         rng = _rng(seed, 12, i)
-        reg = _registry(rng, {"V": 3})
-        a = tc.random_tensor(reg, [("V", COV)] * 4, int(rng.integers(1 << 30)))
+        geo = _point_geometry(rng, {"V": 3})
+        a = _random(geo, [("V", COV)] * 4, rng)
         p = tc.push(a, 1 + i % 4, 1 + (i + 2) % 4)
         rows.append(CheckRow.residual(
             "tensor/push-isometry", f"case{i}/-/-",
-            abs(p.norm() - a.norm()), 1e-12))
-    reg = _registry(_rng(seed, 13), {"V": 2})
-    a13 = tc.random_tensor(reg, [("V", COV)] * 2, 5)
+            abs(geo.norm(p) - geo.norm(a)), 1e-12))
+    geo = _point_geometry(_rng(seed, 13), {"V": 2})
+    a13 = random_field(geo.chart, [("V", COV)] * 2, (2, 2), 5, degree=0)
     rows.append(CheckRow.residual(
         "tensor/push-identity", "k2/-/-",
-        (tc.push(a13, 2, 2) - a13).norm(), 1e-15))
+        geo.norm(tc.push(a13, 2, 2) - a13), 1e-15))
     # derivation on vectors and the mixed expansion formula
-    reg = _registry(_rng(seed, 14), {"V": 3})
-    s_t = tc.random_tensor(reg, [("V", CONTRA), ("V", COV), ("V", COV)], 21)
-    v = tc.random_tensor(reg, [("V", CONTRA)], 22)
-    dv = tc.derivation_DS(s_t, v)
-    direct = tc.substitute(v, 0, s_t)
+    geo = _point_geometry(_rng(seed, 14), {"V": 3})
+
+    def fixed(slots, s):
+        return random_field(geo.chart, slots, (3,) * len(slots), s, degree=0)
+
+    s_t = fixed([("V", CONTRA), ("V", COV), ("V", COV)], 21)
+    v = fixed([("V", CONTRA)], 22)
+    dv = v.derivation(s_t)
+    direct = v.substitute(0, s_t)
     rows.append(CheckRow.residual(
         "tensor/derivation-vector", "case0/-/-",
-        (dv - direct).norm() / max(direct.norm(), 1e-12), 1e-12))
-    t0 = tc.random_tensor(reg, [("V", COV)] * 2, 23)
-    t = tc.tensor_product(t0, v)
-    lhs = tc.derivation_DS(s_t, t)
+        geo.norm(dv - direct) / max(geo.norm(direct), 1e-12), 1e-12))
+    t0 = fixed([("V", COV)] * 2, 23)
+    t = t0.product(v)
+    lhs = t.derivation(s_t)
     # hand expansion: feed the vector through the structure tensor, minus
     # the insertions into the covariant part (vector slot moved back last)
-    term1 = tc.tensor_product(t0, tc.substitute(v, 0, s_t))
+    term1 = t0.product(v.substitute(0, s_t))
     term2 = None
     for j in (1, 2):
-        w = tc.tensor_product(tc.insert(t0, s_t, j), v).permuted([0, 1, 3, 2])
+        w = t0.insert(s_t, j).product(v).permuted([0, 1, 3, 2])
         term2 = w if term2 is None else term2 + w
-    gap = (lhs - (term1 - term2)).norm() / max(lhs.norm(), 1e-12)
+    gap = geo.norm(lhs - (term1 - term2)) / max(geo.norm(lhs), 1e-12)
     rows.append(CheckRow.residual("tensor/derivation-mixed", "case0/-/-",
                                   gap, 1e-10))
     # the dual-factor expansion: all slots covariant, every term enters
     # with a minus sign; the covector slot rides at its original position
-    alpha = tc.random_tensor(reg, [("V", COV)], 24)
-    t2 = tc.tensor_product(t0, alpha)
-    lhs2 = tc.derivation_DS(s_t, t2)
-    rhs2 = -tc.substitute(t2, 2, s_t)
+    alpha = fixed([("V", COV)], 24)
+    t2 = t0.product(alpha)
+    lhs2 = t2.derivation(s_t)
+    rhs2 = -t2.substitute(2, s_t)
     for j in (1, 2):
-        w = tc.tensor_product(tc.insert(t0, s_t, j), alpha) \
-            .permuted([0, 1, 3, 2])
+        w = t0.insert(s_t, j).product(alpha).permuted([0, 1, 3, 2])
         rhs2 = rhs2 - w
-    gap2 = (lhs2 - rhs2).norm() / max(lhs2.norm(), 1e-12)
+    gap2 = geo.norm(lhs2 - rhs2) / max(geo.norm(lhs2), 1e-12)
     rows.append(CheckRow.residual("tensor/derivation-dual", "case0/-/-",
                                   gap2, 1e-10))
     # 1/2/inf norm equivalences on flattened tensors
@@ -365,21 +362,6 @@ def _multi_indices_upto(n, order):
 # --------------------------------------------------------------------------
 # geometry
 # --------------------------------------------------------------------------
-
-def _d_struct(T, B):
-    """Signed-substitution derivation of a structure tensor on a field:
-    +substitution at matching contravariant slots, - at covariant ones."""
-    space = B.slots[0].space
-    out = None
-    for pos, slot in enumerate(T.slots):
-        if slot.space != space:
-            continue
-        term = T.substitute(pos, B)
-        if slot.variance == COV:
-            term = term * -1.0
-        out = term if out is None else out + term
-    return out
-
 
 def suite_geometry(config):
     rows = []
@@ -481,7 +463,7 @@ def suite_geometry(config):
     s_m = connection_difference(bun_bar.conns[TAN], bun.conns[TAN])
     s_e = connection_difference(bun_bar.conns[FIB], bun.conns[FIB])
     lhs = bun_bar.cov(Y)
-    rhs = bun.cov(Y) + _d_struct(Y, s_m)
+    rhs = bun.cov(Y) + Y.derivation(s_m)
     rows.append(CheckRow.residual(
         "geometry/connection-difference", "twisted-bundle/p0/1",
         float(np.abs((lhs - rhs).data).max()), 1e-10))
@@ -489,7 +471,7 @@ def suite_geometry(config):
     Bt = random_field(ch, [(FIB, CONTRA), (TAN, COV), (TAN, COV)],
                       (scn.k, scn.n, scn.n), 67)
     lhs = bun_bar.cov(Bt)
-    rhs = bun.cov(Bt) + _d_struct(Bt, s_m) + _struct_on_fibre(Bt, s_e)
+    rhs = bun.cov(Bt) + Bt.derivation(s_m) + Bt.derivation(s_e)
     rows.append(CheckRow.residual(
         "geometry/derivative-comparison", "twisted-bundle/p0/1",
         float(np.abs((lhs - rhs).data).max()), 1e-10))
@@ -519,18 +501,6 @@ def suite_geometry(config):
             "geometry/composite-derivative", f"twisted-bundle/p0/{korder}",
             num / max(float(np.abs(lhs.data[0]).max()), 1e-12), 1e-8))
     return rows
-
-
-def _struct_on_fibre(T, s_e):
-    out = None
-    for pos, slot in enumerate(T.slots):
-        if slot.space != FIB:
-            continue
-        term = T.substitute(pos, s_e)
-        if slot.variance == COV:
-            term = term * -1.0
-        out = term if out is None else out + term
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -768,7 +738,7 @@ def suite_submersion(config):
                 Ah = ts.lift_mixed(A, ["base"] * korder)
                 lhs = ts.cov(Ah)
                 rhs = ts.lift_mixed(bun.cov(A), ["base"] * (korder + 1)) \
-                    + _d_struct(Ah, B)
+                    + Ah.derivation(B)
                 rows.append(CheckRow.residual(
                     "submersion/horiz-cov-derivative", f"{where}/{korder}",
                     float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
@@ -778,7 +748,7 @@ def suite_submersion(config):
                 lifted = ts.lift_mixed(Av, ["vert"] + ["base"] * korder)
                 lhs = ts.cov(lifted)
                 rhs = ts.lift_mixed(bun.cov(Av), ["vert"] + ["base"] * (korder + 1)) \
-                    + _d_struct(lifted, B)
+                    + lifted.derivation(B)
                 rows.append(CheckRow.residual(
                     "submersion/vert-cov-derivative", f"{where}/{korder}",
                     float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
@@ -788,7 +758,7 @@ def suite_submersion(config):
                 liftedx = ts.lift_mixed(Ax, ["hor"] + ["base"] * korder)
                 lhs = ts.cov(liftedx)
                 rhs = ts.lift_mixed(bun.cov(Ax), ["hor"] + ["base"] * (korder + 1)) \
-                    + _d_struct(liftedx, B)
+                    + liftedx.derivation(B)
                 rows.append(CheckRow.residual(
                     "submersion/horizvf-cov-derivative", f"{where}/{korder}",
                     float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
@@ -798,7 +768,7 @@ def suite_submersion(config):
                 liftedl = ts.lift_mixed(Al, ["theta"] + ["base"] * korder)
                 lhs = ts.cov(liftedl)
                 rhs = ts.lift_mixed(bun.cov(Al), ["theta"] + ["base"] * (korder + 1)) \
-                    + _d_struct(liftedl, B)
+                    + liftedl.derivation(B)
                 rows.append(CheckRow.residual(
                     "submersion/dual-cov-derivative", f"{where}/{korder}",
                     float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
@@ -810,7 +780,7 @@ def suite_submersion(config):
                 lhs = ts.cov(liftede)
                 rhs = ts.lift_mixed(bun.cov(Ae),
                                     ["vert", "theta"] + ["base"] * (korder + 1)) \
-                    + _d_struct(liftede, B)
+                    + liftede.derivation(B)
                 rows.append(CheckRow.residual(
                     "submersion/endo-cov-derivative", f"{where}/{korder}",
                     float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
@@ -824,7 +794,7 @@ def suite_submersion(config):
                 # the covector lift rides along as the appended slot
                 vl_moved = vl.move_slot(0, vl.order - 1)
                 rhs = ts.lift_mixed(bun.cov(Adual), ["eval"] + ["base"] * (korder + 1)) \
-                    + _d_struct(ev, B) + vl_moved
+                    + ev.derivation(B) + vl_moved
                 rows.append(CheckRow.residual(
                     "submersion/eval-cov-derivative", f"{where}/{korder}",
                     float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
@@ -838,7 +808,7 @@ def suite_submersion(config):
                 vle_moved = vle.move_slot(1, vle.order - 1)
                 rhs = ts.lift_mixed(bun.cov(Endo),
                                     ["vert", "eval"] + ["base"] * (korder + 1)) \
-                    + _d_struct(eve, B) + vle_moved
+                    + eve.derivation(B) + vle_moved
                 rows.append(CheckRow.residual(
                     "submersion/endo-eval-cov-derivative", f"{where}/{korder}",
                     float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
@@ -975,7 +945,37 @@ def _object_field(bun, kind, exprs):
     raise ValueError(kind)
 
 
+def _scenario_recursion_rows(config):
+    """Expansion/inverse rows of `config.families` (default: all) up to
+    `config.max_order` on each of `config.scenarios`."""
+    rows = []
+    for scn in config.scenarios:
+        bun = scn.bundle_at(cap=config.max_order + 2)
+        flat = bun.conns[TAN].is_zero(1e-14) and bun.conns[FIB].is_zero(1e-14)
+        thr = 1e-11 if flat else 1e-8
+        ts = scn.total_at(cap=config.max_order + 2)
+        for kind in config.families or BUNDLE_FAMILY_KINDS:
+            fam = bundle_family(kind, ts)
+            fwd = build_coefficients(fam, config.max_order, "forward")
+            inv = build_coefficients(fam, config.max_order, "inverse")
+            obj = _object_field(ts.bundle, kind,
+                                _family_objects(scn, kind, config.seed + 40))
+            for m in range(config.max_order + 1):
+                rows.append(CheckRow.residual(
+                    f"recursions/{kind}-expansion", f"{scn.name}/p0/{m}",
+                    verify_expansion(fam, fwd, obj, m), thr))
+                rows.append(CheckRow.residual(
+                    f"recursions/{kind}-inverse", f"{scn.name}/p0/{m}",
+                    verify_inverse_pair(fam, inv, obj, m), thr))
+    return rows
+
+
 def suite_recursions(config):
+    """The built-in recursion matrix or, when `config.scenarios` is given,
+    the expansion and inverse rows of `config.families` up to
+    `config.max_order` on those scenarios alone."""
+    if config.scenarios:
+        return _scenario_recursion_rows(config)
     rows = []
     seed = config.seed
     plans = [("flat-line", 5, 1e-11, "flat"), ("twisted-bundle", 3, 1e-8, "nonflat")]
@@ -1070,36 +1070,38 @@ def suite_recursions(config):
             rows.append(CheckRow.residual(
                 "recursions/PB-inverse", f"{scen_name}/p0/3",
                 pullback_inverse_residual(pb, fwd, fobj, 3), 1e-8))
-    # growth template on the twisted bundle
-    ts4 = builtin_scenario("twisted-bundle").total_at(cap=6)
+    # growth template on the twisted bundle; the template bound is taken at
+    # half the growth order
+    go = config.growth_order
+    half = max(1, go // 2)
+    ts4 = builtin_scenario("twisted-bundle").total_at(cap=go + 2)
     for kind in BUNDLE_FAMILY_KINDS:
         fam = bundle_family(kind, ts4)
-        tab = build_coefficients(fam, config.growth_order, "forward")
+        tab = build_coefficients(fam, go, "forward")
         prof = growth_profile(tab, ts4, slack=2.0)
         rows.append(CheckRow.flag(
-            f"recursions/{kind}-growth-coverage", "twisted-bundle/p0/4",
+            f"recursions/{kind}-growth-coverage", f"twisted-bundle/p0/{go}",
             prof["coverage"] >= 1.0 - 1e-12,
             inputs=(f"C={prof['C']:.3g} sigma={prof['sigma']:.3g} "
                     f"rho={prof['rho']:.3g}"), value=1.0 - prof["coverage"]))
-        dim_id = math.sqrt(np.prod(
-            [ts4.dims[TAN]] * (config.growth_order + fam.n_aux_out())))
-        diag = tab.get(config.growth_order, 0, config.growth_order)
+        dim_id = math.sqrt(np.prod([ts4.dims[TAN]] * (go + fam.n_aux_out())))
+        diag = tab.get(go, 0, go)
         rows.append(CheckRow.residual(
-            f"recursions/{kind}-diagonal-norm", "twisted-bundle/p0/4",
+            f"recursions/{kind}-diagonal-norm", f"twisted-bundle/p0/{go}",
             abs(ts4.norm(diag) - dim_id), 1e-9,
-            inputs=f"expect sqrt({ts4.dims[TAN]}^{config.growth_order + fam.n_aux_out()})"))
+            inputs=f"expect sqrt({ts4.dims[TAN]}^{go + fam.n_aux_out()})"))
         # template operator bounds at order zero: each substitution term is
         # controlled by the structure tensor norm times the map norm
         B = ts4.b_tensor()
-        a_ref = tab.get(2, 0, 1)
-        n_out = fam.n_aux_out() + 2
+        a_ref = tab.get(half, 0, half - 1)
+        n_out = fam.n_aux_out() + half
         worst = 0.0
         for p in range(n_out, a_ref.order):
             term = a_ref.substitute(p, B)
             worst = max(worst, ts4.norm(term)
                         / max(ts4.norm(a_ref) * ts4.norm(B), 1e-300))
         rows.append(CheckRow.residual(
-            f"recursions/{kind}-template-bound", "twisted-bundle/p0/2",
+            f"recursions/{kind}-template-bound", f"twisted-bundle/p0/{half}",
             worst - 1.0, 1e-9))
     # growth profile degenerates on a flat scenario
     tsf = builtin_scenario("flat-line").total_at(cap=6)
@@ -1129,14 +1131,12 @@ def suite_connection_compare(config):
         g2 = np.eye(dim) + 0.5 * (a2 + a2.T)
         lam = np.linalg.eigvals(np.linalg.solve(g1, g2)).real
         sigma = min(lam.min(), 1.0 / lam.max())
-        reg1, reg2 = SpaceRegistry(), SpaceRegistry()
-        reg1.add("V", dim, g1)
-        reg2.add("V", dim, g2)
+        geo1, geo2 = point_geometry({"V": g1}), point_geometry({"V": g2})
         r, s = 1 + i % 2, 1 + (i // 2) % 2
         slots = [("V", CONTRA)] * r + [("V", COV)] * s
-        data = rng.uniform(-1, 1, size=(dim,) * (r + s))
-        n1 = DenseTensor(reg1, slots, data).norm()
-        n2 = DenseTensor(reg2, slots, data).norm()
+        data = rng.uniform(-1, 1, size=(1,) + (dim,) * (r + s))
+        n1 = geo1.norm(FieldTensor(geo1.chart, slots, data, 0))
+        n2 = geo2.norm(FieldTensor(geo2.chart, slots, data, 0))
         ok = (n1 <= n2 / sigma ** (r + s) + 1e-9
               and n2 <= n1 / sigma ** (r + s) + 1e-9)
         rows.append(CheckRow.flag(

@@ -38,10 +38,6 @@ class MultiIndex(tuple):
     """An n-tuple of nonnegative integer exponents."""
 
     @property
-    def exponents(self):
-        return tuple(self)
-
-    @property
     def order(self):
         return sum(self)
 

@@ -1,11 +1,14 @@
-"""Dense multilinear algebra on finite-dimensional inner-product spaces.
+"""Slots, spaces, Gram norms and the combinatorics of tensor arguments.
 
-Tensors are stored as row-major numpy arrays with one axis per slot; a slot
-is a (space, variance) pair resolved against a registry of spaces, each of
-which carries a symmetric positive-definite Gram matrix.  Norms and inner
-products weight every slot by its Gram (inverse Gram on dual slots), applied
-through its Cholesky factor, so non-orthonormal metrics are supported
-throughout.
+A slot is a (space, variance) pair resolved against a registry of spaces,
+each of which carries a symmetric positive-definite Gram matrix.  Norms and
+inner products weight every slot by its Gram (inverse Gram on dual slots),
+applied through its Cholesky factor, so non-orthonormal metrics are
+supported throughout.  Every operation that builds a tensor from tensors
+lives on `fields.FieldTensor`; the pointwise algebra of a fibre is the
+degree-0 case of it.  This module keeps what acts on arrays and slots, and
+the shuffle algebra (`sym_product`, `delta_split`, `push`), which acts on
+FieldTensors through their `product` and `permuted`.
 
 Conventions:
   * slots of an evaluation-style tensor are [contravariant block][covariant
@@ -29,21 +32,16 @@ __all__ = [
     "Slot",
     "TensorShape",
     "DenseTensor",
-    "tensor_product",
-    "symmetrize",
+    "symmetrized_data",
+    "sym_axes_data",
     "sym_product",
-    "insert",
-    "substitute",
     "push",
-    "derivation_DS",
-    "contract_eval",
-    "apply_map",
+    "push_order",
     "delta_split",
     "inner_product",
     "frobenius_norm",
-    "random_tensor",
-    "identity_tensor",
     "shuffles",
+    "apply_perm",
     "sym_rank",
 ]
 
@@ -107,28 +105,19 @@ class TensorShape(tuple):
                 norm.append(Slot(space, variance))
         return super().__new__(cls, norm)
 
-    def dims(self, registry):
-        return tuple(registry[s.space].dim for s in self)
-
 
 class DenseTensor:
-    """A dense tensor over registered spaces."""
+    """The base-point value of a field over Gram-carrying spaces: what
+    `Geometry.value` returns, for norms and jet components."""
 
     def __init__(self, registry, slots, data):
         self.registry = registry
         self.slots = TensorShape(slots)
-        dims = self.slots.dims(registry)
-        data = np.asarray(data, dtype=float)
-        if data.shape != dims:
-            data = data.reshape(dims)
-        self.data = data
+        self.data = np.asarray(data, dtype=float)
 
     @property
     def order(self):
         return len(self.slots)
-
-    def copy(self):
-        return DenseTensor(self.registry, self.slots, self.data.copy())
 
     def __add__(self, other):
         if self.slots != other.slots:
@@ -145,13 +134,9 @@ class DenseTensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
-    def permuted(self, perm):
-        """sigma(A): entry axes rearranged so slot i holds old slot perm[i]."""
-        slots = [self.slots[p] for p in perm]
-        return DenseTensor(self.registry, slots, np.transpose(self.data, perm))
+    def symmetrized(self, axes):
+        return DenseTensor(self.registry, self.slots,
+                           symmetrized_data(self.slots, self.data, axes))
 
     def norm(self):
         return frobenius_norm(self)
@@ -250,22 +235,6 @@ def frobenius_norm(a):
         for dot in _chunk_dots(x, x)))
 
 
-def tensor_product(a, b):
-    if a.registry is not b.registry:
-        raise ValueError("tensors live over different registries")
-    data = np.multiply.outer(a.data, b.data)
-    return DenseTensor(a.registry, tuple(a.slots) + tuple(b.slots), data)
-
-
-def _check_same_cov(a):
-    if not a.slots:
-        return
-    first = a.slots[0]
-    for s in a.slots:
-        if s != first or s.variance != COV:
-            raise ValueError("symmetrize expects covariant slots on one space")
-
-
 def sym_axes_data(data, axes):
     """Symmetrize an ndarray over the given (equal-length) axes.
 
@@ -294,23 +263,23 @@ def sym_axes_data(data, axes):
     return np.moveaxis(out, range(data.ndim - k, data.ndim), axes)
 
 
-def symmetrize(a, axes=None):
-    """Average over all permutations of the given axes (default: all).
-
-    With default axes the input must be covariant of one space; with explicit
-    axes the named slots must agree pairwise, other slots ride along.
-    """
-    if axes is None:
-        _check_same_cov(a)
-        axes = list(range(a.order))
+def symmetrized_data(slots, data, axes, lead=0):
+    """`data` averaged over all permutations of the slots `axes`, which must
+    agree in space and variance; `lead` leading axes of `data` (series
+    coefficients) carry no slot."""
     axes = list(axes)
+    for ax in axes[1:]:
+        if slots[ax] != slots[axes[0]]:
+            raise ValueError(f"cannot symmetrize slot {slots[ax]} with "
+                             f"{slots[axes[0]]}")
     if len(axes) <= 1:
-        return a.copy()
-    return DenseTensor(a.registry, a.slots, sym_axes_data(a.data, axes))
+        return data.copy()
+    return sym_axes_data(data, [lead + ax for ax in axes])
 
 
-def is_symmetric(a, axes=None, tol=1e-10):
-    s = symmetrize(a, axes)
+def is_symmetric(a, tol=1e-10):
+    """Whether a FieldTensor is symmetric in all of its slots."""
+    s = a.symmetrized(range(a.order))
     scale = max(float(np.abs(a.data).max()), 1e-30)
     return float(np.abs(s.data - a.data).max()) <= tol * scale
 
@@ -344,16 +313,34 @@ def apply_perm(data, sigma):
     return np.transpose(data, _inverse_perm(sigma))
 
 
+def _shuffle_sum(t, k, l):
+    """The sum over S_{k,l} of sigma(t)."""
+    acc = None
+    for sigma in shuffles(k, l):
+        term = t.permuted(_inverse_perm(sigma))
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def sym_product(a, b, tol=1e-10):
     """Shuffle product of symmetric tensors: sum over S_{k,l} of permuted a@b."""
     if not (is_symmetric(a, tol=tol) and is_symmetric(b, tol=tol)):
         raise ValueError("sym_product expects symmetric inputs")
-    k, l = a.order, b.order
-    t = tensor_product(a, b)
-    acc = np.zeros_like(t.data)
-    for sigma in shuffles(k, l):
-        acc += apply_perm(t.data, sigma)
-    return DenseTensor(a.registry, t.slots, acc)
+    return _shuffle_sum(a.product(b), a.order, b.order)
+
+
+def push_order(k, j1, j2):
+    """The argument order of push(a, j1, j2) on k slots:
+    push(a, j1, j2)(v_1..v_k) = a(v_{order[0]+1}, .., v_{order[k-1]+1})."""
+    if not (1 <= j1 <= k and 1 <= j2 <= k):
+        raise ValueError("push index out of range")
+    if j1 <= j2:
+        # a(v_1,..,v_{j1-1}, v_{j1+1},..,v_{j2}, v_{j1}, v_{j2+1},..)
+        return (list(range(j1 - 1)) + list(range(j1, j2)) + [j1 - 1]
+                + list(range(j2, k)))
+    # a(v_1,..,v_{j2-1}, v_{j1}, v_{j2},..,v_{j1-1}, v_{j1+1},..)
+    return (list(range(j2 - 1)) + [j1 - 1] + list(range(j2 - 1, j1 - 1))
+            + list(range(j1, k)))
 
 
 def push(a, j1, j2):
@@ -362,126 +349,7 @@ def push(a, j1, j2):
     Indices are 1-based as in evaluation notation; j1 == j2 is the identity
     (the two case formulas agree there).
     """
-    k = a.order
-    if not (1 <= j1 <= k and 1 <= j2 <= k):
-        raise ValueError("push index out of range")
-    if j1 == j2:
-        return a.copy()
-    # result(v_1..v_k) = a(arguments rearranged); axis i of the result reads
-    # the source axis that held the argument now in position i
-    if j1 < j2:
-        # a(v_1,..,v_{j1-1}, v_{j1+1},..,v_{j2}, v_{j1}, v_{j2+1},..)
-        order = (list(range(j1 - 1)) + list(range(j1, j2)) + [j1 - 1]
-                 + list(range(j2, k)))
-    else:
-        # a(v_1,..,v_{j2-1}, v_{j1}, v_{j2},..,v_{j1-1}, v_{j1+1},..)
-        order = (list(range(j2 - 1)) + [j1 - 1] + list(range(j2 - 1, j1 - 1))
-                 + list(range(j1, k)))
-    inv = _inverse_perm(order)
-    return DenseTensor(a.registry, [a.slots[i] for i in order],
-                       np.transpose(a.data, inv))
-
-
-def substitute(a, pos, s):
-    """Replace slot `pos` (0-based) of `a` using the structure tensor `s`.
-
-    `s` has slots [value][arg1][arg2..argl].  For a covariant slot of `a`,
-    the slot is contracted with the value of `s` and arg1 takes its place
-    (ordinary insertion); for a contravariant slot, the slot is contracted
-    with arg1 and the value takes its place (the dual action used by tensor
-    derivations).  Remaining args of `s` are appended as trailing slots.
-
-    A one-slot `s` (a plain vector or covector) pins the slot: it is
-    contracted away and nothing replaces it.
-    """
-    slot = a.slots[pos]
-    if s.order == 1:
-        if s.slots[0].space != slot.space or \
-                s.slots[0].variance == slot.variance:
-            raise ValueError("pinned value does not match the target slot")
-        data = np.tensordot(a.data, s.data, axes=([pos], [0]))
-        slots = [sl for i, sl in enumerate(a.slots) if i != pos]
-        return DenseTensor(a.registry, slots, data)
-    val, arg1 = s.slots[0], s.slots[1]
-    if slot.variance == COV:
-        if val.space != slot.space or val.variance != CONTRA:
-            raise ValueError("value slot of s does not match the target slot")
-        contract_axis_s = 0
-        new_slot = arg1
-    else:
-        if arg1.space != slot.space or arg1.variance != COV:
-            raise ValueError("arg1 of s does not match the contravariant slot")
-        contract_axis_s = 1
-        new_slot = val
-    data = np.tensordot(a.data, s.data, axes=([pos], [contract_axis_s]))
-    # tensordot puts the remaining s axes last; the replaced slot must go
-    # back to `pos`, extra args stay appended
-    n_rest = a.order - 1
-    moved = np.moveaxis(data, n_rest, pos)
-    slots = list(a.slots)
-    slots[pos] = new_slot
-    slots += list(s.slots[2:])
-    return DenseTensor(a.registry, slots, moved)
-
-
-def insert(a, s, j):
-    """Ins_j(a, s): substitution into the j-th covariant slot (1-based over
-    the covariant block)."""
-    cov_positions = [i for i, sl in enumerate(a.slots) if sl.variance == COV]
-    if not (1 <= j <= len(cov_positions)):
-        raise ValueError("insertion index out of range")
-    return substitute(a, cov_positions[j - 1], s)
-
-
-def derivation_DS(s, t):
-    """The tensor derivation attached to a (1,k)-structure tensor.
-
-    Acts as +substitution on every contravariant slot and -substitution on
-    every covariant slot of `t`; vanishes on scalars.
-    """
-    out = None
-    for pos, slot in enumerate(t.slots):
-        term = substitute(t, pos, s)
-        if slot.variance == COV:
-            term = -term
-        out = term if out is None else out + term
-    if out is None:
-        # scalar input: the derivation vanishes (zero with the extra slots
-        # the nonscalar case would have carried)
-        extra = list(s.slots[2:])
-        shape = tuple(t.registry[sl.space].dim for sl in extra)
-        return DenseTensor(t.registry, extra, np.zeros(shape))
-    return out
-
-
-def contract_eval(a, b):
-    """A(B): feed the output of `b` into the final covariant slot of `a`."""
-    cov_positions = [i for i, sl in enumerate(a.slots) if sl.variance == COV]
-    if not cov_positions:
-        raise ValueError("a has no covariant slot to evaluate on")
-    return substitute(a, cov_positions[-1], b)
-
-
-def apply_map(a_map, n_out, arg):
-    """Apply a map tensor [OUT block][IN-dual block] to an argument.
-
-    The trailing len(a_map)-n_out slots of `a_map` are contracted pairwise
-    against the leading slots of `arg` (natural pairing, opposite variance
-    required); extra trailing slots of `arg` pass through and are appended
-    after the OUT block.
-    """
-    n_in = a_map.order - n_out
-    if arg.order < n_in:
-        raise ValueError("argument has too few slots")
-    for i in range(n_in):
-        ms, ts = a_map.slots[n_out + i], arg.slots[i]
-        if ms.space != ts.space or ms.variance == ts.variance:
-            raise ValueError("map/argument slot mismatch")
-    axes_a = list(range(n_out, a_map.order))
-    axes_b = list(range(n_in))
-    data = np.tensordot(a_map.data, arg.data, axes=(axes_a, axes_b))
-    slots = list(a_map.slots[:n_out]) + list(arg.slots[n_in:])
-    return DenseTensor(a_map.registry, slots, data)
+    return a.permuted(_inverse_perm(push_order(a.order, j1, j2)))
 
 
 def delta_split(a, r, s, tol=1e-10):
@@ -497,37 +365,14 @@ def delta_split(a, r, s, tol=1e-10):
         raise ValueError("delta_split expects a symmetric input")
     if r == 0 or s == 0:
         return a.copy()
-    acc = np.zeros_like(a.data)
-    for sigma in shuffles(r, s):
-        acc += apply_perm(a.data, sigma)
     coeff = math.factorial(r) * math.factorial(s) / math.factorial(r + s)
-    return DenseTensor(a.registry, a.slots, coeff * acc)
+    return _shuffle_sum(a, r, s) * coeff
 
 
-def identity_tensor(registry, space):
-    """The (1,1) identity on a space, slots [contra][cov]."""
-    dim = registry[space].dim
-    return DenseTensor(registry, [(space, CONTRA), (space, COV)], np.eye(dim))
-
-
-def random_tensor(registry, slots, seed, scale=1.0):
-    """Deterministic uniform entries in [-scale, scale]."""
-    shape = TensorShape(slots)
-    dims = shape.dims(registry)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    data = scale * rng.uniform(-1.0, 1.0, size=dims)
-    return DenseTensor(registry, shape, data)
-
-
-def sym_rank(registry, space, k):
-    """Numerical rank of the symmetrization projector on k covariant slots."""
-    dim = registry[space].dim
+def sym_rank(dim, k):
+    """Numerical rank of the symmetrization projector on k slots of a
+    dim-dimensional space."""
     n = dim ** k
-    cols = []
-    for idx in range(n):
-        e = np.zeros(n)
-        e[idx] = 1.0
-        t = DenseTensor(registry, [(space, COV)] * k, e.reshape((dim,) * k))
-        cols.append(symmetrize(t).data.reshape(n))
-    mat = np.stack(cols, axis=1)
-    return int(np.linalg.matrix_rank(mat, tol=1e-9))
+    basis = np.eye(n).reshape((n,) + (dim,) * k)
+    images = sym_axes_data(basis, range(1, k + 1)).reshape(n, n)
+    return int(np.linalg.matrix_rank(images, tol=1e-9))

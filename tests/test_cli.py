@@ -234,3 +234,71 @@ def test_report_diff_unreadable_input_exits_two(tmp_path):
         assert res.returncode == 2, args
         assert "configuration error" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+def _flat_scenario(tmp_path):
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps({
+        "name": "customflat", "n": 1, "k": 1,
+        "metric": [["1"]], "fibre_metric": [["1"]], "connection": None,
+        "base_points": [[0.1]], "fibre_points": [[0.8]],
+        "degree": 5, "seed": 5}))
+    return str(p)
+
+
+@pytest.mark.parametrize("args", [
+    # --scenario is read by recursions only
+    ["jets", "--scenario", "FLAT"],
+    ["all", "--scenario", "FLAT"],
+    # --family and --max-order only with --scenario
+    ["recursions", "--family", "P"],
+    ["recursions", "--max-order", "2"],
+    ["recursions", "--family", "P", "--max-order", "2"],
+    ["recursions", "--scenario", "FLAT", "--family", "Q"],
+    # a --threshold key must name a tag of the selected suites
+    ["jets", "--threshold", "nosuch/tag=1"],
+    ["jets", "--threshold", "recursions/P-expansion=1"],
+    ["jets", "--threshold", "recursions=1"],
+    ["jets", "--scenario", "FLAT", "--family", "Q", "--max-order", "9",
+     "--threshold", "nosuch/tag=1"],
+])
+def test_flags_a_run_ignores_exit_two(args, tmp_path, monkeypatch, capsys):
+    from jetcalc import cli
+
+    def no_run(config):
+        raise AssertionError("a suite ran for a bad configuration")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, no_run)
+    flat = _flat_scenario(tmp_path)
+    argv = ["verify"] + [flat if a == "FLAT" else a for a in args]
+    assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_threshold_key_may_be_a_tag_prefix(tmp_path, monkeypatch):
+    from jetcalc import cli
+    from jetcalc.suites import CheckRow
+    monkeypatch.setitem(cli.SUITES, "jets", lambda config: [
+        CheckRow.residual("jets/factorial-norm", "flat/p0/1", 0.5, 1.0)])
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "jets", "--out", str(out)]) == 0
+    assert cli.main(["verify", "jets", "--threshold", "jets=0.1",
+                     "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["rows"][0]["threshold"] == "0.1"
+
+
+def test_scenario_recursions_read_families_and_max_order(tmp_path):
+    from jetcalc.cli import SuiteConfig
+    from jetcalc.scenarios import load_scenario
+    from jetcalc.suites import suite_recursions
+    config = SuiteConfig(max_order=1, families=("P", "V"),
+                         scenarios=[load_scenario(_flat_scenario(tmp_path))])
+    rows = suite_recursions(config)
+    assert sorted({r.tag for r in rows}) == [
+        "recursions/P-expansion", "recursions/P-inverse",
+        "recursions/V-expansion", "recursions/V-inverse"]
+    assert {r.check_id.split("/", 2)[2] for r in rows} == {
+        "customflat/p0/0", "customflat/p0/1"}
+    assert all(r.passed for r in rows)

@@ -207,3 +207,42 @@ def test_matrix_inverse_field_series():
     eye = np.zeros_like(prod.data)
     eye[0] = np.eye(2)
     assert np.abs(prod.data - eye).max() < 1e-12
+
+
+def _signed_substitution(T, pos, S):
+    """One term of D_S built from a natural pairing: S's slot that replaces
+    slot `pos` is moved back to `pos`, S's extra slots stay last."""
+    up = T.slots[pos].variance == CONTRA
+    t = T.contract_pair(pos, S, 1 if up else 0).move_slot(T.order - 1, pos)
+    return t if up else t * -1.0
+
+
+def test_derivation_is_the_signed_sum_of_substitutions():
+    from jetcalc.scenarios import builtin_scenario
+    tw = builtin_scenario("twisted-bundle")
+    bun = tw.bundle_at(cap=4)
+    ch, n, k = bun.chart, tw.n, tw.k
+    # slots on two spaces: each S acts on its own value space only
+    T = random_field(ch, [(FIB, CONTRA), (TAN, CONTRA), (FIB, COV),
+                          (TAN, COV)], (k, n, k, n), 31)
+    s_tan = random_field(ch, [(TAN, CONTRA), (TAN, COV), (TAN, COV)],
+                         (n, n, n), 32)
+    s_fib = random_field(ch, [(FIB, CONTRA), (FIB, COV), (TAN, COV)],
+                         (k, k, n), 33, degree=3)
+    for S, positions in ((s_tan, (1, 3)), (s_fib, (0, 2))):
+        want = None
+        for pos in positions:
+            term = _signed_substitution(T, pos, S)
+            want = term if want is None else want + term
+        got = T.derivation(S)
+        assert got.degree == min(T.degree, S.degree) >= 2
+        assert got.slots == want.slots
+        assert got.slots[T.order:] == S.slots[2:]
+        assert np.abs(got.data - want.data).max() < 1e-13
+        assert np.abs(want.data).max() > 0.1
+    # no slot on S's value space: zero, with S's extra slots appended
+    xi = random_field(ch, [(FIB, CONTRA), (FIB, COV)], (k, k), 34)
+    zero = xi.derivation(s_tan)
+    assert zero.slots == tuple(xi.slots) + tuple(s_tan.slots[2:])
+    assert zero.data.shape == xi.data.shape + (n,)
+    assert zero.degree == 4 and not np.any(zero.data)

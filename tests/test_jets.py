@@ -128,24 +128,3 @@ def test_prolong_zero_outer_is_plain_jet():
         assert np.allclose(nested[0][l].data, jet.components[l].data,
                            atol=1e-13)
 
-
-def test_serialize_jet_rows():
-    from jetcalc.jets import serialize_jet
-    line = builtin_scenario("flat-line")
-    bun = line.bundle_at([0.0])
-    jet = decompose_jet(function_field(bun, "(exp x1)"), bun, 2)
-    rows = serialize_jet(jet)
-    # one scalar entry at order 0 and 1, one at order 2 (1-D chart)
-    assert [r[0] for r in rows] == [0, 1, 2]
-    assert rows[0][2] == pytest.approx(1.0)
-    assert rows[2][2] == pytest.approx(0.5)
-
-
-def test_jet_metric_order_guard():
-    from jetcalc.jets import JetMetric
-    line = builtin_scenario("flat-line")
-    bun = line.bundle_at([0.0])
-    jet = decompose_jet(function_field(bun, "(exp x1)"), bun, 2)
-    assert jet_norm(jet, JetMetric(bun, 2)) == pytest.approx(jet_norm(jet))
-    with pytest.raises(ValueError):
-        jet_norm(jet, JetMetric(bun, 3))
