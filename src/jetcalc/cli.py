@@ -48,6 +48,24 @@ SUITES = {
 }
 
 
+#: the SuiteConfig fields each suite reads
+READS = {
+    "tensor-laws": ("seed",),
+    "taylor": ("seed",),
+    "geometry": ("seed", "points"),
+    "jets": ("seed",),
+    "submersion": ("seed", "points"),
+    "recursions": ("seed", "points", "growth_order"),
+    "connection-compare": ("seed", "compare_order"),
+    "seminorms": ("seed", "radius_order"),
+    "continuity": ("seed",),
+}
+
+#: what recursions reads in place of READS["recursions"] when it runs
+#: scenario files
+SCENARIO_READS = ("seed", "max_order", "families", "scenarios")
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 7
@@ -59,17 +77,21 @@ class SuiteConfig:
     families: tuple = ()
     scenarios: list = field(default_factory=list)
 
-    def echo(self):
-        return {
-            "seed": self.seed,
-            "points": self.points,
-            "max_order": self.max_order,
-            "growth_order": self.growth_order,
-            "compare_order": self.compare_order,
-            "radius_order": self.radius_order,
-            "families": list(self.families),
-            "scenarios": [s.name for s in self.scenarios],
-        }
+    def reads(self, name):
+        """The fields that suite `name` reads from this config."""
+        if name == "recursions" and self.scenarios:
+            return SCENARIO_READS
+        return READS[name]
+
+    def echo(self, names):
+        """The fields that the suites `names` read, with their values."""
+        out = {key: getattr(self, key)
+               for name in names for key in self.reads(name)}
+        if "families" in out:
+            out["families"] = list(self.families)
+        if "scenarios" in out:
+            out["scenarios"] = [s.name for s in self.scenarios]
+        return out
 
 
 def _thread_count():
@@ -170,7 +192,7 @@ def cmd_verify(args):
     digests = {s.name: scenario_digest(s) for s in config.scenarios}
     for name in (BUILTIN_NAMES if not config.scenarios else ()):
         digests[name] = scenario_digest(builtin_scenario(name))
-    report = build_report(args.suite, rows, config.echo(), digests)
+    report = build_report(args.suite, rows, config.echo(names), digests)
     text = report_json(report) if args.format == "json" else report_csv(report)
     if args.out:
         emit_report(report, args.format, args.out)
@@ -198,6 +220,14 @@ def cmd_fit(args):
         scn = (load_scenario(args.scenario) if args.scenario
                and os.path.exists(args.scenario)
                else builtin_scenario(args.scenario or "twisted-bundle"))
+        # the geometries are built here, so that data they reject exits 2
+        cap = args.max_order + 2
+        if args.kind == "growth":
+            ts = scn.total_at(cap=cap)
+        else:
+            pairs = {tuple(x): (scn.bundle_at(x, cap=cap),
+                                scn.alt_bundle_at(x, cap=cap))
+                     for x in scn.base_points}
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -205,7 +235,6 @@ def cmd_fit(args):
     if args.kind == "growth":
         from .recursions import (build_coefficients, bundle_family,
                                  growth_profile)
-        ts = scn.total_at(cap=args.max_order + 2)
         fam = bundle_family(args.family or "V", ts)
         tab = build_coefficients(fam, args.max_order, "forward")
         prof = growth_profile(tab, ts)
@@ -213,26 +242,22 @@ def cmd_fit(args):
                         for (m, s, c, v) in prof["rows"]]
         sys.stdout.write(_json.dumps(prof, indent=2, sort_keys=True) + "\n")
         return 0
-    if args.kind == "compare":
-        from .scenarios import section_field
-        from .seminorms import CompactSample, norm_compare
-        m_hi = args.max_order
-        K = CompactSample(scn.base_points, "K")
-        exprs = scn.random_section(args.seed)
+    from .scenarios import section_field
+    from .seminorms import CompactSample, norm_compare
+    K = CompactSample(scn.base_points, "K")
+    exprs = scn.random_section(args.seed)
 
-        def prov_a(x):
-            bun = scn.bundle_at(x, cap=m_hi + 2)
-            return bun, section_field(bun, exprs)
+    def prov_a(x):
+        bun = pairs[tuple(x)][0]
+        return bun, section_field(bun, exprs)
 
-        def prov_b(x):
-            bun = scn.alt_bundle_at(x, cap=m_hi + 2)
-            return bun, section_field(bun, exprs)
+    def prov_b(x):
+        bun = pairs[tuple(x)][1]
+        return bun, section_field(bun, exprs)
 
-        rep = norm_compare(prov_a, prov_b, K, m_hi)
-        sys.stdout.write(_json.dumps(rep, indent=2, sort_keys=True) + "\n")
-        return 0
-    print(f"unknown fit kind {args.kind!r}", file=sys.stderr)
-    return 2
+    rep = norm_compare(prov_a, prov_b, K, args.max_order)
+    sys.stdout.write(_json.dumps(rep, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
 def cmd_report(args):

@@ -356,16 +356,32 @@ class Geometry:
 
     # --- covariant differentiation -------------------------------------------
 
-    def cov(self, T):
-        """Covariant derivative; one tangent covariant slot appended last."""
+    def cov(self, T, corrections=None):
+        """Covariant derivative; one tangent covariant slot appended last.
+
+        `corrections` maps slot positions of T to (sign, S), S a structure
+        tensor with slots [value][arg1][direction] on the slot's space: the
+        slot is differentiated with the connection changed by sign * S,
+        G[a, j, b] + sign * S[a, b, j] in the layout of `conns`.  The result
+        equals the plain derivative plus sign times the substitution of S at
+        that slot (its direction moved last), with one contraction per slot.
+        """
         ctx = self.chart.ctx
         if T.degree < 1:
             raise ValueError("degree budget exhausted")
+        corrections = corrections or {}
         dout = T.degree - 1
         for slot in T.slots:
             G = self.conns.get(slot.space)
             if G is not None:
-                dout = min(dout, G.degree, T.degree)
+                dout = min(dout, G.degree)
+        for pos, (_, S) in corrections.items():
+            space = T.slots[pos].space
+            if S.slots != TensorShape([(space, CONTRA), (space, COV),
+                                       (TAN, COV)]):
+                raise ValueError(f"structure tensor {S.slots} does not "
+                                 f"correct slot {pos} ({T.slots[pos]})")
+            dout = min(dout, S.degree)
         nb = self.chart.n
         # the partials to degree dout need T only to degree dout + 1
         td1 = ctx.truncate(T.data, dout + 1)
@@ -375,9 +391,15 @@ class Geometry:
         td = ctx.truncate(T.data, dout)
         for pos, slot in enumerate(T.slots):
             G = self.conns.get(slot.space)
-            if G is None:
+            gd = None if G is None else ctx.truncate(G.data, dout)
+            if pos in corrections:
+                sign, S = corrections[pos]
+                if slot.variance == COV:
+                    sign = -sign
+                sd = sign * np.swapaxes(ctx.truncate(S.data, dout), 2, 3)
+                gd = sd if gd is None else gd + sd
+            if gd is None:
                 continue
-            gd = ctx.truncate(G.data, dout)
             if slot.variance == CONTRA:
                 r = ctx.contract(gd, dout, td, dout, [2], [pos], dout)
                 # r: (C, a, j, *rest) -> (C, ...a at pos..., j)

@@ -12,6 +12,10 @@ maps indexed by (m, s), built by one recursion step shared across families:
                            every input (forward) or output (inverse) slot,
                      (iv) coupling terms for the evaluation families.
 
+Step (iii) is a connection correction per slot: `Geometry.cov` adds the
+signed structure tensor to the connection coefficients of each corrected
+slot, so (i) and (iii) take one contraction per slot together.
+
 Map tensors are stored as [OUT block][IN-dual block]: OUT = the main lift's
 auxiliary slots followed by m covariant slots, IN-dual = the flipped slots
 of the argument objects.  The forward tables expand total-space derivatives
@@ -124,14 +128,18 @@ def _identity_map(spec):
     return out.permuted(perm)
 
 
-def _cov_term(spec, A, n_out):
-    dA = spec.geo.cov(A)
+def _slot_rules(rules, layout, first):
+    """{map position: (sign, S)} for the slots of `layout`, which start at
+    position `first` of the map, that `rules` corrects."""
+    return {first + p: rules[key] for p, key in enumerate(layout)
+            if key in rules}
+
+
+def _cov_term(spec, A, n_out, corrections):
+    """The covariant derivative of A with the structure-tensor substitutions
+    of `corrections` folded into the connection of their slots."""
+    dA = spec.geo.cov(A, corrections)
     return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
-
-
-def _substitution_term(A, pos, S, n_out):
-    t = A.substitute(pos, S)
-    return t.move_slot(t.order - 1, n_out)      # S's argument joins OUT
 
 
 def _shift_term(spec, A, n_out):
@@ -166,30 +174,21 @@ def _embed_out_table(P, n_aux_pure, m, moves):
     return out
 
 
-def _accumulate(new, key, term, sign=1.0):
-    """new[key] += sign * term, added in place into the first term stored;
-    `sign` is +1 or -1, as in every substitution rule.
+def _accumulate(new, key, term):
+    """new[key] += term, added in place into the first term stored.
 
     Every term passed here is a fresh array that nothing else holds (a
-    covariant derivative, product or substitution formed for this level),
-    so it may be overwritten; a table entry or an input never is.
+    covariant derivative, product or embedding formed for this level), so
+    it may be overwritten; a table entry or an input never is.
     """
-    if sign not in (1.0, -1.0):
-        raise ValueError(f"sign must be +1 or -1, not {sign}")
     held = new.get(key)
     if held is None:
-        if sign < 0:
-            np.negative(term.data, out=term.data)
         new[key] = term
         return
     if held.slots != term.slots:
         raise ValueError("slot mismatch")
     held = held.truncated(term.degree)
-    data = term.truncated(held.degree).data
-    if sign < 0:
-        held.data -= data
-    else:
-        held.data += data
+    held.data += term.truncated(held.degree).data
     new[key] = held
 
 
@@ -218,34 +217,24 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
 
         n_out = n_aux_main + m
 
-        def acc(c, s, term, sign=1.0):
-            _accumulate(new, (m + 1, c, s), term, sign)
+        def acc(c, s, term):
+            _accumulate(new, (m + 1, c, s), term)
 
         for (c, s) in sorted(level):
-            # terms go straight into the sum: no local keeps one alive
-            A = entries[(m, c, s)]
-            acc(c, s, _cov_term(spec, A, n_out))
-            # the other terms keep no more degrees than the new level needs
-            A = A.truncated(need)
-            if s < m:
-                acc(c, s + 1, _shift_term(spec, A, n_out))
+            # the structure tensor corrects the output slots (inverse) or
+            # the argument slots (forward) inside the covariant derivative
             if inverse:
-                out_layout = list(spec.aux[0]) + [(spec.arg_space, COV)] * m
-                for p, (space, variance) in enumerate(out_layout):
-                    rule = spec.out_rule.get((space, variance))
-                    if rule is None:
-                        continue
-                    sign, S = rule
-                    acc(c, s, _substitution_term(A, p, S, n_out), sign)
+                fix = _slot_rules(spec.out_rule, list(spec.aux[0])
+                                  + [(spec.arg_space, COV)] * m, 0)
             else:
-                in_layout = list(spec.aux[c]) + [(spec.arg_space, COV)] * s
-                for p, (space, variance) in enumerate(in_layout):
-                    rule = spec.in_rule.get((space, variance))
-                    if rule is None:
-                        continue
-                    sign, S = rule
-                    acc(c, s, _substitution_term(A, n_out + p, S, n_out),
-                        sign)
+                fix = _slot_rules(spec.in_rule, list(spec.aux[c])
+                                  + [(spec.arg_space, COV)] * s, n_out)
+            # terms go straight into the sum: no local keeps one alive
+            acc(c, s, _cov_term(spec, entries[(m, c, s)], n_out, fix))
+            # the shift keeps no more degrees than the new level needs
+            if s < m:
+                acc(c, s + 1, _shift_term(
+                    spec, entries[(m, c, s)].truncated(need), n_out))
         if not inverse:
             for (src, dst, pass_pos) in spec.couplings:
                 for s in range(m + 1):

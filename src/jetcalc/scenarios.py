@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .fields import FIB, BundleGeometry, ChartGeometry, FieldTensor
+from .taylor import eval_expr, parse_expr
 from .tensor_core import CONTRA
 from .total_space import MapData, PullbackGeometry, TotalSpaceGeometry
 
@@ -43,6 +44,8 @@ class Scenario:
     map: dict = None                 # pull-back map block
 
     def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise ValueError("n and k must be positive")
         if self.degree < 2:
             raise ValueError("degree budget must be at least 2")
         if not self.base_points:
@@ -53,6 +56,34 @@ class Scenario:
         for u in self.fibre_points:
             if len(u) != self.k:
                 raise ValueError("fibre point dimension mismatch")
+        n, k = self.n, self.k
+        shapes = {"metric": (n, n), "fibre_metric": (k, k),
+                  "connection": (k, n, k)}
+        blocks = [(key, getattr(self, key), shape)
+                  for key, shape in shapes.items()]
+        for block in ("alt", "map"):
+            if getattr(self, block) is not None and \
+                    not isinstance(getattr(self, block), dict):
+                raise ValueError(f"{block} must be an object")
+        if self.alt:
+            blocks += [(f"alt.{key}", self.alt.get(key), shape)
+                       for key, shape in shapes.items()]
+        for label, exprs, shape in blocks:
+            if exprs is None and len(shape) == 3:
+                continue                # a flat connection
+            _check_exprs(label, exprs, shape, self.base_points)
+        if self.map:
+            tn = self.map.get("target_n")
+            if not isinstance(tn, int) or tn < 1:
+                raise ValueError("map.target_n must be a positive integer")
+            exprs = self.map.get("exprs")
+            _check_exprs("map.exprs", exprs, (tn,), self.base_points)
+            if not all(isinstance(e, str) for e in exprs):
+                raise ValueError("map.exprs entries must be expressions")
+            images = [[eval_expr(e, p) for e in exprs]
+                      for p in self.base_points]
+            _check_exprs("map.target_metric", self.map.get("target_metric"),
+                         (tn, tn), images)
 
     # --- geometry factories -------------------------------------------------
 
@@ -85,7 +116,6 @@ class Scenario:
         point = self.base_points[0] if point is None else point
         cap = self.degree if cap is None else cap
         dom = ChartGeometry(point, cap, self.metric)
-        from .taylor import eval_expr
         target_point = [eval_expr(e, point) for e in self.map["exprs"]]
         tgt = ChartGeometry(target_point, cap, self.map["target_metric"])
         md = MapData(dom, tgt, self.map["exprs"])
@@ -115,6 +145,54 @@ class Scenario:
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _check_exprs(label, exprs, shape, points):
+    """Check that `exprs` is a nested list of `shape` whose entries are
+    numbers or expressions in the coordinates of `points` that evaluate at
+    every one of them; raise a ValueError naming `label` otherwise."""
+    nvars = len(points[0])
+    dims = "x".join(map(str, shape))
+
+    def leaves(node, depth):
+        if depth == len(shape):
+            yield node
+            return
+        if not isinstance(node, (list, tuple)) or len(node) != shape[depth]:
+            raise ValueError(f"{label} must be an array of shape {dims}")
+        for child in node:
+            yield from leaves(child, depth + 1)
+
+    for entry in leaves(exprs, 0):
+        if isinstance(entry, bool) or \
+                not isinstance(entry, (int, float, str)):
+            raise ValueError(f"{label}: entry {entry!r} is not a number or "
+                             f"an expression")
+        if not isinstance(entry, str):
+            continue
+        try:
+            tree = parse_expr(entry)
+        except ValueError as exc:
+            raise ValueError(f"{label}: {entry!r}: {exc}") from None
+        for var in _variables(tree):
+            if not 0 <= var < nvars:
+                raise ValueError(f"{label}: {entry!r} uses x{var + 1}, "
+                                 f"outside x1..x{nvars}")
+        for p in points:
+            try:
+                eval_expr(tree, p)
+            except (ArithmeticError, ValueError) as exc:
+                raise ValueError(f"{label}: {entry!r} does not evaluate at "
+                                 f"{list(p)}: {exc}") from None
+
+
+def _variables(tree):
+    """The variable indices an expression tree uses."""
+    if isinstance(tree, float):
+        return set()
+    if tree[0] == "x":
+        return {tree[1]}
+    return set().union(*(_variables(child) for child in tree[1:]))
 
 
 def section_field(bundle, exprs, slots=None):
@@ -279,9 +357,15 @@ def builtin_scenario(name):
 
 
 def load_scenario(path):
+    """The scenario in a JSON file; ValueError when it is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return Scenario(**data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a scenario file holds one JSON object")
+    try:
+        return Scenario(**data)
+    except TypeError as exc:      # missing, unknown or mistyped fields
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def scenario_digest(scn):

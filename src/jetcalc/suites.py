@@ -947,7 +947,13 @@ def _object_field(bun, kind, exprs):
 
 def _scenario_recursion_rows(config):
     """Expansion/inverse rows of `config.families` (default: all) up to
-    `config.max_order` on each of `config.scenarios`."""
+    `config.max_order` on each of `config.scenarios`.  A scenario whose
+    degree budget is below `config.max_order + 2` is rejected."""
+    for scn in config.scenarios:
+        if scn.degree < config.max_order + 2:
+            raise ValueError(
+                f"scenario {scn.name} has degree {scn.degree}, below max "
+                f"order {config.max_order} + 2")
     rows = []
     for scn in config.scenarios:
         bun = scn.bundle_at(cap=config.max_order + 2)
@@ -1104,12 +1110,12 @@ def suite_recursions(config):
             f"recursions/{kind}-template-bound", f"twisted-bundle/p0/{half}",
             worst - 1.0, 1e-9))
     # growth profile degenerates on a flat scenario
-    tsf = builtin_scenario("flat-line").total_at(cap=6)
+    tsf = builtin_scenario("flat-line").total_at(cap=go + 2)
     famf = bundle_family("V", tsf)
-    tabf = build_coefficients(famf, 4, "forward")
+    tabf = build_coefficients(famf, go, "forward")
     proff = growth_profile(tabf, tsf, slack=2.0)
     rows.append(CheckRow.flag(
-        "recursions/flat-growth-degenerate", "flat-line/p0/4",
+        "recursions/flat-growth-degenerate", f"flat-line/p0/{go}",
         proff["degenerate"]))
     return rows
 

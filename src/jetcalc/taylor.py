@@ -253,7 +253,8 @@ class TaylorContext:
         src, dst, fac = self._dmaps[var]
         keep = self.orders[dst] <= dd
         src, dst, fac = src[keep], dst[keep], fac[keep]
-        np.add.at(out, dst, fac.reshape((-1,) + (1,) * (a.ndim - 1)) * a[src])
+        # I -> I - e_var is one-to-one, so every dst is written once
+        out[dst] = fac.reshape((-1,) + (1,) * (a.ndim - 1)) * a[src]
         return out
 
     def truncate(self, a, dto):

@@ -302,3 +302,111 @@ def test_scenario_recursions_read_families_and_max_order(tmp_path):
     assert {r.check_id.split("/", 2)[2] for r in rows} == {
         "customflat/p0/0", "customflat/p0/1"}
     assert all(r.passed for r in rows)
+
+
+def _scenario_file(tmp_path, **fields):
+    data = {"name": "custom", "n": 2, "k": 1,
+            "metric": [["1", "0"], ["0", "1"]], "fibre_metric": [["1"]],
+            "connection": None, "base_points": [[0.0, 0.5]],
+            "fibre_points": [[0.8]], "degree": 5, "seed": 5}
+    data.update(fields)
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+@pytest.mark.parametrize("fields", [
+    {"metric": [["1", "0"]]},                       # 1x2 metric, n = 2
+    {"metric": [["(/ 1 x1)", "0"], ["0", "1"]]},    # singular at x1 = 0
+    {"metric": [["1", "0"], ["0", "(+ 1 x3)"]]},    # no x3 on a 2-chart
+    {"fibre_metric": [["1", "0"], ["0", "1"]]},     # k = 1
+    {"connection": [[["0"], ["0"]], [["0"], ["0"]]]},   # not k x n x k
+    {"fibre_metric": [["(sqrt x1)"]]},              # unknown operator
+    {"n": "2"},                                     # mistyped field
+    {"colour": "red"},                              # unknown field
+])
+def test_malformed_scenario_data_exits_two(fields, tmp_path, capsys):
+    from jetcalc import cli
+    path = _scenario_file(tmp_path, **fields)
+    out = tmp_path / "r.json"
+    for argv in (["verify", "recursions", "--scenario", path,
+                  "--out", str(out)],
+                 ["fit", "growth", "--scenario", path, "--max-order", "1"]):
+        assert cli.main(argv) == 2, argv
+        assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_degree_below_max_order_plus_two_exits_two(tmp_path,
+                                                             capsys):
+    from jetcalc import cli
+    path = _scenario_file(tmp_path, degree=2)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "recursions", "--scenario", path,
+                     "--max-order", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "checks passed" not in err
+    assert not out.exists()
+    assert cli.main(["verify", "recursions", "--scenario", path,
+                     "--max-order", "0", "--family", "P",
+                     "--out", str(out)]) == 0
+
+
+def test_fit_exits_two_when_the_geometry_cannot_be_built(tmp_path, capsys):
+    from jetcalc import cli
+    not_definite = _scenario_file(tmp_path, metric=[["1", "0"], ["0", "-1"]])
+    for argv in (["fit", "growth", "--scenario", not_definite],
+                 ["fit", "compare", "--scenario", "flat"]):   # no alt data
+        assert cli.main(argv + ["--max-order", "1"]) == 2, argv
+        out = capsys.readouterr()
+        assert "configuration error" in out.err and out.out == ""
+
+
+def test_config_echo_lists_only_what_the_suites_read(tmp_path, monkeypatch):
+    from jetcalc import cli
+    from jetcalc.suites import CheckRow
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, lambda config: [
+            CheckRow.residual("jets/factorial-norm", "flat/p0/1", 0.0, 1.0)])
+    out = tmp_path / "r.json"
+
+    def echoed(*args):
+        cli.main(["verify", *args, "--out", str(out)])
+        return json.loads(out.read_text())["config"]
+
+    assert echoed("jets") == {"seed": 7}
+    assert echoed("seminorms", "--seed", "3") == {"seed": 3,
+                                                  "radius_order": 10}
+    assert echoed("all") == {"seed": 7, "points": 3, "growth_order": 4,
+                             "compare_order": 6, "radius_order": 10}
+    assert echoed("recursions", "--scenario", _flat_scenario(tmp_path),
+                  "--family", "P") == {
+        "seed": 7, "max_order": 3, "families": ["P"],
+        "scenarios": ["customflat"]}
+
+
+@pytest.mark.parametrize("name", ["tensor-laws", "taylor", "geometry", "jets",
+                                  "submersion", "seminorms", "recursions"])
+def test_reads_names_the_fields_a_suite_reads(name, tmp_path):
+    # the expensive built-in suites (recursions without scenarios,
+    # connection-compare, continuity) are left to their READS entries
+    from dataclasses import fields
+
+    from jetcalc import cli
+    from jetcalc.scenarios import load_scenario
+    names = {f.name for f in fields(cli.SuiteConfig)}
+    read = set()
+
+    class Recording(cli.SuiteConfig):
+        def __getattribute__(self, key):
+            if key in names:
+                read.add(key)
+            return super().__getattribute__(key)
+
+    config = Recording(max_order=1, families=("P",))
+    if name == "recursions":
+        config.scenarios = [load_scenario(_flat_scenario(tmp_path))]
+    want = set(config.reads(name))
+    read.clear()
+    cli.SUITES[name](config)
+    assert read == want

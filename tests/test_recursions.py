@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from jetcalc import recursions
-from jetcalc.fields import FIB, TAN, Chart, identity_field
+from jetcalc.fields import FIB, TAN, FieldTensor
 from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, build_coefficients,
                                 bundle_family, conn_family, growth_profile,
                                 pullback_family, pullback_inverse_residual,
                                 verify_expansion, verify_inverse_pair)
 from jetcalc.scenarios import builtin_scenario, function_field, section_field
 from jetcalc.suites import _family_objects, _object_field
+from jetcalc.tensor_core import CONTRA, COV
 
 
 def test_flat_collapse_and_exactness():
@@ -136,9 +137,8 @@ def test_kept_degree_does_not_change_lower_degrees(kind):
         assert float(np.abs(B.data - A.data).max()) <= 1e-13 * scale
 
 
-def _out_of_place(new, key, term, sign=1.0):
+def _out_of_place(new, key, term):
     """Reference accumulation: every sum is a new array."""
-    term = term * sign
     new[key] = new[key] + term if key in new else term
 
 
@@ -178,7 +178,71 @@ def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
         assert float(np.abs(B.data - A.data).max()) <= 1e-14 * scale
 
 
-def test_accumulate_rejects_a_sign_other_than_one():
-    term = identity_field(Chart([0.1, 0.2], 3), TAN, 2, 2)
+def _cov_plus_substitutions(spec, A, n_out, rules):
+    """The recursion's covariant term written out: cov(A) plus sign times
+    the substitution of S at p for every p: (sign, S) in `rules`, each with
+    its new covariant slot moved to OUT position `n_out`."""
+    dA = spec.geo.cov(A)
+    out = dA.move_slot(dA.order - 1, n_out)
+    for p, (sign, S) in sorted(rules.items()):
+        t = A.substitute(p, S)
+        out = out + t.move_slot(t.order - 1, n_out) * sign
+    return out
+
+
+def _rules_of(spec, A, m, c, s, direction):
+    """The slots the recursion corrects: the OUT block (inverse) or the
+    argument block (forward), with their rules, spelled out slot by slot."""
+    n_out = spec.n_aux_out() + m
+    if direction == "inverse":
+        layout, rules, first = list(spec.aux[0]) + [(TAN, COV)] * m, \
+            spec.out_rule, 0
+    else:
+        layout, rules, first = list(spec.aux[c]) + [(TAN, COV)] * s, \
+            spec.in_rule, n_out
+    assert len(layout) == (n_out if direction == "inverse"
+                           else A.order - n_out)
+    return {first + p: rules[key] for p, key in enumerate(layout)
+            if key in rules}
+
+
+def _conn_spec():
+    scn = builtin_scenario("twisted-bundle")
+    bun = scn.bundle_at(cap=5)
+    alt = scn.alt_bundle_at(cap=5)
+    return conn_family(bun, bun.with_connections(gamma=alt.conns[TAN],
+                                                  omega=alt.conns[FIB]))
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("kind", ["P", "L", "C", "D", "CONN"])
+def test_folded_cov_is_cov_plus_signed_substitutions(kind, direction):
+    # every map the order-3 recursion differentiates, with the structure
+    # tensor folded into the connection of the corrected slots
+    if kind == "CONN":
+        spec = _conn_spec()
+    else:
+        spec = bundle_family(kind, builtin_scenario(
+            "twisted-bundle").total_at(cap=5))
+    table = build_coefficients(spec, 3, direction)
+    checked = 0
+    for (m, c, s), A in table.items():
+        if m == 3:
+            continue
+        rules = _rules_of(spec, A, m, c, s, direction)
+        checked += bool(rules)
+        n_out = spec.n_aux_out() + m
+        got = recursions._cov_term(spec, A, n_out, rules)
+        want = _cov_plus_substitutions(spec, A, n_out, rules)
+        assert got.slots == want.slots and got.degree == want.degree
+        scale = max(float(np.abs(want.data).max()), 1e-300)
+        assert float(np.abs(got.data - want.data).max()) <= 1e-14 * scale
+    assert checked > 0
+
+
+def test_cov_rejects_a_correction_off_its_slot():
+    ts = builtin_scenario("twisted-bundle").total_at(cap=4)
+    B = ts.b_tensor()
+    section = FieldTensor.zeros(ts.chart, [(FIB, CONTRA)], (2,), 3)
     with pytest.raises(ValueError):
-        recursions._accumulate({}, (0, (), ()), term, 0.5)
+        ts.cov(section, {0: (1.0, B)})

@@ -50,6 +50,29 @@ def test_mixed_partials_commute():
     assert np.allclose(a.coeffs, b.coeffs)
 
 
+def _derive_add_at(ctx, a, da, var):
+    """Reference derivative: scatter-add along the index map I -> I - e_var."""
+    dd = da - 1
+    out = np.zeros((ctx.size(dd),) + a.shape[1:])
+    src, dst, fac = ctx._dmaps[var]
+    keep = ctx.orders[dst] <= dd
+    src, dst, fac = src[keep], dst[keep], fac[keep]
+    np.add.at(out, dst, fac.reshape((-1,) + (1,) * (a.ndim - 1)) * a[src])
+    return out
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 4])
+def test_derive_matches_scatter_add_reference(nvars):
+    ctx = TaylorContext(nvars, 5)
+    rng = np.random.Generator(np.random.PCG64(nvars))
+    for da in range(1, 6):
+        for tail in ((), (3,), (2, 3)):
+            a = rng.uniform(-1, 1, (ctx.size(da),) + tail)
+            for var in range(nvars):
+                assert np.array_equal(ctx.derive(a, da, var),
+                                      _derive_add_at(ctx, a, da, var))
+
+
 def test_partial_geometric():
     t = expand("(/ 1 (+ 1 (* x1 x1)))", [0.0], 4)
     assert partial(t, (2,)) == pytest.approx(-2.0)
