@@ -13,11 +13,10 @@ a `--threshold` key that is neither a check tag of the selected suites nor
 the first segment of one.
 
 Exit codes: 0 all checks pass, 1 at least one failed check or no check
-run, 2 bad configuration or unparsable input.  `report diff` exits 0 when
-the two reports have the same rows and pass flags, 1 when they do
-not, 2 when a report cannot be read.  JETCALC_THREADS, a positive
-integer, caps the thread pool used when running independent suites of
-`verify all`.
+run, 2 bad configuration or unparsable input, 3 an internal error (an
+uncaught exception in any command, reported as one `internal error:` line
+on stderr).  `report diff` exits 0 when the two reports have the same rows
+and pass flags, 1 when they do not, 2 when a report cannot be read.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import suites as suites_mod
@@ -94,20 +92,6 @@ class SuiteConfig:
         return out
 
 
-def _thread_count():
-    text = os.environ.get("JETCALC_THREADS", "")
-    if not text:
-        return 1
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"JETCALC_THREADS must be a positive integer, "
-                         f"got {text!r}")
-    return threads
-
-
 def _parse_thresholds(pairs):
     out = {}
     for p in pairs or ():
@@ -174,16 +158,11 @@ def cmd_verify(args):
             scenarios=[load_scenario(p) for p in (args.scenario or ())])
         if args.max_order is not None:
             config.max_order = args.max_order
-        threads = _thread_count()
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        if threads > 1 and len(names) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                packs = list(pool.map(lambda n: run_suite(n, config), names))
-        else:
-            packs = [run_suite(n, config) for n in names]
+        packs = [run_suite(n, config) for n in names]
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -313,7 +292,11 @@ def main(argv=None):
     pr.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:    # a crash must not read as a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,32 +35,26 @@ from .tensor_core import COV, CONTRA
 __all__ = ["FamilySpec", "CoefficientTable", "build_coefficients",
            "verify_expansion", "verify_inverse_pair", "growth_profile",
            "bundle_family", "conn_family", "pullback_family",
-           "BUNDLE_FAMILY_KINDS"]
+           "BUNDLE_FAMILY_KINDS", "FAMILY_SLOTS", "EVALUATING_FAMILIES"]
 
-BUNDLE_FAMILY_KINDS = ("P", "V", "H", "Vstar", "L", "D", "C")
-
-#: argument auxiliary slots per bundle family component
-_BUNDLE_AUX = {
-    "P": [()],
-    "V": [((TAN, CONTRA),)],
-    "H": [((TAN, CONTRA),)],
-    "Vstar": [((TAN, COV),)],
-    "L": [((TAN, CONTRA), (TAN, COV))],
-    # evaluation families: main component plus the vertical-lift component
-    "D": [(), ((TAN, COV),)],
-    "C": [((TAN, CONTRA),), ((TAN, CONTRA), (TAN, COV))],
+#: the base slots of each bundle family's test object; the lift of the
+#: object and the argument slots of the family's maps follow from them by
+#: the slot rule of `total_space.slot_kinds`
+FAMILY_SLOTS = {
+    "P": (),
+    "V": ((FIB, CONTRA),),
+    "H": ((TAN, CONTRA),),
+    "Vstar": ((FIB, COV),),
+    "L": ((FIB, CONTRA), (FIB, COV)),
+    "D": ((FIB, COV),),
+    "C": ((FIB, CONTRA), (FIB, COV)),
 }
 
-#: how the base derivatives of the test object lift, per component
-_BUNDLE_KINDS = {
-    "P": [["base"]],
-    "V": [["vert", "base"]],
-    "H": [["hor", "base"]],
-    "Vstar": [["theta", "base"]],
-    "L": [["vert", "theta", "base"]],
-    "D": [["eval", "base"], ["theta", "base"]],
-    "C": [["vert", "eval", "base"], ["vert", "theta", "base"]],
-}
+#: the families whose lift contracts the FIB down slot with the
+#: tautological point
+EVALUATING_FAMILIES = ("D", "C")
+
+BUNDLE_FAMILY_KINDS = tuple(FAMILY_SLOTS)
 
 
 @dataclass
@@ -348,40 +342,42 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
 # --------------------------------------------------------------------------
 
 class _BundleLift:
-    def __init__(self, ts, kind):
+    def __init__(self, ts, evaluate):
         self.ts = ts
-        self.kind = kind
+        self.evaluate = evaluate
 
     def __call__(self, comp, obj, s):
+        # component 0 is the family's own lift, component 1 the pure one
         ds = self.ts.bundle.iterated(obj, s)
-        kinds = list(_BUNDLE_KINDS[self.kind][comp])
-        aux_kinds = kinds[:-1]
-        return self.ts.lift_mixed(ds, aux_kinds + ["base"] * s)
+        return self.ts.lift(ds, self.evaluate and comp == 0)
 
 
 def bundle_family(kind, ts):
-    """A lift family over a total-space geometry."""
-    if kind not in BUNDLE_FAMILY_KINDS:
+    """A lift family over a total-space geometry, derived from the slots of
+    its test object (`FAMILY_SLOTS`)."""
+    if kind not in FAMILY_SLOTS:
         raise ValueError(f"unknown bundle family {kind}")
+    slots = FAMILY_SLOTS[kind]
+    evaluate = kind in EVALUATING_FAMILIES
     B = ts.b_tensor()
-    in_rule = {(TAN, COV): (-1.0, B), (TAN, CONTRA): (+1.0, B)}
-    out_rule = {(TAN, COV): (+1.0, B), (TAN, CONTRA): (-1.0, B)}
-    coupled = None
-    couplings = []
-    inv_couplings = []
-    if kind == "D":
-        coupled = bundle_family("Vstar", ts)
-        couplings = [(0, 1, 0)]
-        inv_couplings = [(0, 1, [0])]
-    if kind == "C":
-        coupled = bundle_family("L", ts)
-        couplings = [(0, 1, 1)]
-        inv_couplings = [(0, 1, [1])]
-    return FamilySpec(
-        name=kind, geo=ts, aux=[list(a) for a in _BUNDLE_AUX[kind]],
-        in_rule=in_rule, out_rule=out_rule,
-        lift=_BundleLift(ts, kind), couplings=couplings,
-        inv_couplings=inv_couplings, coupled_pure=coupled)
+    # every base slot lifts to a tangent slot of E with the same variance
+    lifted = [(TAN, variance) for _space, variance in slots]
+    spec = FamilySpec(
+        name=kind, geo=ts, aux=[lifted],
+        in_rule={(TAN, COV): (-1.0, B), (TAN, CONTRA): (+1.0, B)},
+        out_rule={(TAN, COV): (+1.0, B), (TAN, CONTRA): (-1.0, B)},
+        lift=_BundleLift(ts, evaluate))
+    if evaluate:
+        # component 0 loses the evaluated slot; component 1 is the pure
+        # family of the same slots, coupled in at that slot's position
+        at = slots.index((FIB, COV))
+        spec.aux = [lifted[:at] + lifted[at + 1:], lifted]
+        spec.couplings = [(0, 1, at)]
+        spec.inv_couplings = [(0, 1, [at])]
+        pure = next(k for k, s in FAMILY_SLOTS.items()
+                    if s == slots and k not in EVALUATING_FAMILIES)
+        spec.coupled_pure = bundle_family(pure, ts)
+    return spec
 
 
 class _ConnLift:

@@ -44,18 +44,23 @@ class Scenario:
     map: dict = None                 # pull-back map block
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError("name must be a string")
+        for key in ("n", "k", "degree", "seed"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer")
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
         if self.degree < 2:
             raise ValueError("degree budget must be at least 2")
         if not self.base_points:
             raise ValueError("a scenario needs at least one base point")
-        for p in self.base_points:
-            if len(p) != self.n:
-                raise ValueError("base point dimension mismatch")
-        for u in self.fibre_points:
-            if len(u) != self.k:
-                raise ValueError("fibre point dimension mismatch")
+        for label, points, dim in (("base", self.base_points, self.n),
+                                   ("fibre", self.fibre_points, self.k)):
+            if not isinstance(points, list) or \
+                    not all(_is_point(p, dim) for p in points):
+                raise ValueError(f"{label} point dimension mismatch: each "
+                                 f"must be a list of {dim} finite numbers")
         n, k = self.n, self.k
         shapes = {"metric": (n, n), "fibre_metric": (k, k),
                   "connection": (k, n, k)}
@@ -74,7 +79,7 @@ class Scenario:
             _check_exprs(label, exprs, shape, self.base_points)
         if self.map:
             tn = self.map.get("target_n")
-            if not isinstance(tn, int) or tn < 1:
+            if not _is_int(tn) or tn < 1:
                 raise ValueError("map.target_n must be a positive integer")
             exprs = self.map.get("exprs")
             _check_exprs("map.exprs", exprs, (tn,), self.base_points)
@@ -147,6 +152,17 @@ class Scenario:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_point(p, dim):
+    """`p` is a list of `dim` finite numbers (JSON may hold any integer)."""
+    return isinstance(p, list) and len(p) == dim and all(
+        (_is_int(v) or isinstance(v, float)) and -1e308 < v < 1e308
+        for v in p)
+
+
 def _check_exprs(label, exprs, shape, points):
     """Check that `exprs` is a nested list of `shape` whose entries are
     numbers or expressions in the coordinates of `points` that evaluate at
@@ -196,13 +212,20 @@ def _variables(tree):
 
 
 def section_field(bundle, exprs, slots=None):
-    """Expand component expressions into a field on the bundle's chart."""
+    """Expand component expressions into a field on the bundle's chart;
+    `exprs` nests one list level per slot."""
     chart = bundle.chart
-    comps = [chart.expand(e) for e in exprs]
     slots = slots or [(FIB, CONTRA)]
-    out = FieldTensor.zeros(chart, slots, (len(comps),), chart.cap)
-    for i, c in enumerate(comps):
-        out.data[:, i] = c.coeffs
+    dims, level = [], exprs
+    for _slot in slots:
+        dims.append(len(level))
+        level = level[0]
+    out = FieldTensor.zeros(chart, slots, tuple(dims), chart.cap)
+    for idx in np.ndindex(*dims):
+        expr = exprs
+        for i in idx:
+            expr = expr[i]
+        out.data[(slice(None),) + idx] = chart.expand(expr).coeffs
     return out
 
 

@@ -21,10 +21,11 @@ from .fields import (FIB, TAN, BundleGeometry, ChartGeometry, FieldTensor,
 from .jets import (decompose_jet, delta_hat, jet_norm, jet_project,
                    nested_jet_norm, nested_sym_gap, nested_table_gap,
                    prolong_decompose)
-from .recursions import (BUNDLE_FAMILY_KINDS, build_coefficients,
-                         bundle_family, conn_family, growth_profile,
-                         pullback_family, pullback_inverse_residual,
-                         verify_expansion, verify_inverse_pair)
+from .recursions import (BUNDLE_FAMILY_KINDS, EVALUATING_FAMILIES,
+                         FAMILY_SLOTS, build_coefficients, bundle_family,
+                         conn_family, growth_profile, pullback_family,
+                         pullback_inverse_residual, verify_expansion,
+                         verify_inverse_pair)
 from .scenarios import builtin_scenario, function_field, section_field
 from .total_space import TotalSpaceGeometry
 from .seminorms import (CompactSample, WeightSequence,
@@ -597,6 +598,12 @@ def _vf(ch, n, seedv):
     return random_field(ch, [(TAN, CONTRA)], (n,), seedv)
 
 
+#: the tag of each lift family's covariant-derivative check, in the order
+#: of BUNDLE_FAMILY_KINDS
+_COV_DERIVATIVE_TAGS = ("horiz", "vert", "horizvf", "dual", "endo", "eval",
+                        "endo-eval")
+
+
 def suite_submersion(config):
     rows = []
     seed = config.seed
@@ -614,9 +621,9 @@ def suite_submersion(config):
             eta = random_field(ch, [(FIB, CONTRA)], (scn.k,), seed + 14 + pi)
             lam = random_field(ch, [(FIB, COV)], (scn.k,), seed + 15 + pi)
             f = function_field(bun, scn.random_function(16 + pi))
-            Xh, Yh = ts.lift_vector_field(X), ts.lift_vector_field(Y)
-            xiv, etav = ts.lift_section(xi), ts.lift_section(eta)
-            lame = ts.lift_dual_eval(lam)
+            Xh, Yh = ts.lift(X), ts.lift(Y)
+            xiv, etav = ts.lift(xi), ts.lift(eta)
+            lame = ts.lift(lam, evaluate=True)
             fh = ts.lift_function(f.entry(()))
             api, tpi = ts.oneill_tensors()
 
@@ -638,7 +645,7 @@ def suite_submersion(config):
             rows.append(CheckRow.residual(
                 "submersion/vert-evaluation", f"{where}/1", rel(lhs, rhs), 1e-9))
             lhs = lie_derivative(ts, Xh, lame)
-            rhs = ts.lift_dual_eval(bun.cov(lam).contract_pair(1, X, 0))
+            rhs = ts.lift(bun.cov(lam).contract_pair(1, X, 0), evaluate=True)
             rows.append(CheckRow.residual(
                 "submersion/horiz-evaluation", f"{where}/1", rel(lhs, rhs), 1e-9))
 
@@ -646,7 +653,7 @@ def suite_submersion(config):
             nYh = ts.cov(Yh)
             nXhYh = nYh.contract_pair(1, Xh, 0)
             lhs = ts.hor.contract_pair(1, nXhYh, 0)
-            rhs = ts.lift_vector_field(bun.cov(Y).contract_pair(1, X, 0))
+            rhs = ts.lift(bun.cov(Y).contract_pair(1, X, 0))
             rows.append(CheckRow.residual(
                 "submersion/hor-hor-derivative", f"{where}/1",
                 rel(lhs, rhs), 1e-8))
@@ -678,8 +685,7 @@ def suite_submersion(config):
             rows.append(CheckRow.residual(
                 "submersion/hor-vert-split", f"{where}/1",
                 float(np.abs((nXhV - rhs).data[0]).max()), 1e-8))
-            rhs0 = ts.lift_vector_field(
-                bun.cov(Y).contract_pair(1, X, 0)) + apiXY
+            rhs0 = ts.lift(bun.cov(Y).contract_pair(1, X, 0)) + apiXY
             rows.append(CheckRow.residual(
                 "submersion/hor-hor-full", f"{where}/1",
                 float(np.abs((nXhYh - rhs0).data[0]).max()), 1e-8))
@@ -711,7 +717,7 @@ def suite_submersion(config):
                 float(np.abs(ts.cov(etav).contract_pair(1, xiv, 0)
                              .data[0]).max()), 1e-8))
             lhs = ts.ver.contract_pair(1, ts.cov(xiv).contract_pair(1, Xh, 0), 0)
-            rhs = ts.lift_section(bun.cov(xi).contract_pair(1, X, 0))
+            rhs = ts.lift(bun.cov(xi).contract_pair(1, X, 0))
             rows.append(CheckRow.residual(
                 "submersion/section-derivative", f"{where}/1",
                 rel(lhs, rhs), 1e-8))
@@ -731,99 +737,40 @@ def suite_submersion(config):
             rows.append(CheckRow.residual(
                 "submersion/structure-on-vertical", f"{where}/1",
                 float(np.abs((lhsz - rhsz).data[0]).max()), 1e-8))
-            # derivative formulas for the lifted tensors, orders 1 and 2
+            # derivative formulas for the lifted tensors, orders 1 and 2:
+            # one test object per lift family, its slots then korder
+            # covariant ones
             for korder in (1, 2):
-                A = random_field(ch, [(TAN, COV)] * korder,
-                                 (scn.n,) * korder, seed + 18 + pi + korder)
-                Ah = ts.lift_mixed(A, ["base"] * korder)
-                lhs = ts.cov(Ah)
-                rhs = ts.lift_mixed(bun.cov(A), ["base"] * (korder + 1)) \
-                    + Ah.derivation(B)
-                rows.append(CheckRow.residual(
-                    "submersion/horiz-cov-derivative", f"{where}/{korder}",
-                    float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
-                Av = random_field(ch, [(FIB, CONTRA)] + [(TAN, COV)] * korder,
-                                  (scn.k,) + (scn.n,) * korder,
-                                  seed + 19 + pi + korder)
-                lifted = ts.lift_mixed(Av, ["vert"] + ["base"] * korder)
-                lhs = ts.cov(lifted)
-                rhs = ts.lift_mixed(bun.cov(Av), ["vert"] + ["base"] * (korder + 1)) \
-                    + lifted.derivation(B)
-                rows.append(CheckRow.residual(
-                    "submersion/vert-cov-derivative", f"{where}/{korder}",
-                    float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
-                Ax = random_field(ch, [(TAN, CONTRA)] + [(TAN, COV)] * korder,
-                                  (scn.n,) + (scn.n,) * korder,
-                                  seed + 20 + pi + korder)
-                liftedx = ts.lift_mixed(Ax, ["hor"] + ["base"] * korder)
-                lhs = ts.cov(liftedx)
-                rhs = ts.lift_mixed(bun.cov(Ax), ["hor"] + ["base"] * (korder + 1)) \
-                    + liftedx.derivation(B)
-                rows.append(CheckRow.residual(
-                    "submersion/horizvf-cov-derivative", f"{where}/{korder}",
-                    float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
-                Al = random_field(ch, [(FIB, COV)] + [(TAN, COV)] * korder,
-                                  (scn.k,) + (scn.n,) * korder,
-                                  seed + 21 + pi + korder)
-                liftedl = ts.lift_mixed(Al, ["theta"] + ["base"] * korder)
-                lhs = ts.cov(liftedl)
-                rhs = ts.lift_mixed(bun.cov(Al), ["theta"] + ["base"] * (korder + 1)) \
-                    + liftedl.derivation(B)
-                rows.append(CheckRow.residual(
-                    "submersion/dual-cov-derivative", f"{where}/{korder}",
-                    float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
-                Ae = random_field(ch, [(FIB, CONTRA), (FIB, COV)]
-                                  + [(TAN, COV)] * korder,
-                                  (scn.k, scn.k) + (scn.n,) * korder,
-                                  seed + 22 + pi + korder)
-                liftede = ts.lift_mixed(Ae, ["vert", "theta"] + ["base"] * korder)
-                lhs = ts.cov(liftede)
-                rhs = ts.lift_mixed(bun.cov(Ae),
-                                    ["vert", "theta"] + ["base"] * (korder + 1)) \
-                    + liftede.derivation(B)
-                rows.append(CheckRow.residual(
-                    "submersion/endo-cov-derivative", f"{where}/{korder}",
-                    float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
-                # evaluation variants pick up the vertical lift
-                Adual = random_field(ch, [(FIB, COV)] + [(TAN, COV)] * korder,
-                                     (scn.k,) + (scn.n,) * korder,
-                                     seed + 23 + pi + korder)
-                ev = ts.lift_mixed(Adual, ["eval"] + ["base"] * korder)
-                lhs = ts.cov(ev)
-                vl = ts.lift_mixed(Adual, ["theta"] + ["base"] * korder)
-                # the covector lift rides along as the appended slot
-                vl_moved = vl.move_slot(0, vl.order - 1)
-                rhs = ts.lift_mixed(bun.cov(Adual), ["eval"] + ["base"] * (korder + 1)) \
-                    + ev.derivation(B) + vl_moved
-                rows.append(CheckRow.residual(
-                    "submersion/eval-cov-derivative", f"{where}/{korder}",
-                    float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
-                Endo = random_field(ch, [(FIB, CONTRA), (FIB, COV)]
-                                    + [(TAN, COV)] * korder,
-                                    (scn.k, scn.k) + (scn.n,) * korder,
-                                    seed + 24 + pi + korder)
-                eve = ts.lift_mixed(Endo, ["vert", "eval"] + ["base"] * korder)
-                lhs = ts.cov(eve)
-                vle = ts.lift_mixed(Endo, ["vert", "theta"] + ["base"] * korder)
-                vle_moved = vle.move_slot(1, vle.order - 1)
-                rhs = ts.lift_mixed(bun.cov(Endo),
-                                    ["vert", "eval"] + ["base"] * (korder + 1)) \
-                    + eve.derivation(B) + vle_moved
-                rows.append(CheckRow.residual(
-                    "submersion/endo-eval-cov-derivative", f"{where}/{korder}",
-                    float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
+                for offset, (kind, tag) in enumerate(zip(
+                        BUNDLE_FAMILY_KINDS, _COV_DERIVATIVE_TAGS)):
+                    slots = list(FAMILY_SLOTS[kind]) + [(TAN, COV)] * korder
+                    dims = tuple(scn.k if space == FIB else scn.n
+                                 for space, _variance in slots)
+                    A = random_field(ch, slots, dims,
+                                     seed + 18 + offset + pi + korder)
+                    evaluate = kind in EVALUATING_FAMILIES
+                    lifted = ts.lift(A, evaluate)
+                    lhs = ts.cov(lifted)
+                    rhs = ts.lift(bun.cov(A), evaluate) + lifted.derivation(B)
+                    if evaluate:
+                        # the pure lift rides along, its evaluated slot
+                        # moved to the end
+                        pure = ts.lift(A)
+                        at = FAMILY_SLOTS[kind].index((FIB, COV))
+                        rhs = rhs + pure.move_slot(at, pure.order - 1)
+                    rows.append(CheckRow.residual(
+                        f"submersion/{tag}-cov-derivative", f"{where}/{korder}",
+                        float(np.abs((lhs - rhs).data[0]).max()), 1e-8))
             # lift isometries at the sample point
-            for tag, obj, kinds, down in (
-                    ("norm-pullback", bun.iterated(f, 2), ["base"] * 2, None),
-                    ("norm-vertical", bun.cov(xi), ["vert", "base"], None),
-                    ("norm-horizontal", bun.cov(X), ["hor", "base"], None),
-                    ("norm-dual", bun.cov(lam), ["theta", "base"], None)):
-                lifted = ts.lift_mixed(obj, kinds)
+            for tag, obj in (("norm-pullback", bun.iterated(f, 2)),
+                             ("norm-vertical", bun.cov(xi)),
+                             ("norm-horizontal", bun.cov(X)),
+                             ("norm-dual", bun.cov(lam))):
                 rows.append(CheckRow.residual(
                     f"submersion/{tag}", f"{where}/1",
-                    abs(ts.norm(lifted) - bun.norm(obj)), 1e-10))
+                    abs(ts.norm(ts.lift(obj)) - bun.norm(obj)), 1e-10))
             lam1 = bun.cov(lam)
-            ev = ts.lift_mixed(lam1, ["eval", "base"])
+            ev = ts.lift(lam1, evaluate=True)
             evald = lam1.contract_pair(0, _const_field(bun, ts), 0)
             rows.append(CheckRow.residual(
                 "submersion/norm-evaluated", f"{where}/1",
@@ -831,8 +778,8 @@ def suite_submersion(config):
             # endomorphism evaluation vs vertical point evaluation
             Lr = random_field(ch, [(FIB, CONTRA), (FIB, COV)],
                               (scn.k, scn.k), seed + 25 + pi)
-            lv = ts.lift_endo(Lr)
-            le = ts.lift_endo_eval(Lr)
+            lv = ts.lift(Lr)
+            le = ts.lift(Lr, evaluate=True)
             pe = ts.vertical_point_eval(lv)
             rows.append(CheckRow.residual(
                 "submersion/endo-point-eval", f"{where}/0",
@@ -911,38 +858,23 @@ def _pullback_constant(md, scn):
 # --------------------------------------------------------------------------
 
 def _family_objects(scn, kind, salt):
-    if kind in ("P",):
+    if kind == "P":
         return scn.random_function(salt)
-    if kind in ("V",):
-        return scn.random_section(salt)
     if kind == "H":
         return scn.random_vector_field(salt)
-    if kind in ("Vstar", "D"):
-        return scn.random_section(salt)
     if kind in ("L", "C"):
         return scn.random_endo(salt)
+    if kind in ("V", "Vstar", "D"):
+        return scn.random_section(salt)
     raise ValueError(kind)
 
 
 def _object_field(bun, kind, exprs):
-    ch = bun.chart
-    if kind == "P":
+    """The test object of a lift family, with the family's slots."""
+    slots = FAMILY_SLOTS[kind]
+    if not slots:
         return function_field(bun, exprs)
-    if kind == "V":
-        return section_field(bun, exprs)
-    if kind == "H":
-        return section_field(bun, exprs, slots=[(TAN, CONTRA)])
-    if kind in ("Vstar", "D"):
-        return section_field(bun, exprs, slots=[(FIB, COV)])
-    if kind in ("L", "C"):
-        comps = [[ch.expand(e) for e in row_] for row_ in exprs]
-        out = FieldTensor.zeros(ch, [(FIB, CONTRA), (FIB, COV)],
-                                (bun.k, bun.k), ch.cap)
-        for i, row_ in enumerate(comps):
-            for j, c in enumerate(row_):
-                out.data[:, i, j] = c.coeffs
-        return out
-    raise ValueError(kind)
+    return section_field(bun, exprs, slots=slots)
 
 
 def _scenario_recursion_rows(config):
@@ -1470,11 +1402,11 @@ def suite_continuity(config):
                 Xe = scn.random_vector_field(seed + 520 + pi)
                 X = section_field(tb, Xe, slots=[(TAN, CONTRA)])
                 xt = _tangent_lift(tst, X)
-                xh = tst.lift_vector_field(X)
+                xh = tst.lift(X)
                 # torsion of the Levi-Civita fibre connection vanishes, so
                 # the vertical part is the evaluated derivative endomorphism
                 L = _as_endo(tb.cov(X))
-                le = tst.lift_endo_eval(L)
+                le = tst.lift(L, evaluate=True)
                 gap = tst.norm(xt - (xh + le)) / max(tst.norm(xt), 1e-12)
                 rows.append(CheckRow.residual(
                     "continuity/tangent-decomposition", f"{name}/p{pi}u{ui}/1",

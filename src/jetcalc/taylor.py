@@ -437,6 +437,7 @@ AnalyticExpr = object
 
 _UNARY = {"exp", "sin", "cos"}
 _NARY = {"+", "*", "-", "/"}
+_MAX_DEPTH = 200    # far above any analytic datum, far below the stack
 
 
 def _tokenize(text):
@@ -448,10 +449,12 @@ def parse_expr(text):
     tokens = _tokenize(text)
     pos = 0
 
-    def parse():
+    def parse(depth=0):
         nonlocal pos
         if pos >= len(tokens):
             raise ValueError("unexpected end of expression")
+        if depth > _MAX_DEPTH:
+            raise ValueError(f"expression nested deeper than {_MAX_DEPTH}")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
@@ -461,15 +464,17 @@ def parse_expr(text):
             pos += 1
             args = []
             while pos < len(tokens) and tokens[pos] != ")":
-                args.append(parse())
+                args.append(parse(depth + 1))
             if pos >= len(tokens):
                 raise ValueError("missing ')'")
             pos += 1
             if op in _UNARY and len(args) != 1:
                 raise ValueError(f"{op} takes one argument")
+            if op in _NARY and not args:
+                raise ValueError(f"{op} takes at least one argument")
             if op == "^":
                 if len(args) != 2 or not isinstance(args[1], float) \
-                        or args[1] != int(args[1]):
+                        or not args[1].is_integer():
                     raise ValueError("^ takes an expression and an integer")
             if op not in _UNARY and op not in _NARY and op != "^":
                 raise ValueError(f"unknown operator {op!r}")
@@ -477,7 +482,10 @@ def parse_expr(text):
         if tok == ")":
             raise ValueError("unexpected ')'")
         if tok.startswith("x") and tok[1:].isdigit():
-            return ("x", int(tok[1:]) - 1)
+            index = int(tok[1:]) - 1
+            if index < 0:
+                raise ValueError(f"variables start at x1, got {tok!r}")
+            return ("x", index)
         try:
             return float(tok)
         except ValueError as exc:
@@ -551,6 +559,9 @@ def eval_expr(expr, point):
         if isinstance(node, float):
             return node
         if node[0] == "x":
+            if node[1] >= len(point):
+                raise ValueError(f"x{node[1] + 1} outside a "
+                                 f"{len(point)}-point")
             return float(point[node[1]])
         op = node[0]
         if op == "exp":

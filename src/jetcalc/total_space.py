@@ -18,19 +18,57 @@ import numpy as np
 from .fields import (FIB, PTN, TAN, Chart, FieldTensor, Geometry,
                      identity_field, levi_civita)
 from .taylor import MultiIndex, TaylorScalar
-from .tensor_core import COV, CONTRA
+from .tensor_core import COV, CONTRA, TensorShape
 
 __all__ = [
     "TotalSpaceGeometry",
     "LIFT_KINDS",
+    "slot_kinds",
     "lift",
     "MapData",
     "PullbackGeometry",
 ]
 
-LIFT_KINDS = ("horiz_function", "vert_section", "horiz_vector_field",
-              "vert_dual", "vert_endo", "eval_dual", "eval_endo",
-              "horiz_tensor", "vert_tensor", "tensor_eval")
+_TAN_UP, _TAN_DOWN = (TAN, CONTRA), (TAN, COV)
+_FIB_UP, _FIB_DOWN = (FIB, CONTRA), (FIB, COV)
+
+#: how a base slot lifts, by its space and variance (see `slot_kinds`)
+_SLOT_RULE = {_TAN_UP: "hor", _TAN_DOWN: "base", _FIB_UP: "vert",
+              _FIB_DOWN: "theta"}
+
+#: the named lifts: the base slots each takes and whether it evaluates;
+#: a set stands for any sequence of its slots
+_NAMED_LIFTS = {
+    "horiz_function": ((), False),
+    "vert_section": ((_FIB_UP,), False),
+    "horiz_vector_field": ((_TAN_UP,), False),
+    "vert_dual": ((_FIB_DOWN,), False),
+    "vert_endo": ((_FIB_UP, _FIB_DOWN), False),
+    "eval_dual": ((_FIB_DOWN,), True),
+    "eval_endo": ((_FIB_UP, _FIB_DOWN), True),
+    "horiz_tensor": ({_TAN_UP, _TAN_DOWN}, False),
+    "vert_tensor": ({_FIB_UP, _FIB_DOWN, _TAN_DOWN}, False),
+    "tensor_eval": ({_FIB_UP, _FIB_DOWN, _TAN_DOWN}, True),
+}
+LIFT_KINDS = tuple(_NAMED_LIFTS)
+
+
+def slot_kinds(slots, evaluate=False):
+    """The `lift_mixed` kinds of base slots, one per slot.
+
+    A TAN up slot lifts horizontally, a TAN down slot is pulled back, a
+    FIB up slot lifts vertically, and a FIB down slot goes to the vertical
+    coframe theta or, when `evaluate`, is contracted with the tautological
+    fibre point.
+    """
+    kinds = []
+    for s in TensorShape(slots):
+        kind = _SLOT_RULE.get((s.space, s.variance))
+        if kind is None:
+            raise ValueError(f"a {s.space} slot has no lift to the total "
+                             f"space")
+        kinds.append("eval" if evaluate and kind == "theta" else kind)
+    return kinds
 
 
 def _embedding_map(m_ctx, e_ctx, n):
@@ -168,28 +206,12 @@ class TotalSpaceGeometry(Geometry):
             out = out.contract_pair(pos, c, 1).move_slot(out.order - 1, pos)
         return out
 
-    # --- named lift operations ----------------------------------------------
+    def lift(self, T, evaluate=False):
+        """Lift a base-chart field slot by slot (see `slot_kinds`)."""
+        return self.lift_mixed(T, slot_kinds(T.slots, evaluate))
 
     def lift_function(self, f_scalar):
         return FieldTensor.from_scalar(self._echart, self.base_scalar(f_scalar))
-
-    def lift_section(self, xi):
-        return self.lift_mixed(xi, ["vert"])
-
-    def lift_vector_field(self, X):
-        return self.lift_mixed(X, ["hor"])
-
-    def lift_dual(self, lam):
-        return self.lift_mixed(lam, ["theta"])
-
-    def lift_dual_eval(self, lam):
-        return self.lift_mixed(lam, ["eval"])
-
-    def lift_endo(self, L):
-        return self.lift_mixed(L, ["vert", "theta"])
-
-    def lift_endo_eval(self, L):
-        return self.lift_mixed(L, ["vert", "eval"])
 
     def tautological_field(self):
         """The vertical vector field whose value at (x, u) is u itself."""
@@ -234,39 +256,19 @@ class TotalSpaceGeometry(Geometry):
 
 
 def lift(T, kind, ts):
-    """Spec-level lift dispatcher; `T` is a base-chart FieldTensor (or a
-    TaylorScalar for functions)."""
-    if kind == "horiz_function":
+    """Lift `T` by the name of its kind: a base-chart FieldTensor, or a
+    TaylorScalar for "horiz_function".  ValueError when the kind is unknown
+    or `T` does not have the slots that the kind takes."""
+    if kind not in _NAMED_LIFTS:
+        raise ValueError(f"unknown lift kind {kind!r}")
+    takes, evaluate = _NAMED_LIFTS[kind]
+    slots = tuple((s.space, s.variance) for s in getattr(T, "slots", ()))
+    if not (set(slots) <= takes if isinstance(takes, set)
+            else slots == takes):
+        raise ValueError(f"lift {kind!r} does not take slots {slots}")
+    if not isinstance(T, FieldTensor):
         return ts.lift_function(T)
-    if kind == "vert_section":
-        return ts.lift_section(T)
-    if kind == "horiz_vector_field":
-        return ts.lift_vector_field(T)
-    if kind == "vert_dual":
-        return ts.lift_dual(T)
-    if kind == "vert_endo":
-        return ts.lift_endo(T)
-    if kind == "eval_dual":
-        return ts.lift_dual_eval(T)
-    if kind == "eval_endo":
-        return ts.lift_endo_eval(T)
-    if kind == "horiz_tensor":
-        # pure covariant base tensor, or [tangent up aux][base downs]
-        kinds = ["hor" if s.variance == CONTRA else "base" for s in T.slots]
-        return ts.lift_mixed(T, kinds)
-    if kind == "vert_tensor":
-        kinds = [("vert" if s.variance == CONTRA else "theta") if s.space == FIB
-                 else "base" for s in T.slots]
-        return ts.lift_mixed(T, kinds)
-    if kind == "tensor_eval":
-        kinds = []
-        for s in T.slots:
-            if s.space == FIB:
-                kinds.append("vert" if s.variance == CONTRA else "eval")
-            else:
-                kinds.append("base")
-        return ts.lift_mixed(T, kinds)
-    raise ValueError(f"unknown lift kind {kind!r}")
+    return ts.lift(T, evaluate)
 
 
 # --------------------------------------------------------------------------

@@ -8,13 +8,9 @@ import pytest
 PKG = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "jetcalc.cli", *args],
-                          capture_output=True, text=True, env=env,
-                          timeout=600)
+                          capture_output=True, text=True, timeout=600)
 
 
 def test_tensor_laws_exit_zero_and_row_count(tmp_path):
@@ -113,13 +109,6 @@ def test_fit_growth_runs():
     assert data["coverage"] == 1.0
 
 
-def test_threads_env_accepted(tmp_path):
-    out = tmp_path / "r.json"
-    res = run_cli("verify", "jets", "--out", str(out),
-                  env_extra={"JETCALC_THREADS": "2"})
-    assert res.returncode == 0
-
-
 def test_negative_max_order_exits_two(tmp_path):
     scn = {
         "name": "customflat", "n": 1, "k": 1,
@@ -143,15 +132,6 @@ def test_run_without_rows_exits_one(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert cli.main(["verify", "jets", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["summary"]["total"] == 0
-
-
-def test_bad_threads_env_exits_two():
-    for value in ("abc", "0", "-2"):
-        res = run_cli("verify", "taylor",
-                      env_extra={"JETCALC_THREADS": value})
-        assert res.returncode == 2, value
-        assert "configuration error" in res.stderr
-        assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("args", [["--family", "Q"], ["--max-order", "-1"]])
@@ -323,6 +303,12 @@ def _scenario_file(tmp_path, **fields):
     {"connection": [[["0"], ["0"]], [["0"], ["0"]]]},   # not k x n x k
     {"fibre_metric": [["(sqrt x1)"]]},              # unknown operator
     {"n": "2"},                                     # mistyped field
+    {"base_points": [[0.0, None]]},                 # not a number
+    {"metric": [["(+)", "0"], ["0", "1"]]},         # n-ary with no argument
+    {"metric": [["(-)", "0"], ["0", "1"]]},
+    {"metric": [["(*)", "0"], ["0", "1"]]},
+    {"metric": [["(/)", "0"], ["0", "1"]]},
+    {"metric": [["(+ 1 x0)", "0"], ["0", "1"]]},    # variables start at x1
     {"colour": "red"},                              # unknown field
 ])
 def test_malformed_scenario_data_exits_two(fields, tmp_path, capsys):
@@ -335,6 +321,19 @@ def test_malformed_scenario_data_exits_two(fields, tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_crash_exits_three_with_one_line(monkeypatch, capsys):
+    from jetcalc import cli
+
+    def crash(config):
+        raise IndexError("index 5 is out of bounds")
+
+    monkeypatch.setitem(cli.SUITES, "jets", crash)
+    assert cli.main(["verify", "jets"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: IndexError: index 5 is out of bounds\n"
+    assert "checks passed" not in err
 
 
 def test_scenario_degree_below_max_order_plus_two_exits_two(tmp_path,

@@ -55,6 +55,42 @@ def test_bundle_family_expansion_and_inverse(kind):
         assert verify_inverse_pair(fam, inv, obj, m) < 1e-8
 
 
+#: per family: argument auxiliary slots and the lift kinds of the test
+#: object, per component, then the couplings, inverse couplings and the
+#: coupled pure family
+_TABLES = {
+    "P": ([()], [["base"]], [], [], None),
+    "V": ([((TAN, CONTRA),)], [["vert", "base"]], [], [], None),
+    "H": ([((TAN, CONTRA),)], [["hor", "base"]], [], [], None),
+    "Vstar": ([((TAN, COV),)], [["theta", "base"]], [], [], None),
+    "L": ([((TAN, CONTRA), (TAN, COV))], [["vert", "theta", "base"]],
+          [], [], None),
+    "D": ([(), ((TAN, COV),)], [["eval", "base"], ["theta", "base"]],
+          [(0, 1, 0)], [(0, 1, [0])], "Vstar"),
+    "C": ([((TAN, CONTRA),), ((TAN, CONTRA), (TAN, COV))],
+          [["vert", "eval", "base"], ["vert", "theta", "base"]],
+          [(0, 1, 1)], [(0, 1, [1])], "L"),
+}
+
+
+@pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS)
+def test_family_tables_follow_from_the_object_slots(kind):
+    scn = builtin_scenario("twisted-bundle")
+    ts = scn.total_at(cap=4)
+    fam = bundle_family(kind, ts)
+    aux, kinds, couplings, inv_couplings, pure = _TABLES[kind]
+    assert [tuple(a) for a in fam.aux] == aux
+    assert fam.couplings == couplings
+    assert fam.inv_couplings == inv_couplings
+    assert (fam.coupled_pure and fam.coupled_pure.name) == pure
+    obj = _object_field(ts.bundle, kind, _family_objects(scn, kind, 47))
+    for comp, comp_kinds in enumerate(kinds):
+        got = fam.lift(comp, obj, 1)
+        want = ts.lift_mixed(ts.bundle.iterated(obj, 1), comp_kinds)
+        assert got.slots == want.slots
+        assert np.array_equal(got.data, want.data)
+
+
 def test_conn_family_and_trivial_change():
     scn = builtin_scenario("twisted-bundle")
     bun = scn.bundle_at(cap=4)

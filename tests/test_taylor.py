@@ -322,3 +322,9 @@ def test_constant_factor_product_equals_contract(constant_first, identity):
     assert got.degree == d and got.slots == x.slots + y.slots
     assert got.data.shape == want.shape
     assert np.array_equal(got.data, want)
+
+
+def test_parser_rejects_operators_without_arguments_and_x0():
+    for bad in ("(+)", "(-)", "(*)", "(/)", "x0", "(+ 1 x0)"):
+        with pytest.raises(ValueError):
+            parse_expr(bad)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from jetcalc.fields import (FIB, TAN, BundleGeometry, ChartGeometry,
+from jetcalc.fields import (FIB, PTN, TAN, BundleGeometry, ChartGeometry,
                             bracket, lie_derivative, random_field, torsion)
 from jetcalc.scenarios import builtin_scenario, function_field, section_field
 from jetcalc.tensor_core import CONTRA, COV
 from jetcalc.total_space import (LIFT_KINDS, MapData, PullbackGeometry,
-                                 TotalSpaceGeometry, lift)
+                                 TotalSpaceGeometry, lift, slot_kinds)
 
 
 def flat_total():
@@ -75,7 +75,7 @@ def test_oneill_horizontal_vertical_part():
     X = section_field(bun, ["(+ 1 (* 0.3 x1))", "(* 0.2 x2)"],
                       slots=[(TAN, CONTRA)])
     Y = section_field(bun, ["(* 0.4 x2)", "1"], slots=[(TAN, CONTRA)])
-    Xh, Yh = ts.lift_vector_field(X), ts.lift_vector_field(Y)
+    Xh, Yh = ts.lift(X), ts.lift(Y)
     a_pi, _ = ts.oneill_tensors()
     lhs = a_pi.contract_pair(1, Xh, 0).contract_pair(1, Yh, 0)
     rhs = ts.ver.contract_pair(1, bracket(ts, Xh, Yh), 0) * 0.5
@@ -99,7 +99,7 @@ def test_oneill_tensoriality_under_rescaling():
 def test_structure_tensor_on_vertical_arguments():
     ts = twisted_total()
     xi = section_field(ts.bundle, ["(+ 1 (* 0.5 x1))", "(* 0.7 x2)"])
-    xiv = ts.lift_section(xi)
+    xiv = ts.lift(xi)
     Z = random_field(ts.chart, [(TAN, CONTRA)], (ts.n + ts.k,), 5)
     B = ts.b_tensor()
     a_pi, _ = ts.oneill_tensors()
@@ -113,19 +113,19 @@ def test_lift_coordinate_formulas():
     bun = ts.bundle
     n, k = ts.n, ts.k
     X = section_field(bun, ["1", "0"], slots=[(TAN, CONTRA)])
-    Xh = ts.lift_vector_field(X)
+    Xh = ts.lift(X)
     # horizontal lift: base part is X, vertical part is -omega u X
     assert np.allclose(Xh.data[0][:n], [1.0, 0.0])
     om = ts.omega.data
     want = -np.einsum("ab,b->a", om[0][:, 0, :], ts.chart.point[n:])
     assert np.allclose(Xh.data[0][n:], want, atol=1e-13)
     lam = section_field(bun, ["(* 2 x1)", "1"], slots=[(FIB, COV)])
-    lame = ts.lift_dual_eval(lam)
+    lame = ts.lift(lam, evaluate=True)
     x0, u0 = ts.chart.point[:n], ts.chart.point[n:]
     assert float(lame.data[0]) == pytest.approx(
         2 * x0[0] * u0[0] + u0[1], abs=1e-13)
     # vertical dual lift annihilates horizontal lifts
-    lamv = ts.lift_dual(lam)
+    lamv = ts.lift(lam)
     pair = lamv.contract_pair(0, Xh, 0)
     assert np.abs(pair.data).max() < 1e-13
 
@@ -133,7 +133,7 @@ def test_lift_coordinate_formulas():
 def test_flat_horizontal_lift_exact():
     ts = flat_total()
     X = section_field(ts.bundle, ["(* 2 x2)", "1"], slots=[(TAN, CONTRA)])
-    Xh = ts.lift_vector_field(X)
+    Xh = ts.lift(X)
     assert np.abs(Xh.data[:, ts.n:]).max() == 0.0
 
 
@@ -143,10 +143,10 @@ def test_function_lift_derivatives():
     f = bun.chart.expand("(* x1 (exp x2))")
     fh = ts.lift_function(f)
     xi = section_field(bun, ["1", "(* 0.5 x1)"])
-    xiv = ts.lift_section(xi)
+    xiv = ts.lift(xi)
     assert np.abs(lie_derivative(ts, xiv, fh).data).max() < 1e-13
     X = section_field(bun, ["(* 0.3 x2)", "1"], slots=[(TAN, CONTRA)])
-    Xh = ts.lift_vector_field(X)
+    Xh = ts.lift(X)
     lhs = lie_derivative(ts, Xh, fh)
     ff = function_field(bun, "(* x1 (exp x2))")
     rhs = ts.lift_function(bun.cov(ff).contract_pair(0, X, 0).entry(()))
@@ -159,13 +159,13 @@ def test_vertical_evaluation_derivative_rules():
     lam = section_field(bun, ["(+ 0.5 (* 0.2 x2))", "(* 0.4 x1)"],
                         slots=[(FIB, COV)])
     xi = section_field(bun, ["(+ 1 (* 0.5 x1))", "(* 0.7 x2)"])
-    lame = ts.lift_dual_eval(lam)
-    lhs = lie_derivative(ts, ts.lift_section(xi), lame)
+    lame = ts.lift(lam, evaluate=True)
+    lhs = lie_derivative(ts, ts.lift(xi), lame)
     rhs = ts.lift_function(lam.contract_pair(0, xi, 0).entry(()))
     assert np.abs((lhs - rhs).data[0]).max() < 1e-12
     X = section_field(bun, ["1", "(* 0.2 x1)"], slots=[(TAN, CONTRA)])
-    lhs = lie_derivative(ts, ts.lift_vector_field(X), lame)
-    rhs = ts.lift_dual_eval(bun.cov(lam).contract_pair(1, X, 0))
+    lhs = lie_derivative(ts, ts.lift(X), lame)
+    rhs = ts.lift(bun.cov(lam).contract_pair(1, X, 0), evaluate=True)
     assert np.abs((lhs - rhs).data[0]).max() < 1e-12
 
 
@@ -173,8 +173,8 @@ def test_endo_point_evaluation():
     ts = twisted_total()
     L = random_field(ts.bundle.chart, [(FIB, CONTRA), (FIB, COV)],
                      (ts.k, ts.k), 6)
-    lv = ts.lift_endo(L)
-    le = ts.lift_endo_eval(L)
+    lv = ts.lift(L)
+    le = ts.lift(L, evaluate=True)
     assert np.abs((ts.vertical_point_eval(lv) - le).data).max() < 1e-13
 
 
@@ -202,12 +202,55 @@ def test_lift_dispatcher_covers_kinds():
         lift(f, "bogus", ts)
 
 
+def test_slot_rule():
+    slots = [(TAN, CONTRA), (TAN, COV), (FIB, CONTRA), (FIB, COV)]
+    assert slot_kinds(slots) == ["hor", "base", "vert", "theta"]
+    assert slot_kinds(slots, evaluate=True) == ["hor", "base", "vert", "eval"]
+    assert slot_kinds([]) == []
+    with pytest.raises(ValueError):
+        slot_kinds([(PTN, CONTRA)])
+
+
+def test_lift_follows_the_slot_rule():
+    ts = twisted_total()
+    T = random_field(ts.bundle.chart,
+                     [(FIB, CONTRA), (FIB, COV), (TAN, COV), (TAN, CONTRA)],
+                     (2, 2, 2, 2), 12)
+    for evaluate, kinds in ((False, ["vert", "theta", "base", "hor"]),
+                            (True, ["vert", "eval", "base", "hor"])):
+        got = ts.lift(T, evaluate)
+        want = ts.lift_mixed(T, kinds)
+        assert got.slots == want.slots
+        assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("kind", LIFT_KINDS)
+def test_named_lift_rejects_wrong_slots(kind):
+    ts = twisted_total()
+    bun = ts.bundle
+    ch = bun.chart
+    xi = section_field(bun, ["1", "(* 0.5 x1)"])
+    X = section_field(bun, ["(* 0.3 x2)", "1"], slots=[(TAN, CONTRA)])
+    flipped = random_field(ch, [(FIB, COV), (FIB, CONTRA)], (2, 2), 13)
+    Av = random_field(ch, [(FIB, CONTRA), (TAN, COV)], (2, 2), 14)
+    wrong = {"horiz_function": xi, "vert_section": X,
+             "horiz_vector_field": xi, "vert_dual": xi,
+             "vert_endo": flipped, "eval_dual": X, "eval_endo": flipped,
+             "horiz_tensor": Av, "vert_tensor": X, "tensor_eval": X}
+    with pytest.raises(ValueError):
+        lift(wrong[kind], kind, ts)
+    if kind not in ("horiz_function", "horiz_tensor", "vert_tensor",
+                    "tensor_eval"):
+        with pytest.raises(ValueError):     # a function has no slots
+            lift(ch.expand("x1"), kind, ts)
+
+
 def test_lift_isometries():
     ts = twisted_total()
     bun = ts.bundle
     xi = section_field(bun, ["(+ 1 (* 0.5 x1))", "(* 0.7 x2)"])
     obj = bun.cov(xi)
-    lifted = ts.lift_mixed(obj, ["vert", "base"])
+    lifted = ts.lift(obj)
     assert ts.norm(lifted) == pytest.approx(bun.norm(obj), abs=1e-10)
 
 
