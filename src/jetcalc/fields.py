@@ -367,21 +367,8 @@ class Geometry:
         that slot (its direction moved last), with one contraction per slot.
         """
         ctx = self.chart.ctx
-        if T.degree < 1:
-            raise ValueError("degree budget exhausted")
         corrections = corrections or {}
-        dout = T.degree - 1
-        for slot in T.slots:
-            G = self.conns.get(slot.space)
-            if G is not None:
-                dout = min(dout, G.degree)
-        for pos, (_, S) in corrections.items():
-            space = T.slots[pos].space
-            if S.slots != TensorShape([(space, CONTRA), (space, COV),
-                                       (TAN, COV)]):
-                raise ValueError(f"structure tensor {S.slots} does not "
-                                 f"correct slot {pos} ({T.slots[pos]})")
-            dout = min(dout, S.degree)
+        dout = self.cov_degree(T, corrections)
         nb = self.chart.n
         # the partials to degree dout need T only to degree dout + 1
         td1 = ctx.truncate(T.data, dout + 1)
@@ -413,6 +400,26 @@ class Geometry:
                 r = np.moveaxis(r, 1, 1 + pos)
                 acc -= r
         return FieldTensor(self.chart, tuple(T.slots) + ((TAN, COV),), acc, dout)
+
+    def cov_degree(self, T, corrections):
+        """The degree of `cov(T, corrections)`: one below T's, capped by the
+        connections of T's slots and by the corrections' structure tensors,
+        each checked against the slot it corrects."""
+        if T.degree < 1:
+            raise ValueError("degree budget exhausted")
+        dout = T.degree - 1
+        for slot in T.slots:
+            G = self.conns.get(slot.space)
+            if G is not None:
+                dout = min(dout, G.degree)
+        for pos, (_, S) in corrections.items():
+            space = T.slots[pos].space
+            if S.slots != TensorShape([(space, CONTRA), (space, COV),
+                                       (TAN, COV)]):
+                raise ValueError(f"structure tensor {S.slots} does not "
+                                 f"correct slot {pos} ({T.slots[pos]})")
+            dout = min(dout, S.degree)
+        return dout
 
     def iterated(self, T, m):
         for _ in range(m):

@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FIB, PTN, TAN, FieldTensor, Geometry, identity_field
-from .tensor_core import COV, CONTRA
+from .tensor_core import COV, CONTRA, TensorShape
 
-__all__ = ["FamilySpec", "CoefficientTable", "build_coefficients",
+__all__ = ["FamilySpec", "CoefficientTable", "IdentityMap",
+           "build_coefficients",
            "verify_expansion", "verify_inverse_pair", "growth_profile",
            "bundle_family", "conn_family", "pullback_family",
            "BUNDLE_FAMILY_KINDS", "FAMILY_SLOTS", "EVALUATING_FAMILIES"]
@@ -97,29 +98,121 @@ class CoefficientTable:
         return self.entries.items()
 
 
+class IdentityMap(FieldTensor):
+    """A map [OUT][IN-dual] that is the identity: OUT slot i and IN-dual
+    slot `pairs[i]` hold one space with opposite variances, and the map is
+    the product of the identities on these pairs.
+
+    `data` is a read-only strided view, never a dense array: per series
+    coefficient it reads Π(2 d_i - 1) floats, with entry (a, b) of pair i at
+    offset w_i (a - b) in the balanced radix w_i = Π_{j>i} (2 d_j - 1)
+    from a single 1.0, and every coefficient above degree 0 is a zero row.
+    The recursion takes the covariant derivative, shift, action and Gram
+    norm of such a map in closed form.
+    """
+
+    def __init__(self, chart, out_slots, dims, degree, pairs):
+        out_slots = TensorShape(out_slots)
+        self.pairs = tuple(pairs)
+        partner = sorted(range(len(self.pairs)), key=self.pairs.__getitem__)
+        slots = tuple(out_slots) + tuple(
+            (out_slots[i].space, COV if out_slots[i].up else CONTRA)
+            for i in partner)
+        radix = [2 * d - 1 for d in dims]
+        weights = [math.prod(radix[i + 1:]) for i in range(len(dims))]
+        buf = np.zeros((chart.ctx.size(degree), math.prod(radix)))
+        center = sum(w * (d - 1) for w, d in zip(weights, dims))
+        buf[0, center] = 1.0
+        buf.flags.writeable = False
+        step = buf.itemsize
+        data = np.ndarray(
+            buf.shape[:1] + tuple(dims) + tuple(dims[i] for i in partner),
+            buffer=buf, offset=center * step,
+            strides=(buf.strides[0],) + tuple(w * step for w in weights)
+            + tuple(-weights[i] * step for i in partner))
+        super().__init__(chart, slots, data, degree)
+
+    def truncated(self, degree):
+        if degree >= self.degree:
+            return self
+        n = len(self.pairs)
+        return IdentityMap(self.chart, self.slots[:n], self.dims[:n], degree,
+                           self.pairs)
+
+    def shifted(self, dim):
+        """The shift term of the recursion, `self` (x) id on the tangent
+        space with the id's down slot last in OUT: the identity with one
+        more (TAN down, TAN up) pair."""
+        n = len(self.pairs)
+        return IdentityMap(self.chart, self.slots[:n] + ((TAN, COV),),
+                           self.dims[:n] + (dim,), self.degree,
+                           self.pairs + (n,))
+
+    def norm(self):
+        """The Gram norm under any Grams: each pair's identity has squared
+        norm tr(G G^-1) = d."""
+        return math.sqrt(math.prod(self.dims[:len(self.pairs)]))
+
+    def apply_map(self, n_out, arg):
+        """`FieldTensor.apply_map`: the argument with its slots reordered,
+        OUT slot i taking the argument's slot `pairs[i]`."""
+        n = len(self.pairs)
+        if n_out != n:
+            raise ValueError(f"an identity on {n} pairs has {n} OUT slots, "
+                             f"not {n_out}")
+        for i, p in enumerate(self.pairs):
+            if arg.slots[p] != self.slots[i]:
+                raise ValueError(f"map/argument mismatch at {p}: "
+                                 f"{self.slots[i]} vs {arg.slots[p]}")
+        d = min(self.degree, arg.degree)
+        perm = [0] + [p + 1 for p in self.pairs] + list(range(n + 1,
+                                                              arg.order + 1))
+        data = np.transpose(self.chart.ctx.truncate(arg.data, d), perm)
+        return FieldTensor(self.chart, self.slots[:n] + arg.slots[n:],
+                           np.ascontiguousarray(data), d)
+
+    def cov(self, geo, corrections):
+        """`geo.cov(self, corrections)`: the connection terms of the two
+        slots of a pair cancel, so each corrected slot (sign, S) adds only
+        sign * S[up, down, direction] on its pair, times the identity on
+        the other pairs.  Each is added through an einsum view of the
+        result that runs along the diagonals of the other pairs."""
+        dout = geo.cov_degree(self, corrections)
+        ctx = self.chart.ctx
+        n = len(self.pairs)
+        out = np.zeros((ctx.size(dout),) + self.dims + (self.chart.n,))
+        # einsum labels: pair i is i on both of its axes; n and n + 1 the
+        # corrected pair's up and down axes, n + 2 the series, n + 3 the
+        # direction
+        pair = list(range(n)) + [0] * n
+        for i, p in enumerate(self.pairs):
+            pair[n + p] = i
+        for pos, (sign, S) in corrections.items():
+            i = pair[pos]
+            ends = (i, n + self.pairs[i])
+            up, down = ends if self.slots[i].up else ends[::-1]
+            labels = list(pair)
+            labels[up], labels[down] = n, n + 1
+            rest = [k for k in range(n) if k != i]
+            view = np.einsum(out, [n + 2] + labels + [n + 3],
+                             [n + 2] + rest + [n, n + 1, n + 3])
+            sd = ctx.truncate(S.data, dout)
+            view += sign * sd.reshape(sd.shape[:1] + (1,) * len(rest)
+                                      + sd.shape[1:])
+        return FieldTensor(self.chart, tuple(self.slots) + ((TAN, COV),),
+                           out, dout)
+
+
 def _identity_map(spec):
-    """The order-zero map: identity on the main lift space."""
-    chart = spec.geo.chart
-    cap = chart.cap
+    """The order-zero map: the identity on the main lift space.  It is an
+    IdentityMap when the family's shift is the tangent identity, so that
+    every diagonal entry stays one; the pull-back family, whose shift is
+    dPhi, gets it dense."""
     aux = spec.aux[0]
-    if not aux:
-        out = FieldTensor.zeros(chart, (), (), cap)
-        out.data[0] = 1.0
-        return out
-    out = None
-    for (space, variance) in aux:
-        dim = spec.geo.dims[space]
-        eye = identity_field(chart, space, dim, cap,
-                             up_first=(variance == CONTRA))
-        out = eye if out is None else out.product(eye)
-    # arrange [all OUT aux][all IN-dual aux]
-    n = len(aux)
-    perm = []
-    for i in range(n):
-        perm.append(2 * i)
-    for i in range(n):
-        perm.append(2 * i + 1)
-    return out.permuted(perm)
+    ident = IdentityMap(spec.geo.chart, aux,
+                        [spec.geo.dims[space] for space, _ in aux],
+                        spec.geo.chart.cap, range(len(aux)))
+    return ident if spec.shift_tensor is None else ident.copy()
 
 
 def _slot_rules(rules, layout, first):
@@ -132,11 +225,16 @@ def _slot_rules(rules, layout, first):
 def _cov_term(spec, A, n_out, corrections):
     """The covariant derivative of A with the structure-tensor substitutions
     of `corrections` folded into the connection of their slots."""
-    dA = spec.geo.cov(A, corrections)
+    if isinstance(A, IdentityMap):
+        dA = A.cov(spec.geo, corrections)
+    else:
+        dA = spec.geo.cov(A, corrections)
     return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
 
 
 def _shift_term(spec, A, n_out):
+    if isinstance(A, IdentityMap):
+        return A.shifted(spec.geo.dims[TAN])
     ins = spec.shift_tensor
     if ins is None:
         dim = spec.geo.dims[TAN]
@@ -302,7 +400,8 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
     geo = geo or table.spec.geo
     rows = []
     for (m, c, s), A in sorted(table.items()):
-        rows.append((m, s, c, geo.norm(A)))
+        norm = A.norm() if isinstance(A, IdentityMap) else geo.norm(A)
+        rows.append((m, s, c, norm))
     offdiag = [r for r in rows if r[0] != r[1] and r[3] > tol]
     if not offdiag:
         return {"rows": rows, "degenerate": True, "coverage": 1.0,

@@ -935,9 +935,10 @@ def suite_recursions(config):
                     f"recursions/{kind}-inverse",
                     f"{scen_name}/p0/{m}",
                     verify_inverse_pair(fam, inv, obj, m), thr))
-            # diagonal acts as the identity
+            # diagonal acts as the identity: its values through the generic
+            # contraction, not the identity's closed-form action
             arg = fam.stream_lifted(0, obj, m_hi)
-            diag = fwd.get(m_hi, 0, m_hi)
+            diag = fwd.get(m_hi, 0, m_hi).copy()
             back = diag.apply_map(fam.n_aux_out() + m_hi, arg)
             rows.append(CheckRow.residual(
                 f"recursions/{kind}-diagonal", f"{scen_name}/p0/{m_hi}",
@@ -1023,6 +1024,8 @@ def suite_recursions(config):
             inputs=(f"C={prof['C']:.3g} sigma={prof['sigma']:.3g} "
                     f"rho={prof['rho']:.3g}"), value=1.0 - prof["coverage"]))
         dim_id = math.sqrt(np.prod([ts4.dims[TAN]] * (go + fam.n_aux_out())))
+        # the Gram norm of the entry's values, not the identity's closed
+        # form, which is dim_id itself
         diag = tab.get(go, 0, go)
         rows.append(CheckRow.residual(
             f"recursions/{kind}-diagonal-norm", f"twisted-bundle/p0/{go}",

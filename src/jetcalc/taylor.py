@@ -523,6 +523,14 @@ def _fold(op, vals):
     raise ValueError(op)
 
 
+def _variable(node, n):
+    """The index of the variable node `node`, which must name one of the
+    `n` coordinates of a point."""
+    if node[1] >= n:
+        raise ValueError(f"x{node[1] + 1} outside a {n}-point")
+    return node[1]
+
+
 def expand(expr, base, degree, ctx=None):
     """Taylor-expand an expression tree at `base` through `degree`."""
     if isinstance(expr, str):
@@ -534,7 +542,8 @@ def expand(expr, base, degree, ctx=None):
         if isinstance(node, float):
             return TaylorScalar.constant(ctx, node, degree)
         if node[0] == "x":
-            return TaylorScalar.variable(ctx, node[1], base[node[1]], degree)
+            i = _variable(node, len(base))
+            return TaylorScalar.variable(ctx, i, base[i], degree)
         op = node[0]
         if op == "exp":
             return ev(node[1]).exp()
@@ -559,10 +568,7 @@ def eval_expr(expr, point):
         if isinstance(node, float):
             return node
         if node[0] == "x":
-            if node[1] >= len(point):
-                raise ValueError(f"x{node[1] + 1} outside a "
-                                 f"{len(point)}-point")
-            return float(point[node[1]])
+            return float(point[_variable(node, len(point))])
         op = node[0]
         if op == "exp":
             return math.exp(ev(node[1]))

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from jetcalc import recursions
-from jetcalc.fields import FIB, TAN, FieldTensor
-from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, build_coefficients,
+from jetcalc.fields import FIB, TAN, FieldTensor, random_field
+from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, IdentityMap,
+                                build_coefficients,
                                 bundle_family, conn_family, growth_profile,
                                 pullback_family, pullback_inverse_residual,
                                 verify_expansion, verify_inverse_pair)
 from jetcalc.scenarios import builtin_scenario, function_field, section_field
 from jetcalc.suites import _family_objects, _object_field
-from jetcalc.tensor_core import CONTRA, COV
+from jetcalc.tensor_core import CONTRA, COV, TensorShape
 
 
 def test_flat_collapse_and_exactness():
@@ -282,3 +283,112 @@ def test_cov_rejects_a_correction_off_its_slot():
     section = FieldTensor.zeros(ts.chart, [(FIB, CONTRA)], (2,), 3)
     with pytest.raises(ValueError):
         ts.cov(section, {0: (1.0, B)})
+
+
+def _dense_identity(A):
+    """The identity map with A's pairs, slots and degree, written out."""
+    n = len(A.pairs)
+    dense = np.zeros(A.data.shape)
+    for out in np.ndindex(*A.dims[:n]):
+        ins = [0] * n
+        for i, p in enumerate(A.pairs):
+            ins[p] = out[i]
+        dense[(0,) + out + tuple(ins)] = 1.0
+    return dense
+
+
+def _spec(kind):
+    if kind == "CONN":
+        return _conn_spec()
+    return bundle_family(kind, builtin_scenario(
+        "twisted-bundle").total_at(cap=5))
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS + ("CONN",))
+def test_every_diagonal_is_a_read_only_identity(kind, direction):
+    table = build_coefficients(_spec(kind), 3, direction)
+    diagonals = 0
+    for (m, c, s), A in table.items():
+        marked = isinstance(A, IdentityMap)
+        assert marked == (c == 0 and s == m)
+        if not marked:
+            continue
+        diagonals += 1
+        assert np.array_equal(A.data, _dense_identity(A))
+        with pytest.raises(ValueError):
+            A.data[(0,) * A.data.ndim] = 2.0
+    assert diagonals == 4
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("kind", ["P", "L", "C", "CONN"])
+def test_identity_closed_forms_match_the_generic_path(kind, direction):
+    # cov with the recursion's corrections (argument slots forward, output
+    # slots inverse), action and Gram norm, against the dense copy
+    spec = _spec(kind)
+    table = build_coefficients(spec, 3, direction)
+    geo = spec.geo
+    for m in (1, 2):
+        A = table.get(m, 0, m)
+        dense = A.copy()
+        rules = _rules_of(spec, A, m, 0, m, direction)
+        assert rules
+        got, want = A.cov(geo, rules), geo.cov(dense, rules)
+        assert got.slots == want.slots and got.degree == want.degree
+        assert float(np.abs(got.data - want.data).max()) <= 1e-15 * max(
+            float(np.abs(want.data).max()), 1.0)
+        n = len(A.pairs)
+        arg = random_field(geo.chart, tuple(A.slots[:n]) + ((TAN, COV),),
+                           A.dims[:n] + (geo.dims[TAN],), seed=m)
+        got, want = A.apply_map(n, arg), FieldTensor.apply_map(dense, n, arg)
+        assert got.slots == want.slots and got.degree == want.degree
+        assert np.array_equal(got.data, want.data)
+        assert A.norm() == pytest.approx(geo.norm(dense), rel=1e-13)
+
+
+def test_pullback_diagonals_stay_dense():
+    _, pb = builtin_scenario("pullback-map").map_at()
+    table = build_coefficients(pullback_family(pb), 2, "forward")
+    assert not any(isinstance(A, IdentityMap) for _, A in table.items())
+
+
+def test_identity_diagonals_keep_the_order_4_table_small():
+    # every array an entry of the L table owns, each counted once: the
+    # diagonals own a few hundred KB where their dense form held 186 MB
+    ts = builtin_scenario("twisted-bundle").total_at(cap=6)
+    table = build_coefficients(bundle_family("L", ts), 4, "forward")
+    owners = {}
+    for _, A in table.items():
+        base = A.data
+        while base.base is not None:
+            base = base.base
+        owners[id(base)] = base.nbytes
+    assert sum(owners.values()) <= 65e6
+
+
+def test_identity_with_crossed_pairs_matches_the_generic_path():
+    # OUT slot i paired with IN-dual slot pairs[i] on mixed spaces, with
+    # both slots of one pair corrected
+    spec = _conn_spec()
+    geo = spec.geo
+    n, k = geo.dims[TAN], geo.dims[FIB]
+    A = IdentityMap(geo.chart, [(TAN, CONTRA), (FIB, COV), (TAN, COV)],
+                    (n, k, n), 3, (2, 0, 1))
+    assert A.slots[3:] == TensorShape([(FIB, CONTRA), (TAN, CONTRA),
+                                       (TAN, COV)])
+    dense = A.copy()
+    assert np.array_equal(A.data, _dense_identity(A))
+    rules = {1: spec.out_rule[(FIB, CONTRA)], 2: spec.in_rule[(TAN, COV)],
+             4: spec.in_rule[(TAN, COV)]}
+    got, want = A.cov(geo, rules), geo.cov(dense, rules)
+    assert got.slots == want.slots and got.degree == want.degree
+    assert float(np.abs(got.data - want.data).max()) <= 1e-15 * max(
+        float(np.abs(want.data).max()), 1.0)
+    arg = random_field(geo.chart, [(FIB, COV), (TAN, COV), (TAN, CONTRA)],
+                       (k, n, n), seed=5)
+    got, want = A.apply_map(3, arg), FieldTensor.apply_map(dense, 3, arg)
+    assert got.slots == want.slots and np.array_equal(got.data, want.data)
+    assert A.norm() == pytest.approx(geo.norm(dense), rel=1e-13)
+    with pytest.raises(ValueError):
+        A.apply_map(2, arg)

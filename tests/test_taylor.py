@@ -110,6 +110,11 @@ def test_reciprocal_requires_nonzero():
         expand("(/ 1 x1)", [0.0], 3)
 
 
+def test_expand_rejects_a_variable_outside_the_base_point():
+    with pytest.raises(ValueError, match="x3 outside a 2-point"):
+        expand("(+ 1 x3)", [0.1, 0.2], 2)
+
+
 def test_parser_rejects_garbage():
     for bad in ("(+ 1", "())", "(frob x1)", "(+ 1 2))"):
         with pytest.raises(ValueError):
