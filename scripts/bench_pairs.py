@@ -1,21 +1,24 @@
 """Paired benchmark runs of two checkouts, summarized into one JSON record.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_7.json \
-        [--pairs 10] [--seed 700] [--seconds 20] [--workload W ...]
+        [--seed 700]
 
 PARENT and CHANGE are checkouts of jetcalc (each with its own `perfbench/`
-and `src/`).  For every workload of CHANGE's `BENCHMARK.json` (or those
-given with `--workload`) it runs `perfbench/run.py --trace 0` on both
-checkouts in `--pairs` pairs, pair i at seed `--seed` + i, the parent first
-on even i and the change first on odd i, so a slow phase of the host falls
-on both sides alike.  Per workload and end-to-end metric it records each
-side's median and quartiles, the change's wins (ties count for neither),
-the relative shift of the medians, whether that shift lies within the
-metric's bound and whether the change's gain is claimable: it wins at
-least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the parent's interquartile spread.  Every run's
-figures, the failed operations, the seeds, `nproc` and the numpy and BLAS
-versions are recorded too.
+and `src/`).  For every workload of CHANGE's `BENCHMARK.json` it runs
+`perfbench/run.py --trace 0` for the file's `run_seconds` on both checkouts
+in ten pairs, pair i at seed `--seed` + i, the parent first on even i and
+the change first on odd i, so a slow phase of the host falls on both sides
+alike.  A claimed gain must also hold on seeds that were not used while
+the change was developed, so each recorded run picks its own `--seed`.
+
+Per workload and end-to-end metric it records each side's median and
+quartiles, the change's wins (ties count for neither), the relative shift
+of the medians, whether that shift lies within the metric's bound and
+whether the change's gain is claimable: it wins at least nine tenths of
+the pairs and the medians differ, in the better direction, by more than
+the parent's interquartile spread.  Every run's figures, the failed
+operations, the seeds, `nproc` and the numpy and BLAS versions are recorded
+too.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 
 import numpy as np
 
-MIN_PAIRS = 10
+PAIRS = 10
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -77,19 +80,13 @@ def main(argv=None):
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=700)
-    ap.add_argument("--seconds", type=float)
-    ap.add_argument("--workload", action="append")
     args = ap.parse_args(argv)
-    if args.pairs < MIN_PAIRS:
-        ap.error(f"--pairs must be at least {MIN_PAIRS}")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds = [args.seed + i for i in range(PAIRS)]
     record = {
         "parent": git_state(args.parent), "change": git_state(args.change),
         "seconds": seconds, "seeds": seeds, "nproc": os.cpu_count(),
@@ -98,7 +95,7 @@ def main(argv=None):
                  ["Build Dependencies"]["blas"].items()
                  if k in ("name", "version", "openblas configuration")},
         "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change",

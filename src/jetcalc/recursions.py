@@ -100,8 +100,8 @@ class CoefficientTable:
 
 class IdentityMap(FieldTensor):
     """A map [OUT][IN-dual] that is the identity: OUT slot i and IN-dual
-    slot `pairs[i]` hold one space with opposite variances, and the map is
-    the product of the identities on these pairs.
+    slot n + i hold one space with opposite variances, and the map is the
+    product of the identities on these n pairs.
 
     `data` is a read-only strided view, never a dense array: per series
     coefficient it reads Π(2 d_i - 1) floats, with entry (a, b) of pair i at
@@ -111,13 +111,10 @@ class IdentityMap(FieldTensor):
     norm of such a map in closed form.
     """
 
-    def __init__(self, chart, out_slots, dims, degree, pairs):
+    def __init__(self, chart, out_slots, dims, degree):
         out_slots = TensorShape(out_slots)
-        self.pairs = tuple(pairs)
-        partner = sorted(range(len(self.pairs)), key=self.pairs.__getitem__)
         slots = tuple(out_slots) + tuple(
-            (out_slots[i].space, COV if out_slots[i].up else CONTRA)
-            for i in partner)
+            (s.space, COV if s.up else CONTRA) for s in out_slots)
         radix = [2 * d - 1 for d in dims]
         weights = [math.prod(radix[i + 1:]) for i in range(len(dims))]
         buf = np.zeros((chart.ctx.size(degree), math.prod(radix)))
@@ -126,50 +123,46 @@ class IdentityMap(FieldTensor):
         buf.flags.writeable = False
         step = buf.itemsize
         data = np.ndarray(
-            buf.shape[:1] + tuple(dims) + tuple(dims[i] for i in partner),
-            buffer=buf, offset=center * step,
+            buf.shape[:1] + 2 * tuple(dims), buffer=buf, offset=center * step,
             strides=(buf.strides[0],) + tuple(w * step for w in weights)
-            + tuple(-weights[i] * step for i in partner))
+            + tuple(-w * step for w in weights))
         super().__init__(chart, slots, data, degree)
+
+    @property
+    def n_pairs(self):
+        return self.order // 2
 
     def truncated(self, degree):
         if degree >= self.degree:
             return self
-        n = len(self.pairs)
-        return IdentityMap(self.chart, self.slots[:n], self.dims[:n], degree,
-                           self.pairs)
+        n = self.n_pairs
+        return IdentityMap(self.chart, self.slots[:n], self.dims[:n], degree)
 
     def shifted(self, dim):
         """The shift term of the recursion, `self` (x) id on the tangent
-        space with the id's down slot last in OUT: the identity with one
-        more (TAN down, TAN up) pair."""
-        n = len(self.pairs)
+        space with the id's down slot last in OUT and its up slot last in
+        IN-dual: the identity with one more (TAN down, TAN up) pair."""
+        n = self.n_pairs
         return IdentityMap(self.chart, self.slots[:n] + ((TAN, COV),),
-                           self.dims[:n] + (dim,), self.degree,
-                           self.pairs + (n,))
+                           self.dims[:n] + (dim,), self.degree)
 
     def norm(self):
         """The Gram norm under any Grams: each pair's identity has squared
         norm tr(G G^-1) = d."""
-        return math.sqrt(math.prod(self.dims[:len(self.pairs)]))
+        return math.sqrt(math.prod(self.dims[:self.n_pairs]))
 
     def apply_map(self, n_out, arg):
-        """`FieldTensor.apply_map`: the argument with its slots reordered,
-        OUT slot i taking the argument's slot `pairs[i]`."""
-        n = len(self.pairs)
+        """`FieldTensor.apply_map`: the argument itself, cut to the map's
+        degree."""
+        n = self.n_pairs
         if n_out != n:
             raise ValueError(f"an identity on {n} pairs has {n} OUT slots, "
                              f"not {n_out}")
-        for i, p in enumerate(self.pairs):
-            if arg.slots[p] != self.slots[i]:
-                raise ValueError(f"map/argument mismatch at {p}: "
-                                 f"{self.slots[i]} vs {arg.slots[p]}")
-        d = min(self.degree, arg.degree)
-        perm = [0] + [p + 1 for p in self.pairs] + list(range(n + 1,
-                                                              arg.order + 1))
-        data = np.transpose(self.chart.ctx.truncate(arg.data, d), perm)
-        return FieldTensor(self.chart, self.slots[:n] + arg.slots[n:],
-                           np.ascontiguousarray(data), d)
+        for i in range(n):
+            if arg.slots[i] != self.slots[i]:
+                raise ValueError(f"map/argument mismatch at {i}: "
+                                 f"{self.slots[i]} vs {arg.slots[i]}")
+        return arg.truncated(min(self.degree, arg.degree))
 
     def cov(self, geo, corrections):
         """`geo.cov(self, corrections)`: the connection terms of the two
@@ -179,19 +172,15 @@ class IdentityMap(FieldTensor):
         result that runs along the diagonals of the other pairs."""
         dout = geo.cov_degree(self, corrections)
         ctx = self.chart.ctx
-        n = len(self.pairs)
+        n = self.n_pairs
         out = np.zeros((ctx.size(dout),) + self.dims + (self.chart.n,))
         # einsum labels: pair i is i on both of its axes; n and n + 1 the
         # corrected pair's up and down axes, n + 2 the series, n + 3 the
         # direction
-        pair = list(range(n)) + [0] * n
-        for i, p in enumerate(self.pairs):
-            pair[n + p] = i
         for pos, (sign, S) in corrections.items():
-            i = pair[pos]
-            ends = (i, n + self.pairs[i])
-            up, down = ends if self.slots[i].up else ends[::-1]
-            labels = list(pair)
+            i = pos % n
+            up, down = (i, n + i) if self.slots[i].up else (n + i, i)
+            labels = 2 * list(range(n))
             labels[up], labels[down] = n, n + 1
             rest = [k for k in range(n) if k != i]
             view = np.einsum(out, [n + 2] + labels + [n + 3],
@@ -211,7 +200,7 @@ def _identity_map(spec):
     aux = spec.aux[0]
     ident = IdentityMap(spec.geo.chart, aux,
                         [spec.geo.dims[space] for space, _ in aux],
-                        spec.geo.chart.cap, range(len(aux)))
+                        spec.geo.chart.cap)
     return ident if spec.shift_tensor is None else ident.copy()
 
 

@@ -12,7 +12,7 @@ from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, IdentityMap,
                                 verify_expansion, verify_inverse_pair)
 from jetcalc.scenarios import builtin_scenario, function_field, section_field
 from jetcalc.suites import _family_objects, _object_field
-from jetcalc.tensor_core import CONTRA, COV, TensorShape
+from jetcalc.tensor_core import CONTRA, COV
 
 
 def test_flat_collapse_and_exactness():
@@ -286,14 +286,10 @@ def test_cov_rejects_a_correction_off_its_slot():
 
 
 def _dense_identity(A):
-    """The identity map with A's pairs, slots and degree, written out."""
-    n = len(A.pairs)
+    """The identity map with A's slots and degree, written out."""
     dense = np.zeros(A.data.shape)
-    for out in np.ndindex(*A.dims[:n]):
-        ins = [0] * n
-        for i, p in enumerate(A.pairs):
-            ins[p] = out[i]
-        dense[(0,) + out + tuple(ins)] = 1.0
+    for out in np.ndindex(*A.dims[:A.n_pairs]):
+        dense[(0,) + out + out] = 1.0
     return dense
 
 
@@ -338,7 +334,7 @@ def test_identity_closed_forms_match_the_generic_path(kind, direction):
         assert got.slots == want.slots and got.degree == want.degree
         assert float(np.abs(got.data - want.data).max()) <= 1e-15 * max(
             float(np.abs(want.data).max()), 1.0)
-        n = len(A.pairs)
+        n = A.n_pairs
         arg = random_field(geo.chart, tuple(A.slots[:n]) + ((TAN, COV),),
                            A.dims[:n] + (geo.dims[TAN],), seed=m)
         got, want = A.apply_map(n, arg), FieldTensor.apply_map(dense, n, arg)
@@ -367,28 +363,12 @@ def test_identity_diagonals_keep_the_order_4_table_small():
     assert sum(owners.values()) <= 65e6
 
 
-def test_identity_with_crossed_pairs_matches_the_generic_path():
-    # OUT slot i paired with IN-dual slot pairs[i] on mixed spaces, with
-    # both slots of one pair corrected
-    spec = _conn_spec()
-    geo = spec.geo
-    n, k = geo.dims[TAN], geo.dims[FIB]
-    A = IdentityMap(geo.chart, [(TAN, CONTRA), (FIB, COV), (TAN, COV)],
-                    (n, k, n), 3, (2, 0, 1))
-    assert A.slots[3:] == TensorShape([(FIB, CONTRA), (TAN, CONTRA),
-                                       (TAN, COV)])
-    dense = A.copy()
-    assert np.array_equal(A.data, _dense_identity(A))
-    rules = {1: spec.out_rule[(FIB, CONTRA)], 2: spec.in_rule[(TAN, COV)],
-             4: spec.in_rule[(TAN, COV)]}
-    got, want = A.cov(geo, rules), geo.cov(dense, rules)
-    assert got.slots == want.slots and got.degree == want.degree
-    assert float(np.abs(got.data - want.data).max()) <= 1e-15 * max(
-        float(np.abs(want.data).max()), 1.0)
-    arg = random_field(geo.chart, [(FIB, COV), (TAN, COV), (TAN, CONTRA)],
-                       (k, n, n), seed=5)
-    got, want = A.apply_map(3, arg), FieldTensor.apply_map(dense, 3, arg)
-    assert got.slots == want.slots and np.array_equal(got.data, want.data)
-    assert A.norm() == pytest.approx(geo.norm(dense), rel=1e-13)
+def test_identity_rejects_an_argument_off_its_slots():
+    A = build_coefficients(_spec("L"), 2, "forward").get(2, 0, 2)
+    arg = random_field(A.chart, tuple(A.slots[:4]), A.dims[:4], seed=5)
     with pytest.raises(ValueError):
-        A.apply_map(2, arg)
+        A.apply_map(3, arg)
+    swapped = random_field(A.chart, (A.slots[1], A.slots[0]) + tuple(
+        A.slots[2:4]), (A.dims[1], A.dims[0]) + A.dims[2:4], seed=5)
+    with pytest.raises(ValueError):
+        A.apply_map(4, swapped)
