@@ -4,13 +4,17 @@
                    [--threshold KEY=VAL]...
     jetcalc verify recursions --scenario FILE... [--family F]...
                    [--max-order M] [...]
-    jetcalc fit growth|compare [--scenario NAME] [--family F] [--max-order M]
+    jetcalc fit growth [--scenario NAME] [--family F] [--max-order M]
+    jetcalc fit compare [--scenario NAME] [--seed N] [--max-order M]
     jetcalc report diff A.json B.json
 
 `verify` rejects a flag that the run would not read: `--scenario` with any
 suite but recursions, `--family` or `--max-order` without `--scenario`, and
 a `--threshold` key that is neither a check tag of the selected suites nor
-the first segment of one.
+the first segment of one.  `fit growth` rejects `--seed` and `fit compare`
+rejects `--family`.  The report's `config` block echoes the seed and, with
+`--scenario` files, the max order, families and scenario names; the suites
+state every other order and bound where they make their rows.
 
 Exit codes: 0 all checks pass, 1 at least one failed check or no check
 run, 2 bad configuration or unparsable input, 3 an internal error (an
@@ -46,49 +50,20 @@ SUITES = {
 }
 
 
-#: the SuiteConfig fields each suite reads
-READS = {
-    "tensor-laws": ("seed",),
-    "taylor": ("seed",),
-    "geometry": ("seed", "points"),
-    "jets": ("seed",),
-    "submersion": ("seed", "points"),
-    "recursions": ("seed", "points", "growth_order"),
-    "connection-compare": ("seed", "compare_order"),
-    "seminorms": ("seed", "radius_order"),
-    "continuity": ("seed",),
-}
-
-#: what recursions reads in place of READS["recursions"] when it runs
-#: scenario files
-SCENARIO_READS = ("seed", "max_order", "families", "scenarios")
-
-
 @dataclass
 class SuiteConfig:
     seed: int = 7
-    points: int = 3
     max_order: int = 3
-    growth_order: int = 4
-    compare_order: int = 6
-    radius_order: int = 10
     families: tuple = ()
     scenarios: list = field(default_factory=list)
 
-    def reads(self, name):
-        """The fields that suite `name` reads from this config."""
-        if name == "recursions" and self.scenarios:
-            return SCENARIO_READS
-        return READS[name]
-
-    def echo(self, names):
-        """The fields that the suites `names` read, with their values."""
-        out = {key: getattr(self, key)
-               for name in names for key in self.reads(name)}
-        if "families" in out:
-            out["families"] = list(self.families)
-        if "scenarios" in out:
-            out["scenarios"] = [s.name for s in self.scenarios]
+    def echo(self):
+        """The fields that the run reads, with their values: the seed, and
+        with scenario files also the order, families and scenario names."""
+        out = {"seed": self.seed}
+        if self.scenarios:
+            out.update(max_order=self.max_order, families=list(self.families),
+                       scenarios=[s.name for s in self.scenarios])
         return out
 
 
@@ -171,7 +146,7 @@ def cmd_verify(args):
     digests = {s.name: scenario_digest(s) for s in config.scenarios}
     for name in (BUILTIN_NAMES if not config.scenarios else ()):
         digests[name] = scenario_digest(builtin_scenario(name))
-    report = build_report(args.suite, rows, config.echo(names), digests)
+    report = build_report(args.suite, rows, config.echo(), digests)
     text = report_json(report) if args.format == "json" else report_csv(report)
     if args.out:
         emit_report(report, args.format, args.out)
@@ -189,11 +164,14 @@ def cmd_verify(args):
 
 def cmd_fit(args):
     try:
+        flag, given = (("--seed", args.seed) if args.kind == "growth"
+                       else ("--family", args.family))
+        if given is not None:
+            raise ValueError(f"{flag} is not read by fit {args.kind}")
         if args.max_order < 0:
             raise ValueError(f"--max-order must be nonnegative, "
                              f"got {args.max_order}")
-        if args.kind == "growth" and args.family is not None \
-                and args.family not in BUNDLE_FAMILY_KINDS:
+        if args.family is not None and args.family not in BUNDLE_FAMILY_KINDS:
             raise ValueError(f"unknown family {args.family!r}, expected "
                              f"one of {', '.join(BUNDLE_FAMILY_KINDS)}")
         scn = (load_scenario(args.scenario) if args.scenario
@@ -224,7 +202,7 @@ def cmd_fit(args):
     from .scenarios import section_field
     from .seminorms import CompactSample, norm_compare
     K = CompactSample(scn.base_points, "K")
-    exprs = scn.random_section(args.seed)
+    exprs = scn.random_section(7 if args.seed is None else args.seed)
 
     def prov_a(x):
         bun = pairs[tuple(x)][0]
@@ -280,9 +258,10 @@ def main(argv=None):
     pf = sub.add_parser("fit", help="envelope fits")
     pf.add_argument("kind", choices=("growth", "compare"))
     pf.add_argument("--scenario", help="builtin name or JSON file")
-    pf.add_argument("--family")
+    pf.add_argument("--family", help="lift family (growth only; default V)")
     pf.add_argument("--max-order", type=int, default=4)
-    pf.add_argument("--seed", type=int, default=7)
+    pf.add_argument("--seed", type=int,
+                    help="section seed (compare only; default 7)")
     pf.set_defaults(func=cmd_fit)
 
     pr = sub.add_parser("report", help="compare two JSON reports")

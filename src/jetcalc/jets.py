@@ -36,19 +36,6 @@ class JetVector:
                         f"({gap / scale:.2e}); ordering or torsion bug upstream")
                 self.components[j] = sym
 
-    def __mul__(self, c):
-        return JetVector([a * float(c) for a in self.components], enforce=False)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return JetVector([a + b for a, b in
-                          zip(self.components, other.components)], enforce=False)
-
-    def __sub__(self, other):
-        return JetVector([a - b for a, b in
-                          zip(self.components, other.components)], enforce=False)
-
 
 def decompose_jet(T, geo, m):
     """Decompose the m-jet of a section-like field into jet components."""

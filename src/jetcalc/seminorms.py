@@ -240,49 +240,3 @@ def topology_equivalence_check(provider, K, weight_family, m_max, slack=1.5):
             "intrinsic_le": p_int <= p_loc_b2 * (1 + 1e-9),
         })
     return report
-
-
-def continuity_bound_check(op, samples, slack=1.5):
-    """Quantitative kernels of the continuity statements, as margins.
-
-    `samples` is a list of dicts of jet norms (and orders) appropriate to
-    the operation; the returned report carries one margin per sample
-    (nonpositive = the bound holds) or, for the lift operations, fitted
-    envelope witnesses with coverage.
-    """
-    if op == "add":
-        margins = [s["sum"] - (s["a"] + s["b"]) for s in samples]
-    elif op == "compose_vb":
-        margins = [s["composite"]
-                   - (3.0 ** (s["m"] + 1)) * s["left"] * s["right"]
-                   for s in samples]
-    elif op == "jet":
-        margins = [s["nested"]
-                   - (s["m"] + s["k"]) ** s["k"] * (s["m"] + 1) * s["flat"]
-                   for s in samples]
-    elif op == "pullback":
-        margins = [s["pulled"] - s["C"] ** s["m"] * s["target"]
-                   for s in samples]
-    elif op in ("differential", "nabla"):
-        margins = [s["deriv"] - (s["m"] + 1) * s["higher"] for s in samples]
-    elif op == "lie":
-        margins = [s["value"] - (3.0 ** (s["m"] + 1)) * (s["m"] + 1)
-                   * s["obj_higher"] * s["field"] for s in samples]
-    elif op == "bracket":
-        margins = [s["value"] - (3.0 ** (s["m"] + 1)) * (s["m"] + 1)
-                   * (s["jy1"] * s["jx"] + s["jx1"] * s["jy"])
-                   for s in samples]
-    elif op in ("lifts", "tangent_lift"):
-        report = {"op": op, "directions": []}
-        ok = True
-        for block in samples:
-            C, sigma, cov = fit_envelope(block["ms"], block["ratios"], slack)
-            report["directions"].append(
-                {"C": C, "sigma": sigma, "coverage": cov})
-            ok = ok and cov >= 1.0 - 1e-12
-        report["passed"] = ok
-        return report
-    else:
-        raise ValueError(f"unknown continuity operation {op!r}")
-    return {"op": op, "margins": margins,
-            "max_margin": max(margins) if margins else 0.0}

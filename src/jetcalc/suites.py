@@ -28,14 +28,18 @@ from .recursions import (BUNDLE_FAMILY_KINDS, EVALUATING_FAMILIES,
                          verify_inverse_pair)
 from .scenarios import builtin_scenario, function_field, section_field
 from .total_space import TotalSpaceGeometry
-from .seminorms import (CompactSample, WeightSequence,
-                        continuity_bound_check, growth_fit,
-                        jet_norm_profile, local_seminorm, norm_compare,
-                        p_infinity, p_omega, topology_equivalence_check)
+from .seminorms import (CompactSample, WeightSequence, fit_envelope,
+                        growth_fit, jet_norm_profile, local_seminorm,
+                        norm_compare, p_infinity, p_omega,
+                        topology_equivalence_check)
 from .taylor import expand, finite_difference_check
 from .tensor_core import CONTRA, COV
 
 NONFLAT_SCENARIOS = ("conformal-base", "sphere-chart", "twisted-bundle")
+
+#: the orders of the recursion growth template, the two-pair jet-norm
+#: comparison and the analyticity-radius fits
+GROWTH_ORDER, COMPARE_ORDER, RADIUS_ORDER = 4, 6, 10
 
 
 @dataclass
@@ -370,7 +374,7 @@ def suite_geometry(config):
     # Levi-Civita on the built-in charts
     for name in ("flat",) + NONFLAT_SCENARIOS:
         scn = builtin_scenario(name)
-        for pi, x0 in enumerate(scn.base_points[: config.points]):
+        for pi, x0 in enumerate(scn.base_points):
             geo = scn.chart_at(x0)
             met = geo.cov(geo.g)
             rows.append(CheckRow.residual(
@@ -609,8 +613,7 @@ def suite_submersion(config):
     seed = config.seed
     for name in NONFLAT_SCENARIOS:
         scn = builtin_scenario(name)
-        pts = scn.base_points[: config.points]
-        for pi, x0 in enumerate(pts):
+        for pi, x0 in enumerate(scn.base_points):
             ts = scn.total_at(x0, scn.fibre_points[0], cap=4)
             bun = ts.bundle
             ch = bun.chart
@@ -787,7 +790,7 @@ def suite_submersion(config):
     # pull-back map checks
     for name in ("pullback-map", "pullback-split"):
         scn = builtin_scenario(name)
-        for pi, x0 in enumerate(scn.base_points[: config.points]):
+        for pi, x0 in enumerate(scn.base_points):
             md, pb = scn.map_at(x0)
             where = f"{name}/p{pi}"
             aphi = pb.a_phi()
@@ -888,10 +891,10 @@ def _scenario_recursion_rows(config):
                 f"order {config.max_order} + 2")
     rows = []
     for scn in config.scenarios:
-        bun = scn.bundle_at(cap=config.max_order + 2)
+        ts = scn.total_at(cap=config.max_order + 2)
+        bun = ts.bundle
         flat = bun.conns[TAN].is_zero(1e-14) and bun.conns[FIB].is_zero(1e-14)
         thr = 1e-11 if flat else 1e-8
-        ts = scn.total_at(cap=config.max_order + 2)
         for kind in config.families or BUNDLE_FAMILY_KINDS:
             fam = bundle_family(kind, ts)
             fwd = build_coefficients(fam, config.max_order, "forward")
@@ -956,7 +959,7 @@ def suite_recursions(config):
     # together with the flat runs above this covers five scenarios
     for scen_name in NONFLAT_SCENARIOS:
         scn = builtin_scenario(scen_name)
-        for pi, x0 in enumerate(scn.base_points[: config.points]):
+        for pi, x0 in enumerate(scn.base_points):
             if scen_name == "twisted-bundle" and pi == 0:
                 continue            # already covered at full order above
             ts = scn.total_at(x0, cap=4)
@@ -1011,7 +1014,7 @@ def suite_recursions(config):
                 pullback_inverse_residual(pb, fwd, fobj, 3), 1e-8))
     # growth template on the twisted bundle; the template bound is taken at
     # half the growth order
-    go = config.growth_order
+    go = GROWTH_ORDER
     half = max(1, go // 2)
     ts4 = builtin_scenario("twisted-bundle").total_at(cap=go + 2)
     for kind in BUNDLE_FAMILY_KINDS:
@@ -1085,7 +1088,7 @@ def suite_connection_compare(config):
             inputs=f"sigma={sigma:.3g}"))
     # jet-norm families for two (metric, connection) pairs
     tw = builtin_scenario("twisted-bundle")
-    m_hi = config.compare_order
+    m_hi = COMPARE_ORDER
     K = CompactSample(tw.base_points, "K")
     for si in range(10):
         exprs = tw.random_section(seed + 200 + si)
@@ -1252,19 +1255,19 @@ def suite_seminorms(config):
         local_seminorm(prov_zero, K0, aa, 6)
         + p_omega(prov_zero, K0, aa, 6), 1e-15))
     # analyticity certificates: fitted radius brackets the pole distance
-    fit1 = growth_fit(prov_f("(/ 1 (+ 1 (* x1 x1)))"), K0, config.radius_order)
+    fit1 = growth_fit(prov_f("(/ 1 (+ 1 (* x1 x1)))"), K0, RADIUS_ORDER)
     rows.append(CheckRow.flag(
         "seminorms/radius-unit-pole", "flat-line/origin/10",
         0.8 <= fit1.r <= 1.2 and fit1.max_violation <= 1e-9,
         inputs=f"r={fit1.r:.3f} C={fit1.C:.3g}", value=abs(fit1.r - 1.0)))
     fit2 = growth_fit(prov_f("(/ 1 (+ 1 (* 4 (* x1 x1))))"), K0,
-                      config.radius_order)
+                      RADIUS_ORDER)
     rows.append(CheckRow.flag(
         "seminorms/radius-half-pole", "flat-line/origin/10",
         0.4 <= fit2.r <= 0.6 and fit2.max_violation <= 1e-9,
         inputs=f"r={fit2.r:.3f}", value=abs(fit2.r - 0.5)))
     fit3 = growth_fit(prov_f("(+ 1 (* x1 (* x1 x1)))"), K0,
-                      config.radius_order)
+                      RADIUS_ORDER)
     rows.append(CheckRow.flag(
         "seminorms/radius-polynomial", "flat-line/origin/10",
         fit3.trivial or fit3.r >= 1.0, inputs=f"r={fit3.r:.3f}"))
@@ -1289,11 +1292,9 @@ def suite_continuity(config):
         j2 = decompose_jet(section_field(bun, e2), bun, 3)
         jsum = decompose_jet(section_field(bun, e1)
                              + section_field(bun, e2), bun, 3)
-        rep = continuity_bound_check("add", [
-            {"sum": jet_norm(jsum), "a": jet_norm(j1), "b": jet_norm(j2)}])
         rows.append(CheckRow.residual(
             "continuity/add-triangle", f"twisted-bundle/case{i}/3",
-            rep["max_margin"], 1e-12))
+            jet_norm(jsum) - (jet_norm(j1) + jet_norm(j2)), 1e-12))
     # (b) composition envelope
     count = 0
     for i in range(50):
@@ -1307,11 +1308,9 @@ def suite_continuity(config):
             jl = jet_norm(decompose_jet(L, bun, m))
             jx = jet_norm(decompose_jet(xi, bun, m))
             jc = jet_norm(decompose_jet(L.contract_pair(1, xi, 0), bun, m))
-            rep = continuity_bound_check("compose_vb", [
-                {"m": m, "composite": jc, "left": jl, "right": jx}])
             rows.append(CheckRow.residual(
                 "continuity/compose-envelope", f"twisted-bundle/case{i}/{m}",
-                rep["max_margin"], 1e-10))
+                jc - (3.0 ** (m + 1)) * jl * jx, 1e-10))
             count += 1
         if count >= 250:
             break
@@ -1325,11 +1324,9 @@ def suite_continuity(config):
                 nested = prolong_decompose(sec, bun, mm, kk)
                 nn = nested_jet_norm(nested)
                 fj = jet_norm(decompose_jet(sec, bun, kk + mm))
-                rep = continuity_bound_check("jet", [
-                    {"k": kk, "m": mm, "nested": nn, "flat": fj}])
                 rows.append(CheckRow.residual(
                     "continuity/jet-envelope", f"{name}/p0/({kk},{mm})",
-                    rep["max_margin"], 1e-10))
+                    nn - (mm + kk) ** kk * (mm + 1) * fj, 1e-10))
     # (d) pull-back chain bound over the sampled compact set
     for name in ("pullback-map", "pullback-split"):
         scn = builtin_scenario(name)
@@ -1345,12 +1342,11 @@ def suite_continuity(config):
             fNf = function_field(md.target, fN)
             for m in range(1, 4):
                 up = md.pullback_field(md.target.iterated(fNf, m))
-                rep = continuity_bound_check("pullback", [
-                    {"m": m, "C": c_k, "pulled": pb.norm(pb.convert_all(up)),
-                     "target": md.target.norm(md.target.iterated(fNf, m))}])
+                pulled = pb.norm(pb.convert_all(up))
+                target = md.target.norm(md.target.iterated(fNf, m))
                 rows.append(CheckRow.residual(
                     "continuity/pullback-chain", f"{name}/p{pi}/{m}",
-                    rep["max_margin"], 1e-10))
+                    pulled - c_k ** m * target, 1e-10))
     # (e) two-sided jet bounds for every lift family; the lower bound for
     # the evaluation families needs the sup over the unit fibre slice, so
     # the total-space norms are aggregated over the fibre samples
@@ -1381,15 +1377,13 @@ def suite_continuity(config):
                         continue
                     ms_down.append(m)
                     down_ratio.append(jb / max(je_by_m[m], 1e-300))
-        rep = continuity_bound_check(
-            "lifts", [{"ms": ms_up, "ratios": up_ratio},
-                      {"ms": ms_down, "ratios": down_ratio}])
-        up, down = rep["directions"]
+        C_up, s_up, cov_up = fit_envelope(ms_up, up_ratio, 1.5)
+        C_dn, s_dn, cov_dn = fit_envelope(ms_down, down_ratio, 1.5)
         rows.append(CheckRow.flag(
             f"continuity/lift-bounds-{kind}", f"twisted-bundle/K/{m_lift}",
-            rep["passed"],
-            inputs=(f"up C={up['C']:.3g} sigma={up['sigma']:.3g}; "
-                    f"down C={down['C']:.3g} sigma={down['sigma']:.3g}")))
+            min(cov_up, cov_dn) >= 1.0 - 1e-12,
+            inputs=(f"up C={C_up:.3g} sigma={s_up:.3g}; "
+                    f"down C={C_dn:.3g} sigma={s_dn:.3g}")))
     # (f) tangent lift: decomposition, then the fitted envelope
     ms, ratios = [], []
     for name in ("flat", "twisted-bundle"):
@@ -1419,12 +1413,10 @@ def suite_continuity(config):
                     jb = jet_norm(decompose_jet(X, base, m + 1))
                     ms.append(m)
                     ratios.append(je / max(jb, 1e-300))
-    rep = continuity_bound_check("tangent_lift",
-                                 [{"ms": ms, "ratios": ratios}])
-    fitinfo = rep["directions"][0]
+    C, sigma, cov = fit_envelope(ms, ratios, 1.5)
     rows.append(CheckRow.flag(
-        "continuity/tangent-envelope", "mixed/K/2", rep["passed"],
-        inputs=f"C={fitinfo['C']:.3g} sigma={fitinfo['sigma']:.3g}"))
+        "continuity/tangent-envelope", "mixed/K/2", cov >= 1.0 - 1e-12,
+        inputs=f"C={C:.3g} sigma={sigma:.3g}"))
     # differential / covariant derivative / lie / bracket kernels
     bun = tw.bundle_at(cap=6)
     f = function_field(bun, tw.random_function(seed + 530))
@@ -1438,28 +1430,22 @@ def suite_continuity(config):
         jf = jet_norm(decompose_jet(f, bun, m + 1))
         rows.append(CheckRow.residual(
             "continuity/differential-bound", f"twisted-bundle/p0/{m}",
-            continuity_bound_check("differential", [
-                {"m": m, "deriv": jd, "higher": jf}])["max_margin"], 1e-10))
+            jd - (m + 1) * jf, 1e-10))
         jn = jet_norm(decompose_jet(bun.cov(xi), bun, m))
         jxi = jet_norm(decompose_jet(xi, bun, m + 1))
         rows.append(CheckRow.residual(
             "continuity/nabla-bound", f"twisted-bundle/p0/{m}",
-            continuity_bound_check("nabla", [
-                {"m": m, "deriv": jn, "higher": jxi}])["max_margin"], 1e-10))
+            jn - (m + 1) * jxi, 1e-10))
         jb = jet_norm(decompose_jet(bracket(bun, X, Y), bun, m))
         jX, jY = (jet_norm(decompose_jet(Z, bun, m + 1)) for Z in (X, Y))
         jXm, jYm = (jet_norm(decompose_jet(Z, bun, m)) for Z in (X, Y))
         rows.append(CheckRow.residual(
             "continuity/bracket-bound", f"twisted-bundle/p0/{m}",
-            continuity_bound_check("bracket", [
-                {"m": m, "value": jb, "jx": jXm, "jy": jYm,
-                 "jx1": jX, "jy1": jY}])["max_margin"], 1e-10))
+            jb - (3.0 ** (m + 1)) * (m + 1) * (jY * jXm + jX * jYm), 1e-10))
         jl = jet_norm(decompose_jet(lie_derivative(bun, X, f), bun, m))
         rows.append(CheckRow.residual(
             "continuity/lie-bound", f"twisted-bundle/p0/{m}",
-            continuity_bound_check("lie", [
-                {"m": m, "value": jl, "obj_higher": jf,
-                 "field": jXm}])["max_margin"], 1e-10))
+            jl - (3.0 ** (m + 1)) * (m + 1) * jf * jXm, 1e-10))
     return rows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import (FIB, PTN, TAN, Chart, FieldTensor, Geometry,
                      identity_field, levi_civita)
-from .taylor import MultiIndex, TaylorScalar
+from .taylor import MultiIndex
 from .tensor_core import COV, CONTRA, TensorShape
 
 __all__ = [
@@ -153,16 +153,6 @@ class TotalSpaceGeometry(Geometry):
         data[dst[keep]] = T.data[src[keep]]
         return FieldTensor(self._echart, T.slots, data, d)
 
-    def base_scalar(self, s):
-        """Re-expand a base-chart TaylorScalar on the E-chart."""
-        src, dst = self._emb
-        d = min(s.degree, self._echart.cap)
-        size = self._echart.ctx.size(d)
-        c = np.zeros(size)
-        keep = dst < size
-        c[dst[keep]] = s.coeffs[src[keep]]
-        return TaylorScalar(self._echart.ctx, d, c)
-
     # --- lifts ---------------------------------------------------------------
 
     def _slot_converters(self, d):
@@ -211,7 +201,8 @@ class TotalSpaceGeometry(Geometry):
         return self.lift_mixed(T, slot_kinds(T.slots, evaluate))
 
     def lift_function(self, f_scalar):
-        return FieldTensor.from_scalar(self._echart, self.base_scalar(f_scalar))
+        return self.from_base(FieldTensor.from_scalar(self.bundle.chart,
+                                                      f_scalar))
 
     def tautological_field(self):
         """The vertical vector field whose value at (x, u) is u itself."""

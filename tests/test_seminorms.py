@@ -139,23 +139,3 @@ def test_jet_norm_profile_shape():
     prof = jet_norm_profile(prov, K, 3)
     assert prof.shape == (3, 4)
     assert np.all(np.diff(prof, axis=1) >= -1e-15)
-
-
-def test_continuity_bound_check_dispatcher():
-    from jetcalc.seminorms import continuity_bound_check
-    rep = continuity_bound_check("add", [{"sum": 2.0, "a": 1.5, "b": 1.0}])
-    assert rep["max_margin"] == pytest.approx(-0.5)
-    rep = continuity_bound_check("compose_vb", [
-        {"m": 1, "composite": 5.0, "left": 1.0, "right": 1.0}])
-    assert rep["max_margin"] == pytest.approx(5.0 - 9.0)
-    rep = continuity_bound_check("jet", [
-        {"k": 1, "m": 2, "nested": 1.0, "flat": 1.0}])
-    assert rep["max_margin"] == pytest.approx(1.0 - 9.0)
-    rep = continuity_bound_check("pullback", [
-        {"m": 2, "C": 2.0, "pulled": 3.0, "target": 1.0}])
-    assert rep["max_margin"] == pytest.approx(-1.0)
-    rep = continuity_bound_check("lifts", [
-        {"ms": [0, 1, 2], "ratios": [1.0, 1.0, 1.0]}])
-    assert rep["passed"]
-    with pytest.raises(ValueError):
-        continuity_bound_check("bogus", [])
