@@ -38,12 +38,22 @@ class JetVector:
 
 
 def decompose_jet(T, geo, m):
-    """Decompose the m-jet of a section-like field into jet components."""
+    """Decompose the m-jet of a section-like field into jet components.
+
+    One pass: each covariant derivative is taken once, from the previous
+    one, so an m-jet costs m `cov` calls.  Only base-point values are read
+    and the degree-0 part of nabla^j T depends on nabla^j T only to degree
+    m - j, so T is truncated to degree m first and each derivative comes
+    out one degree lower.  The symmetrization acts on the base-point value.
+    """
     comps = []
     base = T.order
+    D = T.truncated(m)
     for j in range(m + 1):
-        dj = geo.sym_derivative(T, j)
-        comps.append(geo.value(dj) * (1.0 / math.factorial(j)))
+        comps.append(geo.value(D).symmetrized(range(base, base + j))
+                     * (1.0 / math.factorial(j)))
+        if j < m:
+            D = geo.cov(D)
     return JetVector(comps)
 
 
@@ -71,18 +81,24 @@ def prolong_decompose(T, geo, k, m):
 
     Computed directly (differentiate the symmetrized order-l derivative j
     more times, then symmetrize the new slots); comparing against
-    `delta_hat` of the flat (k+m)-jet is the commuting-square check.
+    `delta_hat` of the flat (k+m)-jet is the commuting-square check.  One
+    `cov` per order: nabla^l T is formed once per l from the previous one,
+    from T truncated to degree k + m, and its symmetrization is carried
+    only to degree k, all that its k-jet reads; at most (m+1)(k+1) calls.
     """
-    rows = []
-    for j in range(k + 1):
-        row = []
-        for l in range(m + 1):
-            dl = geo.sym_derivative(T, l)
-            djl = geo.iterated(dl, j)
-            djl = djl.symmetrized(range(dl.order, dl.order + j))
-            row.append(geo.value(djl)
-                       * (1.0 / (math.factorial(j) * math.factorial(l))))
-        rows.append(row)
+    base = T.order
+    D = T.truncated(k + m)
+    rows = [[None] * (m + 1) for _ in range(k + 1)]
+    for l in range(m + 1):
+        top = base + l
+        E = D.truncated(k).symmetrized(range(base, top))
+        for j in range(k + 1):
+            rows[j][l] = (geo.value(E).symmetrized(range(top, top + j))
+                          * (1.0 / (math.factorial(j) * math.factorial(l))))
+            if j < k:
+                E = geo.cov(E)
+        if l < m:
+            D = geo.cov(D)
     return rows
 
 

@@ -19,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -235,11 +236,26 @@ def frobenius_norm(a):
         for dot in _chunk_dots(x, x)))
 
 
+@functools.lru_cache(maxsize=None)
+def _sym_orbits(dim, k):
+    """The orbit of every flat index of (dim,)*k under permutations of its
+    k positions, and each orbit's size, as read-only arrays: index tuples
+    that agree up to order share an orbit."""
+    idx = np.indices((dim,) * k).reshape(k, -1).T
+    keys = np.sort(idx, axis=1)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
+                                   return_counts=True)
+    inverse.setflags(write=False)
+    counts.setflags(write=False)
+    return inverse, counts
+
+
 def sym_axes_data(data, axes):
     """Symmetrize an ndarray over the given (equal-length) axes.
 
     Averages over all rearrangements by pooling entries whose index tuples
-    along `axes` agree up to order; costs O(size log size) instead of k!.
+    along `axes` agree up to order; costs O(size) per call, the orbit tables
+    being built once per (dim, k) in O(dim^k log dim^k) instead of k!.
     """
     axes = list(axes)
     k = len(axes)
@@ -251,10 +267,7 @@ def sym_axes_data(data, axes):
     moved = np.moveaxis(data, axes, range(data.ndim - k, data.ndim))
     lead = moved.shape[: data.ndim - k]
     flat = moved.reshape(lead + (dim ** k,))
-    idx = np.indices((dim,) * k).reshape(k, -1).T
-    keys = np.sort(idx, axis=1)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
-                                   return_counts=True)
+    inverse, counts = _sym_orbits(dim, k)
     lead_flat = flat.reshape(-1, dim ** k)
     sums = np.zeros((lead_flat.shape[0], len(counts)))
     np.add.at(sums, (slice(None), inverse), lead_flat)
@@ -370,9 +383,16 @@ def delta_split(a, r, s, tol=1e-10):
 
 
 def sym_rank(dim, k):
-    """Numerical rank of the symmetrization projector on k slots of a
-    dim-dimensional space."""
+    """Rank of the symmetrization projector on k slots of a dim-dimensional
+    space: the trace of its matrix, once that matrix is checked to be an
+    orthogonal projector (symmetric, and fixed by a second symmetrization);
+    -1 if it is not one."""
     n = dim ** k
     basis = np.eye(n).reshape((n,) + (dim,) * k)
-    images = sym_axes_data(basis, range(1, k + 1)).reshape(n, n)
-    return int(np.linalg.matrix_rank(images, tol=1e-9))
+    images = sym_axes_data(basis, range(1, k + 1))
+    again = sym_axes_data(images, range(1, k + 1))
+    images, again = images.reshape(n, n), again.reshape(n, n)
+    if not (np.allclose(images, images.T, rtol=0.0, atol=1e-12)
+            and np.allclose(again, images, rtol=0.0, atol=1e-12)):
+        return -1
+    return int(round(float(np.trace(images))))

@@ -128,3 +128,102 @@ def test_prolong_zero_outer_is_plain_jet():
         assert np.allclose(nested[0][l].data, jet.components[l].data,
                            atol=1e-13)
 
+
+
+# --- the one-pass jets against the definition --------------------------------
+
+def _defining_jet(T, geo, m):
+    """The m-jet as defined: Sym nabla^j T from T at full degree, per j."""
+    return [geo.value(geo.sym_derivative(T, j)) * (1.0 / math.factorial(j))
+            for j in range(m + 1)]
+
+
+def _defining_prolong(T, geo, k, m):
+    """The nested table as defined: entry (j, l) differentiates
+    Sym nabla^l T j more times at full degree and symmetrizes the new slots."""
+    rows = []
+    for j in range(k + 1):
+        row = []
+        for l in range(m + 1):
+            dl = geo.sym_derivative(T, l)
+            djl = geo.iterated(dl, j).symmetrized(
+                range(dl.order, dl.order + j))
+            row.append(geo.value(djl)
+                       * (1.0 / (math.factorial(j) * math.factorial(l))))
+        rows.append(row)
+    return rows
+
+
+def _assert_same_component(a, b):
+    assert a.slots == b.slots
+    scale = float(np.abs(b.data).max()) if b.data.size else 0.0
+    assert float(np.abs(a.data - b.data).max(initial=0.0)) <= 1e-15 * scale
+
+
+def _jet_fields(bun, seed):
+    return [random_field(bun.chart, [(FIB, CONTRA)], (2,), seed),
+            random_field(bun.chart, [], (), seed + 1),
+            random_field(bun.chart, [(FIB, CONTRA), (TAN, COV)], (2, 2),
+                         seed + 2)]
+
+
+@pytest.mark.parametrize("name", ["conformal-base", "sphere-chart",
+                                  "twisted-bundle"])
+def test_one_pass_jets_match_the_definition(name):
+    bun = builtin_scenario(name).bundle_at(cap=7)
+    for i, T in enumerate(_jet_fields(bun, 40)):
+        for m in range(7):
+            jet = decompose_jet(T, bun, m)
+            want = _defining_jet(T, bun, m)
+            assert len(jet.components) == m + 1
+            for a, b in zip(jet.components, want):
+                _assert_same_component(a, b)
+        for k in range(3):
+            for m in range(3):
+                got = prolong_decompose(T, bun, k, m)
+                want = _defining_prolong(T, bun, k, m)
+                for ra, rb in zip(got, want, strict=True):
+                    for a, b in zip(ra, rb, strict=True):
+                        _assert_same_component(a, b)
+
+
+def _count_cov(monkeypatch, geo):
+    calls = []
+    cov = geo.cov
+
+    def counted(T, corrections=None):
+        calls.append(T.degree)
+        return cov(T, corrections)
+
+    monkeypatch.setattr(geo, "cov", counted)
+    return calls
+
+
+def test_one_pass_jets_cov_counts_and_degrees(monkeypatch):
+    bun = builtin_scenario("twisted-bundle").bundle_at(cap=7)
+    sec = random_field(bun.chart, [(FIB, CONTRA)], (2,), 9)
+    calls = _count_cov(monkeypatch, bun)
+    for m in range(7):
+        calls.clear()
+        decompose_jet(sec, bun, m)
+        assert len(calls) == m
+        # nabla^j T is carried only to degree m - j
+        assert calls == list(range(m, 0, -1))
+    for k in range(3):
+        for m in range(3):
+            calls.clear()
+            prolong_decompose(sec, bun, k, m)
+            assert len(calls) <= (m + 1) * (k + 1)
+            assert max(calls, default=0) <= k + m
+
+
+def test_one_pass_jets_exhaust_the_degree_budget():
+    bun = builtin_scenario("twisted-bundle").bundle_at(cap=7)
+    sec = random_field(bun.chart, [(FIB, CONTRA)], (2,), 10, degree=3)
+    decompose_jet(sec, bun, 3)
+    prolong_decompose(sec, bun, 1, 2)
+    with pytest.raises(ValueError, match="degree budget exhausted"):
+        decompose_jet(sec, bun, 4)
+    for k, m in ((2, 2), (0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="degree budget exhausted"):
+            prolong_decompose(sec, bun, k, m)

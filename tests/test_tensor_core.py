@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -394,3 +395,55 @@ def test_gram_norm_holds_no_second_copy(layout):
         tracemalloc.stop()
     assert peak < a.data.nbytes / 2
     assert got == pytest.approx(math.sqrt(_explicit_inner(a, a)), rel=1e-12)
+
+
+def _brute_symmetrized(data, axes):
+    """The average of `data` over every rearrangement of `axes`."""
+    axes = list(axes)
+    total = np.zeros_like(data)
+    perms = list(itertools.permutations(range(len(axes))))
+    for p in perms:
+        order = list(range(data.ndim))
+        for i, pi in enumerate(p):
+            order[axes[i]] = axes[pi]
+        total += np.transpose(data, order)
+    return total / len(perms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sym_axes_data_is_the_permutation_average(dim, k):
+    rng = np.random.default_rng(10 * dim + k)
+    # trailing axes, after two series-like leading axes
+    data = rng.standard_normal((3, 2) + (dim,) * k)
+    axes = range(2, 2 + k)
+    assert np.allclose(tc.sym_axes_data(data, axes),
+                       _brute_symmetrized(data, axes), rtol=0, atol=1e-14)
+    # non-adjacent axes, interleaved with axes of another dimension
+    shape, axes = [dim + 1], []
+    for _ in range(k):
+        axes.append(len(shape))
+        shape += [dim, 2]
+    data = rng.standard_normal(shape)
+    assert np.allclose(tc.sym_axes_data(data, axes),
+                       _brute_symmetrized(data, axes), rtol=0, atol=1e-14)
+
+
+def test_sym_orbit_tables_are_cached_and_read_only():
+    inverse, counts = tc._sym_orbits(3, 3)
+    assert tc._sym_orbits(3, 3)[0] is inverse
+    assert counts.sum() == 27 and len(counts) == math.comb(5, 3)
+    with pytest.raises(ValueError):
+        inverse[0] = 1
+    with pytest.raises(ValueError):
+        counts[0] = 7
+
+
+def test_sym_rank_misses_on_a_non_idempotent_symmetrizer(monkeypatch):
+    real = tc.sym_axes_data
+    # symmetric but not a projector: (1 + Sym) / 2
+    monkeypatch.setattr(tc, "sym_axes_data",
+                        lambda data, axes: 0.5 * (data + real(data, axes)))
+    for dim, k in ((2, 2), (3, 3), (4, 4)):
+        assert tc.sym_rank(dim, k) == -1
+        assert tc.sym_rank(dim, k) != math.comb(dim + k - 1, k)
