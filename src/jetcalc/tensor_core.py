@@ -388,11 +388,15 @@ def sym_rank(dim, k):
     orthogonal projector (symmetric, and fixed by a second symmetrization);
     -1 if it is not one."""
     n = dim ** k
-    basis = np.eye(n).reshape((n,) + (dim,) * k)
-    images = sym_axes_data(basis, range(1, k + 1))
-    again = sym_axes_data(images, range(1, k + 1))
-    images, again = images.reshape(n, n), again.reshape(n, n)
-    if not (np.allclose(images, images.T, rtol=0.0, atol=1e-12)
-            and np.allclose(again, images, rtol=0.0, atol=1e-12)):
+    axes = range(1, k + 1)
+    images = sym_axes_data(np.eye(n).reshape((n,) + (dim,) * k), axes)
+    # the gaps are taken in place: two n x n arrays at most are held
+    gap = sym_axes_data(images, axes).reshape(n, n)
+    images = images.reshape(n, n)
+    gap -= images
+    idempotent = max(gap.max(), -gap.min()) <= 1e-12
+    np.subtract(images, images.T, out=gap)
+    symmetric = max(gap.max(), -gap.min()) <= 1e-12
+    if not (idempotent and symmetric):
         return -1
     return int(round(float(np.trace(images))))
