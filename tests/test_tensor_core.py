@@ -446,4 +446,3 @@ def test_sym_rank_misses_on_a_non_idempotent_symmetrizer(monkeypatch):
                         lambda data, axes: 0.5 * (data + real(data, axes)))
     for dim, k in ((2, 2), (3, 3), (4, 4)):
         assert tc.sym_rank(dim, k) == -1
-        assert tc.sym_rank(dim, k) != math.comb(dim + k - 1, k)
