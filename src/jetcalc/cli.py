@@ -19,7 +19,9 @@ state every other order and bound where they make their rows.
 Exit codes: 0 all checks pass, 1 at least one failed check or no check
 run, 2 bad configuration or unparsable input, 3 an internal error (an
 uncaught exception in any command, reported as one `internal error:` line
-on stderr).  `report diff` exits 0 when the two reports have the same rows
+on stderr).  A `ValueError` or `OSError` raised while a suite runs exits 2
+only with `--scenario` files, whose data the suite reads; in a built-in
+suite it is an internal error.  `report diff` exits 0 when the two reports have the same rows
 and pass flags, 1 when they do not, 2 when a report cannot be read.
 """
 
@@ -128,6 +130,8 @@ def cmd_verify(args):
         if args.max_order is not None and args.max_order < 0:
             raise ValueError(f"--max-order must be nonnegative, "
                              f"got {args.max_order}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         config = SuiteConfig(
             seed=args.seed, families=tuple(args.family or ()),
             scenarios=[load_scenario(p) for p in (args.scenario or ())])
@@ -139,6 +143,10 @@ def cmd_verify(args):
     try:
         packs = [run_suite(n, config) for n in names]
     except (ValueError, OSError) as exc:
+        # only scenario files bring user data into a suite; a built-in
+        # suite that raises has a defect, which main reports as exit 3
+        if not config.scenarios:
+            raise
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     rows = [r for pack in packs for r in pack]
@@ -171,6 +179,8 @@ def cmd_fit(args):
         if args.max_order < 0:
             raise ValueError(f"--max-order must be nonnegative, "
                              f"got {args.max_order}")
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         if args.family is not None and args.family not in BUNDLE_FAMILY_KINDS:
             raise ValueError(f"unknown family {args.family!r}, expected "
                              f"one of {', '.join(BUNDLE_FAMILY_KINDS)}")

@@ -44,7 +44,9 @@ def decompose_jet(T, geo, m):
     one, so an m-jet costs m `cov` calls.  Only base-point values are read
     and the degree-0 part of nabla^j T depends on nabla^j T only to degree
     m - j, so T is truncated to degree m first and each derivative comes
-    out one degree lower.  The symmetrization acts on the base-point value.
+    out one degree lower.  The symmetrization acts on the base-point value,
+    so the components are symmetric by construction and the JetVector
+    guard is not run on them again.
     """
     comps = []
     base = T.order
@@ -54,7 +56,7 @@ def decompose_jet(T, geo, m):
                      * (1.0 / math.factorial(j)))
         if j < m:
             D = geo.cov(D)
-    return JetVector(comps)
+    return JetVector(comps, enforce=False)
 
 
 def jet_norm(jet):

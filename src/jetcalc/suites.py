@@ -41,6 +41,11 @@ NONFLAT_SCENARIOS = ("conformal-base", "sphere-chart", "twisted-bundle")
 #: comparison and the analyticity-radius fits
 GROWTH_ORDER, COMPARE_ORDER, RADIUS_ORDER = 4, 6, 10
 
+#: the submersion suite's degree budgets: its rows read base-point values,
+#: so each geometry is built only to the deepest derivative a row takes
+SUBMERSION_CAP = 2  # total spaces: submersion/norm-pullback takes nabla^2 f
+PULLBACK_CAP = 3    # pull-back maps: pullback/norm-bound runs to order 3
+
 
 @dataclass
 class CheckRow:
@@ -614,7 +619,7 @@ def suite_submersion(config):
     for name in NONFLAT_SCENARIOS:
         scn = builtin_scenario(name)
         for pi, x0 in enumerate(scn.base_points):
-            ts = scn.total_at(x0, scn.fibre_points[0], cap=4)
+            ts = scn.total_at(x0, scn.fibre_points[0], cap=SUBMERSION_CAP)
             bun = ts.bundle
             ch = bun.chart
             where = f"{name}/p{pi}"
@@ -791,7 +796,7 @@ def suite_submersion(config):
     for name in ("pullback-map", "pullback-split"):
         scn = builtin_scenario(name)
         for pi, x0 in enumerate(scn.base_points):
-            md, pb = scn.map_at(x0)
+            md, pb = scn.map_at(x0, cap=PULLBACK_CAP)
             where = f"{name}/p{pi}"
             aphi = pb.a_phi()
             # defining property on matched fields (the second field rides on

@@ -414,3 +414,49 @@ def test_reads_names_the_fields_a_suite_reads(name, tmp_path):
     read.clear()
     cli.SUITES[name](config)
     assert read == want
+
+
+@pytest.mark.parametrize("argv", [["verify", "jets"], ["verify", "all"],
+                                  ["fit", "compare", "--max-order", "1"]])
+def test_negative_seed_exits_two_naming_the_flag(argv, monkeypatch, capsys):
+    from jetcalc import cli
+
+    def no_run(config):
+        raise AssertionError("a suite ran with a negative seed")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, no_run)
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --seed")
+
+
+def test_value_error_in_a_builtin_suite_exits_three(monkeypatch, capsys):
+    # a built-in suite reads no user data, so its ValueError is a defect
+    from jetcalc import cli
+
+    def exhausted(config):
+        raise ValueError("degree budget exhausted")
+
+    monkeypatch.setitem(cli.SUITES, "submersion", exhausted)
+    assert cli.main(["verify", "submersion"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError: degree budget exhausted\n"
+
+
+def test_scenario_run_that_exhausts_its_degree_budget_exits_two(
+        tmp_path, monkeypatch, capsys):
+    from jetcalc import cli
+    from jetcalc.scenarios import Scenario
+    build = Scenario.total_at
+    # the geometry is built to degree 2, below the run's order-3 rows
+    monkeypatch.setattr(Scenario, "total_at",
+                        lambda self, point=None, u=None, cap=None:
+                        build(self, point, u, cap=2))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "recursions", "--scenario",
+                     _flat_scenario(tmp_path), "--family", "P",
+                     "--max-order", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: degree budget exhausted\n"
+    assert not out.exists()
