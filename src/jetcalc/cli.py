@@ -21,8 +21,9 @@ run, 2 bad configuration or unparsable input, 3 an internal error (an
 uncaught exception in any command, reported as one `internal error:` line
 on stderr).  A `ValueError` or `OSError` raised while a suite runs exits 2
 only with `--scenario` files, whose data the suite reads; in a built-in
-suite it is an internal error.  `report diff` exits 0 when the two reports have the same rows
-and pass flags, 1 when they do not, 2 when a report cannot be read.
+suite it is an internal error.  `report diff` exits 0 when the two reports
+have the same rows and pass flags, 1 when they do not, 2 when a report
+cannot be read.
 """
 
 from __future__ import annotations
