@@ -188,8 +188,10 @@ def cmd_fit(args):
         scn = (load_scenario(args.scenario) if args.scenario
                and os.path.exists(args.scenario)
                else builtin_scenario(args.scenario or "twisted-bundle"))
-        # the geometries are built here, so that data they reject exits 2
-        cap = args.max_order + 2
+        # the geometries are built here, so that data they reject exits 2,
+        # to the fitted order (order 0 still needs the Levi-Civita
+        # connection, one derivative of the metric)
+        cap = max(args.max_order, 1)
         if args.kind == "growth":
             ts = scn.total_at(cap=cap)
         else:

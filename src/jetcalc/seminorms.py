@@ -90,10 +90,11 @@ def local_component_profile(provider, K, m_max):
     rows = []
     for x in K.points:
         geo, T = provider(x)
-        ctx = geo.chart.ctx
+        if T.degree < m_max:
+            raise ValueError("degree budget exhausted")
         vals = np.zeros(m_max + 1)
-        for i, I in enumerate(ctx.indices):
-            if I.order > min(m_max, T.degree):
+        for i, I in enumerate(geo.chart.ctx.indices):
+            if I.order > m_max:
                 break
             vals[I.order] = max(vals[I.order], float(np.abs(T.data[i]).max()))
         rows.append(vals)

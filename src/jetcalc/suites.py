@@ -325,7 +325,6 @@ def suite_taylor(config):
                 "taylor/fd-agreement", f"{name}/p0/{sum(I)}",
                 res, 1e-5, inputs=f"prim{pi} I={I}"))
     # ring and calculus laws
-    rng = _rng(seed, 50)
     from .taylor import derive as t_derive
     for i in range(10):
         a = expand("(sin (+ x1 (* x2 x2)))", [0.2, -0.1], 5)
@@ -376,11 +375,12 @@ def _multi_indices_upto(n, order):
 def suite_geometry(config):
     rows = []
     seed = config.seed
-    # Levi-Civita on the built-in charts
+    # Levi-Civita on the built-in charts: the order-1 rows read nabla g and
+    # the Christoffel symbols, so these charts are built to degree 1
     for name in ("flat",) + NONFLAT_SCENARIOS:
         scn = builtin_scenario(name)
         for pi, x0 in enumerate(scn.base_points):
-            geo = scn.chart_at(x0)
+            geo = scn.chart_at(x0, cap=1)
             met = geo.cov(geo.g)
             rows.append(CheckRow.residual(
                 "geometry/metric-parallel", f"{name}/p{pi}/1",
@@ -388,14 +388,14 @@ def suite_geometry(config):
             rows.append(CheckRow.residual(
                 "geometry/torsion-free", f"{name}/p{pi}/1",
                 float(np.abs(torsion(geo.gamma).data).max()), 1e-9))
-    flat = builtin_scenario("flat").chart_at()
+    flat = builtin_scenario("flat").chart_at(cap=1)
     rows.append(CheckRow.residual(
         "geometry/flat-connection", "flat/p0/1",
         float(np.abs(flat.gamma.data).max()), 1e-14))
     # classical sphere-chart coefficients
     sph = builtin_scenario("sphere-chart")
     for pi, x0 in enumerate(sph.base_points):
-        geo = sph.chart_at(x0)
+        geo = sph.chart_at(x0, cap=1)
         th = x0[0]
         vals = geo.gamma.data[0]
         gap = max(abs(vals[0, 1, 1] + math.sin(th) * math.cos(th)),
@@ -406,17 +406,18 @@ def suite_geometry(config):
             "geometry/sphere-coefficients", f"sphere-chart/p{pi}/1",
             gap, 1e-10))
     # conformal 2d: Gamma^1_{11} = d_1 phi for g = exp(2 phi) delta
-    conf = ChartGeometry([0.2, -0.1], 4,
+    conf = ChartGeometry([0.2, -0.1], 1,
                          [["(exp (* 2 (+ (* 0.3 x1) (* 0.1 x2))))", "0"],
                           ["0", "(exp (* 2 (+ (* 0.3 x1) (* 0.1 x2))))"]])
     rows.append(CheckRow.residual(
         "geometry/conformal-coefficient", "conformal/p0/1",
         abs(conf.gamma.data[0][0, 0, 0] - 0.3), 1e-10))
-    # derivative laws on a nonflat bundle
+    # derivative laws on a nonflat bundle: the composite-derivative rows
+    # run to order k_hi, the others to order 2 at most
+    k_hi = 3
     scn = builtin_scenario("twisted-bundle")
-    bun = scn.bundle_at()
+    bun = scn.bundle_at(cap=k_hi)
     ch = bun.chart
-    rng = _rng(seed, 60)
     xi = random_field(ch, [(FIB, CONTRA)], (scn.k,), 61)
     eta = random_field(ch, [(FIB, CONTRA)], (scn.k,), 62)
     X = random_field(ch, [(TAN, CONTRA)], (scn.n,), 63)
@@ -433,7 +434,7 @@ def suite_geometry(config):
         float(np.abs(gap.data).max()), 1e-10))
     # gradient on a flat chart
     fl = builtin_scenario("flat")
-    bfl = fl.bundle_at()
+    bfl = fl.bundle_at(cap=1)
     ffl = function_field(bfl, "(* x1 x1)")
     grad = bfl.cov(ffl)
     hand = np.zeros(2)
@@ -468,7 +469,7 @@ def suite_geometry(config):
         "geometry/hessian-symmetric", "twisted-bundle/p0/2",
         float(np.abs(d2f.data - np.swapaxes(d2f.data, 1, 2)).max()), 1e-9))
     # connection difference reproduces the other derivative
-    alt = scn.alt_bundle_at()
+    alt = scn.alt_bundle_at(cap=1)
     bun_bar = bun.with_connections(gamma=alt.conns[TAN], omega=alt.conns[FIB])
     s_m = connection_difference(bun_bar.conns[TAN], bun.conns[TAN])
     s_e = connection_difference(bun_bar.conns[FIB], bun.conns[FIB])
@@ -497,7 +498,7 @@ def suite_geometry(config):
         float(np.abs((lhs - (t1 + t2)).data).max()), 1e-10))
     # composite derivative expansion (binomial form), orders 1..3
     L = random_field(ch, [(FIB, CONTRA), (FIB, COV)], (scn.k, scn.k), 70)
-    for korder in (1, 2, 3):
+    for korder in range(1, k_hi + 1):
         lhs = bun.sym_derivative(L.contract_pair(1, xi, 0), korder)
         rhs = None
         for l in range(korder + 1):
@@ -521,7 +522,7 @@ def suite_jets(config):
     rows = []
     seed = config.seed
     fl = builtin_scenario("flat")
-    bun = fl.bundle_at([0.0, 0.0])
+    bun = fl.bundle_at([0.0, 0.0], cap=2)
     f = function_field(bun, "(* x1 x1)")
     jet = decompose_jet(f, bun, 2)
     a2 = np.zeros((2, 2))
@@ -533,7 +534,7 @@ def suite_jets(config):
     # constant section against a twisted connection: first component is
     # the connection acting on the constant
     tw = builtin_scenario("twisted-bundle")
-    bt = tw.bundle_at()
+    bt = tw.bundle_at(cap=1)
     const = FieldTensor.zeros(bt.chart, [(FIB, CONTRA)], (tw.k,), bt.chart.cap)
     const.data[0] = [0.7, -0.2]
     jc = decompose_jet(const, bt, 1)
@@ -545,7 +546,7 @@ def suite_jets(config):
         float(np.abs(jc.components[1].data - hand).max()), 1e-10))
     # factorial-weighted norm of the exponential jet
     line = builtin_scenario("flat-line")
-    bl = line.bundle_at([0.0])
+    bl = line.bundle_at([0.0], cap=3)
     fe = function_field(bl, "(exp x1)")
     je = decompose_jet(fe, bl, 3)
     want = math.sqrt(1 + 1 + 0.25 + 1.0 / 36.0)
@@ -553,8 +554,7 @@ def suite_jets(config):
         "jets/factorial-norm", "flat-line/p0/3",
         abs(jet_norm(je) - want), 1e-12))
     # projection monotone + identity
-    rng = _rng(seed, 80)
-    tw3 = tw.bundle_at(cap=5)
+    tw3 = tw.bundle_at(cap=3)
     sec = random_field(tw3.chart, [(FIB, CONTRA)], (tw.k,), 81)
     j3 = decompose_jet(sec, tw3, 3)
     rows.append(CheckRow.flag(
@@ -572,7 +572,7 @@ def suite_jets(config):
     rows.append(CheckRow.residual("jets/wellposed", "twisted-bundle/p0/2",
                                   gap, 1e-12))
     # prolongation: flat cubic by hand at (k, m) = (1, 1)
-    blf = fl.bundle_at([0.0, 0.0], cap=4)
+    blf = fl.bundle_at([0.0, 0.0], cap=3)
     f3 = function_field(blf, "(* x1 (* x1 x1))")
     nested = prolong_decompose(f3, blf, 1, 1)
     flatjet = decompose_jet(f3, blf, 2)
@@ -885,109 +885,99 @@ def _object_field(bun, kind, exprs):
     return section_field(bun, exprs, slots=slots)
 
 
-def _scenario_recursion_rows(config):
-    """Expansion/inverse rows of `config.families` (default: all) up to
-    `config.max_order` on each of `config.scenarios`.  A scenario whose
-    degree budget is below `config.max_order + 2` is rejected."""
-    for scn in config.scenarios:
-        if scn.degree < config.max_order + 2:
-            raise ValueError(
-                f"scenario {scn.name} has degree {scn.degree}, below max "
-                f"order {config.max_order} + 2")
+def suite_recursions(config):
+    """The built-in recursion matrix or, when `config.scenarios` is given,
+    the expansion and inverse rows of `config.families` (default: all) up
+    to `config.max_order` on those scenarios alone.  A scenario whose degree
+    budget is below `config.max_order` is rejected."""
+    seed = config.seed
+    if config.scenarios:
+        for scn in config.scenarios:
+            if scn.degree < config.max_order:
+                raise ValueError(
+                    f"scenario {scn.name} has degree {scn.degree}, below max "
+                    f"order {config.max_order}")
+        plans = [(scn, config.max_order) for scn in config.scenarios]
+        families = config.families or BUNDLE_FAMILY_KINDS
+    else:
+        plans = [(builtin_scenario("flat-line"), 5),
+                 (builtin_scenario("twisted-bundle"), 3)]
+        families = BUNDLE_FAMILY_KINDS
     rows = []
-    for scn in config.scenarios:
-        ts = scn.total_at(cap=config.max_order + 2)
+    for scn, m_hi in plans:
+        # the rows read the tables at the base point; an order-0 run still
+        # needs degree 1, as the Levi-Civita connection takes one
+        # derivative of the metric
+        ts = scn.total_at(cap=max(m_hi, 1))
         bun = ts.bundle
         flat = bun.conns[TAN].is_zero(1e-14) and bun.conns[FIB].is_zero(1e-14)
         thr = 1e-11 if flat else 1e-8
-        for kind in config.families or BUNDLE_FAMILY_KINDS:
-            fam = bundle_family(kind, ts)
-            fwd = build_coefficients(fam, config.max_order, "forward")
-            inv = build_coefficients(fam, config.max_order, "inverse")
-            obj = _object_field(ts.bundle, kind,
-                                _family_objects(scn, kind, config.seed + 40))
-            for m in range(config.max_order + 1):
-                rows.append(CheckRow.residual(
-                    f"recursions/{kind}-expansion", f"{scn.name}/p0/{m}",
-                    verify_expansion(fam, fwd, obj, m), thr))
-                rows.append(CheckRow.residual(
-                    f"recursions/{kind}-inverse", f"{scn.name}/p0/{m}",
-                    verify_inverse_pair(fam, inv, obj, m), thr))
-    return rows
-
-
-def suite_recursions(config):
-    """The built-in recursion matrix or, when `config.scenarios` is given,
-    the expansion and inverse rows of `config.families` up to
-    `config.max_order` on those scenarios alone."""
-    if config.scenarios:
-        return _scenario_recursion_rows(config)
-    rows = []
-    seed = config.seed
-    plans = [("flat-line", 5, 1e-11, "flat"), ("twisted-bundle", 3, 1e-8, "nonflat")]
-    for scen_name, m_hi, thr, mode in plans:
-        scn = builtin_scenario(scen_name)
-        ts = scn.total_at(cap=m_hi + 2)
-        for kind in BUNDLE_FAMILY_KINDS:
+        where = f"{scn.name}/p0"
+        for kind in families:
             fam = bundle_family(kind, ts)
             fwd = build_coefficients(fam, m_hi, "forward")
             inv = build_coefficients(fam, m_hi, "inverse")
-            obj = _object_field(ts.bundle, kind,
-                                _family_objects(scn, kind, seed + 40))
+            obj = _object_field(bun, kind, _family_objects(scn, kind, seed + 40))
             for m in range(m_hi + 1):
                 rows.append(CheckRow.residual(
-                    f"recursions/{kind}-expansion",
-                    f"{scen_name}/p0/{m}",
+                    f"recursions/{kind}-expansion", f"{where}/{m}",
                     verify_expansion(fam, fwd, obj, m), thr))
                 rows.append(CheckRow.residual(
-                    f"recursions/{kind}-inverse",
-                    f"{scen_name}/p0/{m}",
+                    f"recursions/{kind}-inverse", f"{where}/{m}",
                     verify_inverse_pair(fam, inv, obj, m), thr))
+            if config.scenarios:
+                continue
             # diagonal acts as the identity: its values through the generic
             # contraction, not the identity's closed-form action
             arg = fam.stream_lifted(0, obj, m_hi)
             diag = fwd.get(m_hi, 0, m_hi).copy()
             back = diag.apply_map(fam.n_aux_out() + m_hi, arg)
             rows.append(CheckRow.residual(
-                f"recursions/{kind}-diagonal", f"{scen_name}/p0/{m_hi}",
+                f"recursions/{kind}-diagonal", f"{where}/{m_hi}",
                 ts.norm(back - arg) / max(ts.norm(arg), 1e-12), 1e-12))
-            if mode == "flat":
+            if flat:
                 # the evaluation couplings keep structural identity chains
                 # even on flat data; only the main block must collapse
                 offdiag = max((float(np.abs(A.data).max())
                                for (mm, c, s), A in fwd.items()
                                if c == 0 and s < mm), default=0.0)
                 rows.append(CheckRow.residual(
-                    f"recursions/{kind}-flat-collapse", f"{scen_name}/p0/-",
+                    f"recursions/{kind}-flat-collapse", f"{where}/-",
                     offdiag, 1e-12))
-    # breadth: every nonflat scenario at three sample points (low order);
+    if config.scenarios:
+        return rows
+    # breadth: every nonflat scenario at three sample points, to order m_lo;
     # together with the flat runs above this covers five scenarios
+    m_lo = 2
     for scen_name in NONFLAT_SCENARIOS:
         scn = builtin_scenario(scen_name)
         for pi, x0 in enumerate(scn.base_points):
             if scen_name == "twisted-bundle" and pi == 0:
                 continue            # already covered at full order above
-            ts = scn.total_at(x0, cap=4)
+            ts = scn.total_at(x0, cap=m_lo)
             for kind in BUNDLE_FAMILY_KINDS:
                 fam = bundle_family(kind, ts)
-                fwd = build_coefficients(fam, 2, "forward")
+                fwd = build_coefficients(fam, m_lo, "forward")
                 obj = _object_field(ts.bundle, kind,
                                     _family_objects(scn, kind, seed + 40))
-                for m in (1, 2):
+                for m in range(1, m_lo + 1):
                     rows.append(CheckRow.residual(
                         f"recursions/{kind}-expansion",
                         f"{scen_name}/p{pi}/{m}",
                         verify_expansion(fam, fwd, obj, m), 1e-8))
-    # connection-change family
+    # the connection-change and pull-back families, to order m_fam; the
+    # change reads the other connection only through the difference tensor,
+    # to degree m_fam - 2, and a connection is one degree short of its chart
+    m_fam = 3
     tw = builtin_scenario("twisted-bundle")
-    bun = tw.bundle_at(cap=5)
-    alt = tw.alt_bundle_at(cap=5)
+    bun = tw.bundle_at(cap=m_fam)
+    alt = tw.alt_bundle_at(cap=m_fam - 1)
     bun_bar = bun.with_connections(gamma=alt.conns[TAN], omega=alt.conns[FIB])
     fam = conn_family(bun, bun_bar)
-    fwd = build_coefficients(fam, 3, "forward")
-    inv = build_coefficients(fam, 3, "inverse")
+    fwd = build_coefficients(fam, m_fam, "forward")
+    inv = build_coefficients(fam, m_fam, "inverse")
     xi = section_field(bun, tw.random_section(seed + 41))
-    for m in range(4):
+    for m in range(m_fam + 1):
         rows.append(CheckRow.residual(
             "recursions/CONN-expansion", f"twisted-bundle/p0/{m}",
             verify_expansion(fam, fwd, xi, m), 1e-8))
@@ -1004,24 +994,24 @@ def suite_recursions(config):
     # pull-back families
     for scen_name in ("pullback-map", "pullback-split"):
         scn = builtin_scenario(scen_name)
-        md, pb = scn.map_at()
+        md, pb = scn.map_at(cap=m_fam)
         fam = pullback_family(pb)
-        fwd = build_coefficients(fam, 3, "forward")
+        fwd = build_coefficients(fam, m_fam, "forward")
         fobj = function_field(md.target, scn.random_function(
             seed + 42, nvars=md.target.n))
-        for m in range(4):
+        for m in range(m_fam + 1):
             rows.append(CheckRow.residual(
                 "recursions/PB-expansion", f"{scen_name}/p0/{m}",
                 verify_expansion(fam, fwd, fobj, m), 1e-8))
         if scen_name == "pullback-split":
             rows.append(CheckRow.residual(
-                "recursions/PB-inverse", f"{scen_name}/p0/3",
-                pullback_inverse_residual(pb, fwd, fobj, 3), 1e-8))
+                "recursions/PB-inverse", f"{scen_name}/p0/{m_fam}",
+                pullback_inverse_residual(pb, fwd, fobj, m_fam), 1e-8))
     # growth template on the twisted bundle; the template bound is taken at
     # half the growth order
     go = GROWTH_ORDER
     half = max(1, go // 2)
-    ts4 = builtin_scenario("twisted-bundle").total_at(cap=go + 2)
+    ts4 = builtin_scenario("twisted-bundle").total_at(cap=go)
     for kind in BUNDLE_FAMILY_KINDS:
         fam = bundle_family(kind, ts4)
         tab = build_coefficients(fam, go, "forward")
@@ -1053,7 +1043,7 @@ def suite_recursions(config):
             f"recursions/{kind}-template-bound", f"twisted-bundle/p0/{half}",
             worst - 1.0, 1e-9))
     # growth profile degenerates on a flat scenario
-    tsf = builtin_scenario("flat-line").total_at(cap=go + 2)
+    tsf = builtin_scenario("flat-line").total_at(cap=go)
     famf = bundle_family("V", tsf)
     tabf = build_coefficients(famf, go, "forward")
     proff = growth_profile(tabf, tsf, slack=2.0)
@@ -1099,11 +1089,11 @@ def suite_connection_compare(config):
         exprs = tw.random_section(seed + 200 + si)
 
         def prov_a(x, e=exprs):
-            bun = tw.bundle_at(x, cap=m_hi + 2)
+            bun = tw.bundle_at(x, cap=m_hi)
             return bun, section_field(bun, e)
 
         def prov_b(x, e=exprs):
-            bun = tw.alt_bundle_at(x, cap=m_hi + 2)
+            bun = tw.alt_bundle_at(x, cap=m_hi)
             return bun, section_field(bun, e)
 
         rep = norm_compare(prov_a, prov_b, K, m_hi)
@@ -1115,11 +1105,12 @@ def suite_connection_compare(config):
                     f"sigma={rep['forward']['sigma']:.3g}; "
                     f"bwd C={rep['backward']['C']:.3g} "
                     f"sigma={rep['backward']['sigma']:.3g}")))
-    # block scaling: quadrupling the fibre metric halves dual-slot norms
-    bun = tw.bundle_at(cap=3)
+    # block scaling: quadrupling the fibre metric halves dual-slot norms;
+    # the row reads order 0, and the Levi-Civita connection one beyond it
+    bun = tw.bundle_at(cap=1)
     lam = section_field(bun, tw.random_section(seed + 230), slots=[(FIB, COV)])
     scaled = [[f"(* 4 {e})" for e in row_] for row_ in tw.fibre_metric]
-    bun4 = BundleGeometry(tw.chart_at(cap=3), tw.k, scaled, tw.connection)
+    bun4 = BundleGeometry(tw.chart_at(cap=1), tw.k, scaled, tw.connection)
     ratio = bun4.norm(lam) / bun.norm(lam)
     rows.append(CheckRow.residual(
         "compare/gram-scaling", "twisted-bundle/p0/0",
@@ -1128,17 +1119,15 @@ def suite_connection_compare(config):
     weights = [WeightSequence.geometric(0.5, m_hi),
                WeightSequence.geometric(1.0, m_hi),
                WeightSequence.harmonic(m_hi)]
-    oks = []
     for si in range(10):
         exprs = tw.random_section(seed + 240 + si)
 
         def prov(x, e=exprs):
-            bun = tw.bundle_at(x, cap=m_hi + 2)
+            bun = tw.bundle_at(x, cap=m_hi)
             return bun, section_field(bun, e)
 
         rep = topology_equivalence_check(prov, K, weights, m_hi)
         ok = all(w["local_le"] and w["intrinsic_le"] for w in rep["weights"])
-        oks.append(ok)
         rows.append(CheckRow.flag(
             "compare/local-intrinsic", f"twisted-bundle/s{si}/{m_hi}", ok,
             inputs=(f"C_loc={rep['local_le_intrinsic']['C']:.3g} "
@@ -1170,9 +1159,9 @@ def suite_seminorms(config):
     line = builtin_scenario("flat-line")
     K0 = CompactSample([[0.0]], "origin")
 
-    def prov_f(expr, cap=12):
+    def prov_f(expr):
         def inner(x):
-            bun = line.bundle_at(x, cap=cap)
+            bun = line.bundle_at(x, cap=RADIUS_ORDER)
             return bun, function_field(bun, expr)
         return inner
 
@@ -1185,16 +1174,16 @@ def suite_seminorms(config):
 
     def prov(e):
         def inner(x):
-            bun = tw.bundle_at(x, cap=m_hi + 2)
+            bun = tw.bundle_at(x, cap=m_hi)
             return bun, section_field(bun, e)
         return inner
 
     def prov_sum(x):
-        bun = tw.bundle_at(x, cap=m_hi + 2)
+        bun = tw.bundle_at(x, cap=m_hi)
         return bun, section_field(bun, exprs1) + section_field(bun, exprs2)
 
     def prov_scaled(x):
-        bun = tw.bundle_at(x, cap=m_hi + 2)
+        bun = tw.bundle_at(x, cap=m_hi)
         return bun, section_field(bun, exprs1) * -2.5
 
     a = WeightSequence.geometric(0.5, m_hi)
@@ -1224,7 +1213,7 @@ def suite_seminorms(config):
     flc = builtin_scenario("flat")
 
     def prov_const(x):
-        bun = flc.bundle_at(x, cap=4)
+        bun = flc.bundle_at(x, cap=3)
         return bun, section_field(bun, ["0.8", "-0.6"])
 
     rows.append(CheckRow.residual(
@@ -1287,12 +1276,11 @@ def suite_continuity(config):
     rows = []
     seed = config.seed
     tw = builtin_scenario("twisted-bundle")
-    K = CompactSample(tw.base_points, "K")
     # (a) exact triangle inequality for jet norms
     for i in range(10):
         e1 = tw.random_section(seed + 400 + i)
         e2 = tw.random_section(seed + 420 + i)
-        bun = tw.bundle_at(cap=5)
+        bun = tw.bundle_at(cap=3)
         j1 = decompose_jet(section_field(bun, e1), bun, 3)
         j2 = decompose_jet(section_field(bun, e2), bun, 3)
         jsum = decompose_jet(section_field(bun, e1)
@@ -1300,16 +1288,17 @@ def suite_continuity(config):
         rows.append(CheckRow.residual(
             "continuity/add-triangle", f"twisted-bundle/case{i}/3",
             jet_norm(jsum) - (jet_norm(j1) + jet_norm(j2)), 1e-12))
-    # (b) composition envelope
+    # (b) composition envelope, to order m_env
+    m_env = 4
     count = 0
     for i in range(50):
         ei = tw.random_endo(seed + 440 + i, degree=2)
         es = tw.random_section(seed + 500 + i, degree=2)
         x0 = tw.base_points[i % len(tw.base_points)]
-        bun = tw.bundle_at(x0, cap=6)
+        bun = tw.bundle_at(x0, cap=m_env)
         L = _object_field(bun, "L", ei)
         xi = section_field(bun, es)
-        for m in range(5):
+        for m in range(m_env + 1):
             jl = jet_norm(decompose_jet(L, bun, m))
             jx = jet_norm(decompose_jet(xi, bun, m))
             jc = jet_norm(decompose_jet(L.contract_pair(1, xi, 0), bun, m))
@@ -1319,10 +1308,10 @@ def suite_continuity(config):
             count += 1
         if count >= 250:
             break
-    # (c) prolongation envelope
+    # (c) prolongation envelope, to order kk + mm = 5
     for name in ("twisted-bundle", "conformal-base"):
         scn = builtin_scenario(name)
-        bun = scn.bundle_at(cap=6)
+        bun = scn.bundle_at(cap=5)
         sec = section_field(bun, scn.random_section(seed + 460))
         for kk in (1, 2):
             for mm in (1, 2, 3):
@@ -1332,13 +1321,13 @@ def suite_continuity(config):
                 rows.append(CheckRow.residual(
                     "continuity/jet-envelope", f"{name}/p0/({kk},{mm})",
                     nn - (mm + kk) ** kk * (mm + 1) * fj, 1e-10))
-    # (d) pull-back chain bound over the sampled compact set
+    # (d) pull-back chain bound over the sampled compact set, to order 3
     for name in ("pullback-map", "pullback-split"):
         scn = builtin_scenario(name)
         consts = []
         mds = []
         for x0 in scn.base_points:
-            md, pb = scn.map_at(x0)
+            md, pb = scn.map_at(x0, cap=3)
             consts.append(_pullback_constant(md, scn))
             mds.append((md, pb))
         c_k = max(consts)
@@ -1365,7 +1354,7 @@ def suite_continuity(config):
                 je_by_m = {}
                 jb_by_m = {}
                 for u0 in tw.fibre_points[:2]:
-                    ts = tw.total_at(x0, u0, cap=m_lift + 2)
+                    ts = tw.total_at(x0, u0, cap=m_lift)
                     bun = ts.bundle
                     obj = _object_field(bun, kind, exprs)
                     fam = bundle_family(kind, ts)
@@ -1389,12 +1378,14 @@ def suite_continuity(config):
             min(cov_up, cov_dn) >= 1.0 - 1e-12,
             inputs=(f"up C={C_up:.3g} sigma={s_up:.3g}; "
                     f"down C={C_dn:.3g} sigma={s_dn:.3g}")))
-    # (f) tangent lift: decomposition, then the fitted envelope
+    # (f) tangent lift: decomposition, then the fitted envelope to order
+    # m_tan, which reads the base field's jet one order beyond
+    m_tan = 2
     ms, ratios = [], []
     for name in ("flat", "twisted-bundle"):
         scn = builtin_scenario(name)
         for pi, x0 in enumerate(scn.base_points[:2]):
-            base = scn.chart_at(x0, cap=5)
+            base = scn.chart_at(x0, cap=m_tan + 1)
             omega_tb = FieldTensor(base.chart,
                                    [(FIB, CONTRA), (TAN, COV), (FIB, COV)],
                                    base.gamma.data, base.gamma.degree)
@@ -1413,7 +1404,7 @@ def suite_continuity(config):
                 rows.append(CheckRow.residual(
                     "continuity/tangent-decomposition", f"{name}/p{pi}u{ui}/1",
                     gap, 1e-9))
-                for m in range(3):
+                for m in range(m_tan + 1):
                     je = jet_norm(decompose_jet(xt, tst, m))
                     jb = jet_norm(decompose_jet(X, base, m + 1))
                     ms.append(m)
@@ -1422,15 +1413,17 @@ def suite_continuity(config):
     rows.append(CheckRow.flag(
         "continuity/tangent-envelope", "mixed/K/2", cov >= 1.0 - 1e-12,
         inputs=f"C={C:.3g} sigma={sigma:.3g}"))
-    # differential / covariant derivative / lie / bracket kernels
-    bun = tw.bundle_at(cap=6)
+    # differential / covariant derivative / lie / bracket kernels to order
+    # m_ker, each bounded by jets one order beyond
+    m_ker = 3
+    bun = tw.bundle_at(cap=m_ker + 1)
     f = function_field(bun, tw.random_function(seed + 530))
     xi = section_field(bun, tw.random_section(seed + 531))
     X = section_field(bun, tw.random_vector_field(seed + 532),
                       slots=[(TAN, CONTRA)])
     Y = section_field(bun, tw.random_vector_field(seed + 533),
                       slots=[(TAN, CONTRA)])
-    for m in range(4):
+    for m in range(m_ker + 1):
         jd = jet_norm(decompose_jet(bun.cov(f), bun, m))
         jf = jet_norm(decompose_jet(f, bun, m + 1))
         rows.append(CheckRow.residual(

@@ -247,7 +247,8 @@ class TaylorContext:
     def derive(self, a, da, var):
         """d/dx_var of a coefficient array; degree drops by one."""
         if da < 1:
-            raise ValueError("cannot differentiate a degree-0 truncation")
+            raise ValueError("degree budget exhausted: cannot differentiate a "
+                             "degree-0 truncation")
         dd = da - 1
         out = np.zeros((self.size(dd),) + a.shape[1:])
         src, dst, fac = self._dmaps[var]

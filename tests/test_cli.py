@@ -342,19 +342,21 @@ def test_crash_exits_three_with_one_line(monkeypatch, capsys):
     assert "checks passed" not in err
 
 
-def test_scenario_degree_below_max_order_plus_two_exits_two(tmp_path,
-                                                             capsys):
+def test_scenario_degree_below_max_order_exits_two(tmp_path, capsys):
     from jetcalc import cli
     path = _scenario_file(tmp_path, degree=2)
     out = tmp_path / "r.json"
+    # degree == max order - 1
     assert cli.main(["verify", "recursions", "--scenario", path,
                      "--max-order", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "checks passed" not in err
+    assert "scenario custom has degree 2, below max order 3" in err
     assert not out.exists()
-    assert cli.main(["verify", "recursions", "--scenario", path,
-                     "--max-order", "0", "--family", "P",
-                     "--out", str(out)]) == 0
+    for order in ("0", "2"):    # degree == max order runs
+        assert cli.main(["verify", "recursions", "--scenario", path,
+                         "--max-order", order, "--family", "P",
+                         "--out", str(out)]) == 0
 
 
 def test_fit_exits_two_when_the_geometry_cannot_be_built(tmp_path, capsys):

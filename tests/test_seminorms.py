@@ -61,6 +61,13 @@ def test_local_seminorm_monomial():
     assert local_seminorm(prov, K0, a, 6) == pytest.approx(want, abs=1e-14)
 
 
+def test_local_seminorm_reads_no_deeper_than_the_field():
+    prov = line_provider("(* 0.5 (* x1 (* x1 x1)))", cap=5)
+    a = WeightSequence.geometric(0.5, 6)
+    with pytest.raises(ValueError, match="degree budget exhausted"):
+        local_seminorm(prov, K0, a, 6)
+
+
 def test_growth_fit_radii():
     f1 = growth_fit(line_provider("(/ 1 (+ 1 (* x1 x1)))"), K0, 10)
     assert 0.8 <= f1.r <= 1.2
