@@ -5,7 +5,10 @@ built only to the deepest derivative its rows take.  Each call is keyed by
 its site, the innermost frame in `suites.py` (a line such as the
 `SUBMERSION_CAP` total spaces or a seminorm provider).  Two more degrees at
 every site must give the same rows, and one fewer at any single site must
-fail loudly instead of giving rows from a truncated series.
+fail loudly instead of giving rows from a truncated series.  The
+submersion suite's two named budgets, `SUBMERSION_CAP` and `PULLBACK_CAP`,
+are also checked directly: two more degrees give the same rows, and one
+fewer in either raises.
 """
 
 import sys
@@ -29,6 +32,8 @@ CASES = {
     "continuity": (suites.suite_continuity, SuiteConfig(seed=7)),
 }
 BUILD = fields.ChartGeometry.__init__
+SUBMERSION_CFG = SuiteConfig(seed=7)
+BUDGETS = ("SUBMERSION_CAP", "PULLBACK_CAP")
 
 
 def _site():
@@ -71,3 +76,22 @@ def test_budgets_are_sufficient_and_minimal(name, monkeypatch):
             assert "degree budget exhausted" in str(exc), lowered
         else:
             pytest.fail(f"{lowered} gives rows one degree short")
+
+
+def test_a_larger_budget_gives_the_same_rows(monkeypatch):
+    rows = suites.suite_submersion(SUBMERSION_CFG)
+    for name in BUDGETS:
+        monkeypatch.setattr(suites, name, getattr(suites, name) + 2)
+    deeper = suites.suite_submersion(SUBMERSION_CFG)
+    assert ([(r.check_id, r.inputs, r.passed) for r in rows]
+            == [(r.check_id, r.inputs, r.passed) for r in deeper])
+    for a, b in zip(rows, deeper):
+        assert abs(a.value - b.value) <= 1e-15 * max(1.0, abs(b.value)), \
+            a.check_id
+
+
+@pytest.mark.parametrize("name", BUDGETS)
+def test_a_smaller_budget_is_exhausted(name, monkeypatch):
+    monkeypatch.setattr(suites, name, getattr(suites, name) - 1)
+    with pytest.raises(ValueError, match="degree budget exhausted"):
+        suites.suite_submersion(SUBMERSION_CFG)
