@@ -156,11 +156,11 @@ def cmd_verify(args):
     for name in (BUILTIN_NAMES if not config.scenarios else ()):
         digests[name] = scenario_digest(builtin_scenario(name))
     report = build_report(args.suite, rows, config.echo(), digests)
-    text = report_json(report) if args.format == "json" else report_csv(report)
     if args.out:
         emit_report(report, args.format, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report_json(report) if args.format == "json"
+                         else report_csv(report))
     failing = report["summary"]["failing_ids"]
     print(f"{report['summary']['passed']}/{report['summary']['total']} "
           f"checks passed", file=sys.stderr)

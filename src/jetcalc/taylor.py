@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +156,63 @@ def _pair_product(ai, bj, dims_a, dims_b, out):
             out[:, c0:c0 + nc] += x @ bj[lead + idx].reshape(kk, nc)
 
 
-def _series_contract(a, b, axes_a, axes_b, pairs, n_out):
-    """sum over (i, j, k) in `pairs` of a[i] . b[j] into out[k].
+@lru_cache(maxsize=None)
+def _pair_tables(nvars, cap, da, db, dout):
+    """(i, j, k) triples with |I|<=da, |J|<=db, |I+J|<=dout, grouped by k,
+    for every context of `nvars` variables and degree cap `cap` (degrees
+    clipped to `cap`).  The arrays are shared, so they are read-only."""
+    _, _, orders, (pi, pj, pk), _ = _context_tables(nvars, cap)
+    mask = (orders[pi] <= da) & (orders[pj] <= db) & (orders[pk] <= dout)
+    arrs = (pi[mask], pj[mask], pk[mask])
+    for x in arrs:
+        x.flags.writeable = False
+    return arrs
+
+
+class _Plan(NamedTuple):
+    """How `_series_contract` runs for one pair table, chunk budget, pair
+    of block shapes and contracted axes."""
+
+    perm_a: tuple       # a transposed to (coeff, free_a, contracted)
+    perm_b: tuple       # b transposed to (coeff, contracted, free_b)
+    dims_a: tuple
+    dims_b: tuple
+    fa: int
+    kk: int
+    fb: int
+    step: int           # pairs per chunk; 0 multiplies pairs one at a time
+    chunks: tuple       # per chunk (pi, pj, segment heads, targets)
+    direct: bool        # one chunk whose targets are 0..n_out-1
+
+
+@lru_cache(maxsize=None)
+def _contract_plan(key, chunk_floats, shape_a, shape_b, axes_a, axes_b):
+    pi, pj, pk = _pair_tables(*key)
+    axa = [x + 1 for x in axes_a]
+    axb = [x + 1 for x in axes_b]
+    free_a = [x for x in range(1, len(shape_a) + 1) if x not in axa]
+    free_b = [x for x in range(1, len(shape_b) + 1) if x not in axb]
+    dims_a = tuple(shape_a[x - 1] for x in free_a)
+    dims_b = tuple(shape_b[x - 1] for x in free_b)
+    fa, fb = math.prod(dims_a), math.prod(dims_b)
+    kk = math.prod(shape_a[x - 1] for x in axa)
+    step = chunk_floats // max(fa * kk, kk * fb, fa * fb, 1)
+    chunks = []
+    for s in (range(0, len(pk), step) if step else ()):
+        ck = pk[s:s + step]
+        heads = np.flatnonzero(np.concatenate(([True], ck[1:] != ck[:-1])))
+        targets = ck[heads]
+        heads.flags.writeable = targets.flags.writeable = False
+        chunks.append((pi[s:s + step], pj[s:s + step], heads, targets))
+    n_out = n_coeffs(key[0], key[4])
+    direct = (len(chunks) == 1
+              and np.array_equal(chunks[0][3], np.arange(n_out)))
+    return _Plan((0, *free_a, *axa), (0, *axb, *free_b), dims_a, dims_b,
+                 fa, kk, fb, step, tuple(chunks), direct)
+
+
+def _series_contract(a, b, axes_a, axes_b, key):
+    """sum over (i, j, k) in the pair table `key` of a[i] . b[j] into out[k].
 
     The contracted axes move to the end of a's blocks and the front of b's,
     so each pair is one (Fa, K) @ (K, Fb) product.  Pairs come grouped by k;
@@ -164,35 +220,38 @@ def _series_contract(a, b, axes_a, axes_b, pairs, n_out):
     one segment sum per run of equal k.  Pairs whose blocks alone exceed
     CHUNK_FLOATS are multiplied one at a time into their output block, in
     row blocks of the side with more free entries; scalar series (no tensor
-    axes) take one weighted bincount.
+    axes) take one weighted bincount.  Everything that depends only on the
+    shapes is a cached `_Plan`.
     """
-    pi, pj, pk = pairs
+    n_out = n_coeffs(key[0], key[4])
     if a.ndim == b.ndim == 1:       # scalar series: one weighted count
+        pi, pj, pk = _pair_tables(*key)
         return np.bincount(pk, a[pi] * b[pj], n_out)
-    axa = [x + 1 for x in axes_a]
-    axb = [x + 1 for x in axes_b]
-    free_a = [x for x in range(1, a.ndim) if x not in axa]
-    free_b = [x for x in range(1, b.ndim) if x not in axb]
-    dims_a = tuple(a.shape[x] for x in free_a)
-    dims_b = tuple(b.shape[x] for x in free_b)
-    fa, fb = math.prod(dims_a), math.prod(dims_b)
-    kk = math.prod(a.shape[x] for x in axa)
-    A = a.transpose([0] + free_a + axa)
-    B = b.transpose([0] + axb + free_b)
-    out = np.zeros((n_out, fa, fb))
-    step = CHUNK_FLOATS // max(fa * kk, kk * fb, fa * fb, 1)
-    if step == 0:
+    plan = _contract_plan(key, CHUNK_FLOATS, a.shape[1:], b.shape[1:],
+                          tuple(axes_a), tuple(axes_b))
+    fa, kk, fb = plan.fa, plan.kk, plan.fb
+    A = a.transpose(plan.perm_a)
+    B = b.transpose(plan.perm_b)
+    shape = (n_out,) + plan.dims_a + plan.dims_b
+    if plan.step == 0:
+        out = np.zeros((n_out, fa, fb))
+        pi, pj, pk = _pair_tables(*key)
         for i, j, k in zip(pi.tolist(), pj.tolist(), pk.tolist()):
-            _pair_product(A[i], B[j], dims_a, dims_b, out[k])
-    else:
-        for s in range(0, len(pk), step):
-            ck = pk[s:s + step]
-            ga = A[pi[s:s + step]].reshape(-1, fa, kk)
-            gb = B[pj[s:s + step]].reshape(-1, kk, fb)
-            prod = ga * gb if kk == 1 else np.matmul(ga, gb)
-            heads = np.flatnonzero(np.concatenate(([True], ck[1:] != ck[:-1])))
-            out[ck[heads]] += np.add.reduceat(prod, heads, axis=0)
-    return out.reshape((n_out,) + dims_a + dims_b)
+            _pair_product(A[i], B[j], plan.dims_a, plan.dims_b, out[k])
+        return out.reshape(shape)
+    out = None if plan.direct else np.zeros((n_out, fa, fb))
+    for ci, cj, heads, targets in plan.chunks:
+        ga = A[ci].reshape(-1, fa, kk)
+        gb = B[cj].reshape(-1, kk, fb)
+        prod = ga * gb if kk == 1 else np.matmul(ga, gb)
+        sums = np.add.reduceat(prod, heads, axis=0)
+        if out is None:
+            # the sums are the output; + 0.0 as if added to zeros, so that
+            # -0.0 reads 0.0
+            out = sums + 0.0
+        else:
+            out[targets] += sums
+    return out.reshape(shape)
 
 
 class TaylorContext:
@@ -201,9 +260,8 @@ class TaylorContext:
     def __init__(self, nvars, cap):
         self.nvars = int(nvars)
         self.cap = int(cap)
-        (self.indices, self.lookup, self.orders, self._pairs,
+        (self.indices, self.lookup, self.orders, _,
          self._dmaps) = _context_tables(self.nvars, self.cap)
-        self._pair_cache = {}
 
     def __repr__(self):
         return f"TaylorContext(nvars={self.nvars}, cap={self.cap})"
@@ -211,26 +269,21 @@ class TaylorContext:
     def size(self, degree):
         return n_coeffs(self.nvars, min(degree, self.cap))
 
+    def _pair_key(self, da, db, dout):
+        cap = self.cap
+        return (self.nvars, cap, min(da, cap), min(db, cap), min(dout, cap))
+
     def pair_arrays(self, da, db, dout):
-        """(i, j, k) triples with |I|<=da, |J|<=db, |I+J|<=dout."""
-        key = (da, db, dout)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        pi, pj, pk = self._pairs
-        mask = ((self.orders[pi] <= da) & (self.orders[pj] <= db)
-                & (self.orders[pk] <= dout))
-        arrs = (pi[mask], pj[mask], pk[mask])
-        self._pair_cache[key] = arrs
-        return arrs
+        """(i, j, k) triples with |I|<=da, |J|<=db, |I+J|<=dout, shared
+        (read-only) by every context of this variable count and cap."""
+        return _pair_tables(*self._pair_key(da, db, dout))
 
     # --- raw coefficient-array kernel, coefficient axis first -------------
 
     def mul(self, a, da, b, db, dout=None):
         """Coefficient product of scalar series arrays (no tensor axes)."""
         dout = min(da, db) if dout is None else dout
-        return _series_contract(a, b, (), (), self.pair_arrays(da, db, dout),
-                                self.size(dout))
+        return _series_contract(a, b, (), (), self._pair_key(da, db, dout))
 
     def contract(self, a, da, b, db, axes_a, axes_b, dout=None):
         """Tensor contraction with series-valued entries.
@@ -241,8 +294,7 @@ class TaylorContext:
         """
         dout = min(da, db) if dout is None else min(dout, min(da, db))
         return _series_contract(a, b, axes_a, axes_b,
-                                self.pair_arrays(da, db, dout),
-                                self.size(dout))
+                                self._pair_key(da, db, dout))
 
     def derive(self, a, da, var):
         """d/dx_var of a coefficient array; degree drops by one."""

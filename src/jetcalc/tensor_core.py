@@ -60,19 +60,26 @@ class VectorSpaceSpec:
         g = np.eye(dim) if gram is None else np.asarray(gram, dtype=float)
         if g.shape != (dim, dim):
             raise ValueError("Gram matrix has the wrong shape")
-        if not np.allclose(g, g.T, atol=1e-12):
+        if not np.isfinite(g).all():
+            raise ValueError("Gram matrix must be finite")
+        # np.allclose(g, g.T, atol=1e-12), without isclose's overhead
+        if not (np.abs(g - g.T) <= 1e-12 + 1e-5 * np.abs(g)).all():
             raise ValueError("Gram matrix must be symmetric")
-        eig = np.linalg.eigvalsh(g)
-        if eig.min() <= 0:
-            raise ValueError("Gram matrix must be positive-definite")
+        try:
+            lower = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise ValueError("Gram matrix must be positive-definite") from None
         self.gram = g
-        self.gram_inv = np.linalg.inv(g)
+        self._upper = lower.T
+
+    @cached_property
+    def gram_inv(self):
+        return np.linalg.inv(self.gram)
 
     @cached_property
     def whiteners(self):
         """Upper factors U with U^T U = gram and = gram_inv respectively."""
-        return (np.linalg.cholesky(self.gram).T,
-                np.linalg.cholesky(self.gram_inv).T)
+        return self._upper, np.linalg.cholesky(self.gram_inv).T
 
 
 class SpaceRegistry(dict):

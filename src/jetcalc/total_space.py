@@ -140,6 +140,7 @@ class TotalSpaceGeometry(Geometry):
         self.gamma_E = gamma
         self._oneill = None
         self._b_tensor = None
+        self._converters = {}
 
     # --- base-to-total transport -------------------------------------------
 
@@ -156,6 +157,10 @@ class TotalSpaceGeometry(Geometry):
     # --- lifts ---------------------------------------------------------------
 
     def _slot_converters(self, d):
+        """The constant fields that convert each kind of base slot at degree
+        `d`, built once per degree and read-only."""
+        if d in self._converters:
+            return self._converters[d]
         n, k, nk = self.n, self.k, self.n + self.k
         chart = self.chart
         size = chart.ctx.size(d)
@@ -174,6 +179,9 @@ class TotalSpaceGeometry(Geometry):
         th = FieldTensor.zeros(chart, [(TAN, COV), (FIB, CONTRA)], (nk, k), d)
         th.data[:] = np.swapaxes(self.theta.data[:size], 1, 2)
         conv["theta"] = th
+        for c in conv.values():
+            c.data.flags.writeable = False
+        self._converters[d] = conv
         return conv
 
     def lift_mixed(self, T, kinds):

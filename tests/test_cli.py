@@ -134,6 +134,23 @@ def test_run_without_rows_exits_one(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["summary"]["total"] == 0
 
 
+def test_verify_out_serializes_the_report_once(tmp_path, monkeypatch):
+    from jetcalc import cli, reporting
+    calls = []
+    report_json = reporting.report_json
+
+    def counted(report):
+        calls.append(1)
+        return report_json(report)
+
+    monkeypatch.setattr(reporting, "report_json", counted)
+    monkeypatch.setattr(cli, "report_json", counted)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "jets", "--seed", "3", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_text() == report_json(json.loads(out.read_text()))
+
+
 @pytest.mark.parametrize("args", [
     ["fit", "growth", "--family", "Q"],
     ["fit", "growth", "--max-order", "-1"],

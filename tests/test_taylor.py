@@ -219,6 +219,57 @@ def test_pair_table_grouped_by_output():
         assert np.all(np.diff(pk) >= 0)
 
 
+def test_contexts_of_one_shape_share_pair_tables():
+    c1, c2 = TaylorContext(3, 4), TaylorContext(3, 4)
+    for x, y in zip(c1.pair_arrays(4, 3, 3), c2.pair_arrays(4, 3, 3)):
+        assert x is y and not x.flags.writeable
+    # degrees above the cap read the same table as the cap itself
+    assert c1.pair_arrays(9, 3, 3) is c2.pair_arrays(4, 3, 3)
+
+
+def test_cold_and_warm_contractions_agree_bitwise():
+    ctx = TaylorContext(2, 4)
+    rng = np.random.default_rng(5)
+    cases = [((3, 4), (4, 2), [1], [0]),
+             # products of -0.0 that must sum to 0.0, as into a zeroed output
+             ((3,), (2,), [], [])]
+    for dims_a, dims_b, axes_a, axes_b in cases:
+        a = rng.uniform(0.5, 1, (ctx.size(4),) + dims_a)
+        b = rng.uniform(-1, 1, (ctx.size(3),) + dims_b)
+        b[..., 0] = -0.0
+        taylor._contract_plan.cache_clear()
+        taylor._pair_tables.cache_clear()
+        cold = ctx.contract(a, 4, b, 3, axes_a, axes_b)
+        warm = ctx.contract(a, 4, b, 3, axes_a, axes_b)
+        assert cold.tobytes() == warm.tobytes()
+        assert not np.signbit(cold[..., 0]).any()
+        want = _pairwise_contract(ctx, a, 4, b, 3, axes_a, axes_b, 3)
+        assert np.allclose(cold, want, rtol=0, atol=1e-13)
+
+
+def test_plan_follows_the_chunk_budget(monkeypatch):
+    # a plan made under the default budget must not serve a smaller one
+    ctx = TaylorContext(3, 4)
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-1, 1, (ctx.size(4), 2))
+    b = rng.uniform(-1, 1, (ctx.size(4), 2))
+    plans = []
+    plan_of = taylor._contract_plan
+
+    def spy(*args):
+        plans.append(plan_of(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(taylor, "_contract_plan", spy)
+    ctx.contract(a, 4, b, 4, [0], [0])
+    monkeypatch.setattr(taylor, "CHUNK_FLOATS", 5)
+    got = ctx.contract(a, 4, b, 4, [0], [0])
+    assert len(plans[0].chunks) == 1 and plans[0].direct
+    assert len(plans[1].chunks) > 1 and not plans[1].direct
+    want = _pairwise_contract(ctx, a, 4, b, 4, [0], [0], 4)
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("budget", _BUDGETS)
 def test_mul_and_scale_series_match_reference(monkeypatch, budget):
     monkeypatch.setattr(taylor, "CHUNK_FLOATS", budget)

@@ -41,6 +41,23 @@ def test_space_validation():
         tc.VectorSpaceSpec(2, [[1.0, 0.5], [0.4, 1.0]])     # not symmetric
     with pytest.raises(ValueError):
         tc.VectorSpaceSpec(2, [[1.0, 2.0], [2.0, 1.0]])     # not positive
+    with pytest.raises(ValueError, match="positive-definite"):
+        tc.VectorSpaceSpec(2, [[1.0, 2.0], [2.0, 4.0]])     # singular
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            tc.VectorSpaceSpec(2, [[bad, 0.0], [0.0, 1.0]])
+    # the symmetry test is np.allclose(g, g.T, atol=1e-12)
+    tc.VectorSpaceSpec(2, [[1.0, 1e-13], [0.0, 1.0]])
+
+
+def test_space_whiteners_factor_gram_and_inverse():
+    g = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.5]])
+    spec = tc.VectorSpaceSpec(3, g)
+    up, down = spec.whiteners
+    assert np.abs(up.T @ up - g).max() < 1e-14
+    assert np.abs(down.T @ down - np.linalg.inv(g)).max() < 1e-14
+    assert np.array_equal(up, np.triu(up))
+    assert np.array_equal(down, np.triu(down))
 
 
 def test_basis_product():

@@ -224,6 +224,24 @@ def test_lift_follows_the_slot_rule():
         assert np.array_equal(got.data, want.data)
 
 
+def test_lifts_share_read_only_converters(monkeypatch):
+    ts = twisted_total()
+    T = random_field(ts.bundle.chart, [(FIB, CONTRA), (TAN, COV)], (2, 2),
+                     13)
+    seen = []
+    converters = ts._slot_converters
+
+    def spy(d):
+        seen.append(converters(d))
+        return seen[-1]
+
+    monkeypatch.setattr(ts, "_slot_converters", spy)
+    first, second = ts.lift(T), ts.lift(T)
+    assert seen[0] is seen[1]
+    assert all(not c.data.flags.writeable for c in seen[0].values())
+    assert np.array_equal(first.data, second.data)
+
+
 @pytest.mark.parametrize("kind", LIFT_KINDS)
 def test_named_lift_rejects_wrong_slots(kind):
     ts = twisted_total()
