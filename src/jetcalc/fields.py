@@ -54,16 +54,15 @@ class Chart:
         self.cap = int(cap)
         self.ctx = TaylorContext(self.n, self.cap)
 
-    def scalar(self, value, degree=None):
-        return TaylorScalar.constant(self.ctx, value, degree or self.cap)
+    def scalar(self, value):
+        return TaylorScalar.constant(self.ctx, value, self.cap)
 
-    def coordinate(self, i, degree=None):
-        return TaylorScalar.variable(self.ctx, i, self.point[i],
-                                     degree or self.cap)
+    def coordinate(self, i, degree):
+        return TaylorScalar.variable(self.ctx, i, self.point[i], degree)
 
-    def expand(self, expr, degree=None):
+    def expand(self, expr):
         """Expand an analytic expression (in this chart's variables)."""
-        return expand(expr, self.point, degree or self.cap, self.ctx)
+        return expand(expr, self.point, self.cap, self.ctx)
 
 
 class FieldTensor:
@@ -334,22 +333,20 @@ class Geometry:
         self.dims = dict(dims)
         self.grams = dict(grams)
         self.conns = dict(conns)
-        self._registry = None
+        # the one check of every base-point Gram: its Cholesky factor
+        self.registry = SpaceRegistry()
+        for name, dim in self.dims.items():
+            try:
+                self.registry.add(name, dim, self.grams[name].data[0])
+            except ValueError as exc:
+                raise ValueError(f"{name} metric at the base point: "
+                                 f"{exc}") from None
 
     # --- evaluation ---------------------------------------------------------
 
-    def registry(self):
-        if self._registry is None:
-            reg = SpaceRegistry()
-            for name, dim in self.dims.items():
-                g = self.grams[name]
-                reg.add(name, dim, g.data[0])
-            self._registry = reg
-        return self._registry
-
     def value(self, T):
         """The base-point value of T; shares T's degree-0 entries."""
-        return DenseTensor(self.registry(), T.slots, T.data[0])
+        return DenseTensor(self.registry, T.slots, T.data[0])
 
     def norm(self, T):
         return self.value(T).norm()
@@ -537,34 +534,30 @@ def bracket(geo, X, Y):
 # concrete geometries
 # --------------------------------------------------------------------------
 
-def _expr_matrix_field(chart, exprs, shape, slots, degree):
+def _expr_matrix_field(chart, exprs, shape, slots):
     entries = {}
     for idx in np.ndindex(*shape):
         node = exprs
         for i in idx:
             node = node[i]
-        entries[idx] = chart.expand(node, degree) if not isinstance(node, (int, float)) \
-            else chart.scalar(float(node), degree)
-    return FieldTensor.assemble(chart, slots, shape, entries, degree)
+        entries[idx] = chart.expand(node) if not isinstance(node, (int, float)) \
+            else chart.scalar(float(node))
+    return FieldTensor.assemble(chart, slots, shape, entries, chart.cap)
 
 
 class ChartGeometry(Geometry):
-    """A single-chart manifold with metric and affine connection."""
+    """A single-chart manifold with metric and its Levi-Civita connection."""
 
-    def __init__(self, point, cap, metric_exprs, christoffel=None):
+    def __init__(self, point, cap, metric_exprs):
         chart = Chart(point, cap)
         n = chart.n
         g = _expr_matrix_field(chart, metric_exprs, (n, n),
-                               [(TAN, COV), (TAN, COV)], cap)
-        if not np.allclose(g.data[0], g.data[0].T, atol=1e-12):
-            raise ValueError("metric not symmetric at the base point")
-        if np.linalg.eigvalsh(g.data[0]).min() <= 0:
-            raise ValueError("metric not positive-definite at the base point")
-        gamma = levi_civita(g) if christoffel is None else christoffel
-        super().__init__(chart, {TAN: n}, {TAN: g}, {TAN: gamma})
+                               [(TAN, COV), (TAN, COV)])
+        # the Gram check runs before levi_civita inverts the metric
+        super().__init__(chart, {TAN: n}, {TAN: g}, {})
+        self.gamma = self.conns[TAN] = levi_civita(g)
         self.n = n
         self.g = g
-        self.gamma = gamma
 
 
 class BundleGeometry(Geometry):
@@ -578,7 +571,7 @@ class BundleGeometry(Geometry):
                  omega=None):
         chart = base.chart
         h = _expr_matrix_field(chart, fibre_metric_exprs, (k, k),
-                               [(FIB, COV), (FIB, COV)], chart.cap)
+                               [(FIB, COV), (FIB, COV)])
         if omega is None:
             if omega_exprs is None:
                 omega = FieldTensor.zeros(
@@ -587,9 +580,7 @@ class BundleGeometry(Geometry):
             else:
                 omega = _expr_matrix_field(
                     chart, omega_exprs, (k, base.n, k),
-                    [(FIB, CONTRA), (TAN, COV), (FIB, COV)], chart.cap)
-        if np.linalg.eigvalsh(h.data[0]).min() <= 0:
-            raise ValueError("fibre metric not positive-definite at the point")
+                    [(FIB, CONTRA), (TAN, COV), (FIB, COV)])
         dims = dict(base.dims)
         dims[FIB] = k
         grams = dict(base.grams)

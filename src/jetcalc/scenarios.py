@@ -92,34 +92,31 @@ class Scenario:
 
     # --- geometry factories -------------------------------------------------
 
-    def chart_at(self, point=None, cap=None):
+    def chart_at(self, point=None, *, cap):
         point = self.base_points[0] if point is None else point
-        cap = self.degree if cap is None else cap
         return ChartGeometry(point, cap, self.metric)
 
-    def bundle_at(self, point=None, cap=None):
-        return BundleGeometry(self.chart_at(point, cap), self.k,
+    def bundle_at(self, point=None, *, cap):
+        return BundleGeometry(self.chart_at(point, cap=cap), self.k,
                               self.fibre_metric, self.connection)
 
-    def alt_bundle_at(self, point=None, cap=None):
+    def alt_bundle_at(self, point=None, *, cap):
         if not self.alt:
             raise ValueError(f"scenario {self.name} has no comparison data")
         point = self.base_points[0] if point is None else point
-        cap = self.degree if cap is None else cap
         base = ChartGeometry(point, cap, self.alt["metric"])
         return BundleGeometry(base, self.k, self.alt["fibre_metric"],
                               self.alt.get("connection"))
 
-    def total_at(self, point=None, u=None, cap=None):
+    def total_at(self, point=None, u=None, *, cap):
         u = (self.fibre_points[0] if self.fibre_points else [0.0] * self.k) \
             if u is None else u
-        return TotalSpaceGeometry(self.bundle_at(point, cap), u)
+        return TotalSpaceGeometry(self.bundle_at(point, cap=cap), u)
 
-    def map_at(self, point=None, cap=None):
+    def map_at(self, point=None, *, cap):
         if not self.map:
             raise ValueError(f"scenario {self.name} has no map block")
         point = self.base_points[0] if point is None else point
-        cap = self.degree if cap is None else cap
         dom = ChartGeometry(point, cap, self.metric)
         target_point = [eval_expr(e, point) for e in self.map["exprs"]]
         tgt = ChartGeometry(target_point, cap, self.map["target_metric"])

@@ -137,7 +137,7 @@ def suite_tensor_laws(config):
         rng = _rng(seed, 4, i)
         geo = _point_geometry(rng, {"U": 3, "V": 4})
         L = _random(geo, [("V", CONTRA), ("U", COV)], rng)
-        ru, rv = (np.linalg.cholesky(geo.grams[s].data[0]).T for s in "UV")
+        ru, rv = (geo.registry[s].whiteners[0] for s in "UV")
         mat = rv @ L.data[0] @ np.linalg.inv(ru)
         op = float(np.linalg.svd(mat, compute_uv=False)[0])
         rows.append(CheckRow.residual(
@@ -831,7 +831,7 @@ def suite_submersion(config):
                     / max(float(np.abs(lhs.data[0]).max()), 1e-12), 1e-8))
             # the norm bound with the explicit constant
             fN = function_field(tgt, scn.random_function(34 + pi, nvars=tgt.n))
-            c_k = _pullback_constant(md, scn)
+            c_k = _pullback_constant(md)
             for mord in range(1, 4):
                 up = md.pullback_field(tgt.iterated(fN, mord))
                 down = pb.convert_all(up)
@@ -851,11 +851,11 @@ def _const_field(bun, ts):
     return out
 
 
-def _pullback_constant(md, scn):
+def _pullback_constant(md):
     """sqrt(dim_N * dim_M) * max orthonormal-frame entry of the tangent map."""
     dom, tgt = md.domain, md.target
-    ru = np.linalg.cholesky(dom.g.data[0]).T
-    rv = np.linalg.cholesky(tgt.g.data[0]).T
+    ru = dom.registry[TAN].whiteners[0]
+    rv = tgt.registry[TAN].whiteners[0]
     mat = rv @ md.dphi.data[0] @ np.linalg.inv(ru)
     n, m = tgt.n, dom.n
     return math.sqrt(n * m) * float(np.abs(mat).max())
@@ -1328,7 +1328,7 @@ def suite_continuity(config):
         mds = []
         for x0 in scn.base_points:
             md, pb = scn.map_at(x0, cap=3)
-            consts.append(_pullback_constant(md, scn))
+            consts.append(_pullback_constant(md))
             mds.append((md, pb))
         c_k = max(consts)
         fN = scn.random_function(seed + 470, nvars=mds[0][0].target.n)

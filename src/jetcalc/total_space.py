@@ -87,13 +87,12 @@ def _embedding_map(m_ctx, e_ctx, n):
 class TotalSpaceGeometry(Geometry):
     """Chart geometry of E with the submersion metric and its connection."""
 
-    def __init__(self, bundle, fibre_point, cap=None):
+    def __init__(self, bundle, fibre_point):
         self.bundle = bundle
         n, k = bundle.n, bundle.k
-        cap = bundle.chart.cap if cap is None else cap
         point = np.concatenate([bundle.chart.point,
                                 np.asarray(fibre_point, dtype=float)])
-        chart = Chart(point, cap)
+        chart = Chart(point, bundle.chart.cap)
         self.n, self.k = n, k
         self._emb = _embedding_map(bundle.chart.ctx, chart.ctx, n)
         self._echart = chart

@@ -386,6 +386,26 @@ def test_fit_exits_two_when_the_geometry_cannot_be_built(tmp_path, capsys):
         assert "configuration error" in out.err and out.out == ""
 
 
+def test_fit_exits_two_on_a_fibre_metric_symmetric_in_one_triangle(
+        tmp_path, capsys):
+    from jetcalc import cli
+    skew = [["1", "0.5"], ["0", "1"]]
+    flat = [["1", "0"], ["0", "1"]]
+    (tmp_path / "alt").mkdir()
+    scn = _scenario_file(tmp_path, k=2, fibre_metric=skew,
+                         fibre_points=[[0.8, 0.1]])
+    alt = _scenario_file(tmp_path / "alt", k=2, fibre_metric=flat,
+                         fibre_points=[[0.8, 0.1]],
+                         alt={"metric": flat, "fibre_metric": skew})
+    for argv in (["fit", "growth", "--scenario", scn],
+                 ["fit", "compare", "--scenario", alt]):
+        assert cli.main(argv + ["--max-order", "1"]) == 2, argv
+        out = capsys.readouterr()
+        assert out.err.startswith("configuration error: fib metric at the "
+                                  "base point: ") and out.out == ""
+        assert "internal error" not in out.err
+
+
 def test_config_echo_lists_only_what_the_suites_read(tmp_path, monkeypatch):
     from jetcalc import cli
     from jetcalc.suites import CheckRow

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from jetcalc.fields import (FIB, TAN, BundleGeometry, ChartGeometry,
+from jetcalc.fields import (FIB, TAN, BundleGeometry, Chart, ChartGeometry,
                             FieldTensor, bracket, connection_difference,
                             lie_derivative, matrix_inverse_field,
                             random_field, torsion)
@@ -67,6 +67,24 @@ def test_levi_civita_is_metric_and_torsion_free():
 def test_singular_metric_rejected():
     with pytest.raises(ValueError):
         ChartGeometry([0.0], 3, [["0"]])
+
+
+def test_metric_that_is_not_spd_at_the_point_is_rejected_by_space():
+    # the Gram check runs before levi_civita inverts the metric
+    for bad in ([["0"]], [["1", "0"], ["0", "(- x1 1)"]]):
+        with pytest.raises(ValueError, match="^tan metric at the base point"):
+            ChartGeometry([0.0] * len(bad), 3, bad)
+    base = ChartGeometry([0.1, -0.2], 3, [["1", "0"], ["0", "1"]])
+    # a Gram symmetric in one triangle only is not symmetric
+    with pytest.raises(ValueError, match="^fib metric at the base point: "
+                                         "Gram matrix must be symmetric"):
+        BundleGeometry(base, 2, [["1", "0.5"], ["0", "1"]])
+
+
+def test_chart_coordinate_takes_its_degree():
+    ch = Chart([0.3], 4)
+    assert ch.coordinate(0, 0).degree == 0
+    assert ch.coordinate(0, 2).coeffs.tolist() == [0.3, 1.0, 0.0]
 
 
 def _bundle():
@@ -158,7 +176,7 @@ def test_lie_and_bracket_facts():
                        geo.partials(f).contract_pair(0, d1, 0).data)
     # [x2 d1, d2] = -d1
     x2d1 = FieldTensor.assemble(ch, [(TAN, CONTRA)], (2,),
-                                {(0,): ch.coordinate(1)}, 4)
+                                {(0,): ch.coordinate(1, ch.cap)}, 4)
     d2 = FieldTensor.assemble(ch, [(TAN, CONTRA)], (2,), {(1,): 1.0}, 4)
     br = bracket(geo, x2d1, d2)
     assert br.data[0][0] == pytest.approx(-1.0)

@@ -113,14 +113,14 @@ def test_conn_family_and_trivial_change():
 
 def test_pullback_family_forward_and_submersive_inverse():
     scn = builtin_scenario("pullback-map")
-    md, pb = scn.map_at()
+    md, pb = scn.map_at(cap=scn.degree)
     fam = pullback_family(pb)
     fwd = build_coefficients(fam, 3, "forward")
     f = function_field(md.target, scn.random_function(49, nvars=2))
     for m in range(4):
         assert verify_expansion(fam, fwd, f, m) < 1e-9
     scn2 = builtin_scenario("pullback-split")
-    md2, pb2 = scn2.map_at()
+    md2, pb2 = scn2.map_at(cap=scn2.degree)
     fam2 = pullback_family(pb2)
     fwd2 = build_coefficients(fam2, 3, "forward")
     f2 = function_field(md2.target, scn2.random_function(50, nvars=1))
@@ -344,7 +344,8 @@ def test_identity_closed_forms_match_the_generic_path(kind, direction):
 
 
 def test_pullback_diagonals_stay_dense():
-    _, pb = builtin_scenario("pullback-map").map_at()
+    scn = builtin_scenario("pullback-map")
+    _, pb = scn.map_at(cap=scn.degree)
     table = build_coefficients(pullback_family(pb), 2, "forward")
     assert not any(isinstance(A, IdentityMap) for _, A in table.items())
 

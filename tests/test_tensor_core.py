@@ -312,8 +312,8 @@ def test_evaluation_bound_and_opnorm():
     lu = L.apply_map(1, u)
     assert np.allclose(lu.data[0], L.data[0] @ u.data[0])
     assert geo.norm(lu) <= geo.norm(L) * geo.norm(u) + 1e-12
-    ru = np.linalg.cholesky(geo.registry()["U"].gram).T
-    rv = np.linalg.cholesky(geo.registry()["V"].gram).T
+    ru = np.linalg.cholesky(geo.registry["U"].gram).T
+    rv = np.linalg.cholesky(geo.registry["V"].gram).T
     op = np.linalg.svd(rv @ L.data[0] @ np.linalg.inv(ru),
                        compute_uv=False)[0]
     assert geo.norm(L) <= math.sqrt(3) * op + 1e-10
@@ -392,7 +392,6 @@ def test_gram_norm_holds_no_second_copy(layout):
     # a 2 M-entry (16 MB) tensor: its norm whitens it block by block and
     # may not allocate anything near a second copy of it
     geo = make_geometry({"U": 8}, seed=23)
-    geo.registry()
     slots = [("U", CONTRA), ("U", COV)] * 3 + [("U", COV)]
     rng = np.random.default_rng(24)
     if layout == "strided":     # a slice: no axis order makes it contiguous
