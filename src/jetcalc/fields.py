@@ -166,8 +166,8 @@ class FieldTensor:
     # --- multilinear algebra -----------------------------------------------
 
     def product(self, other):
-        """Tensor product.  When `other` has degree-0 support only (the
-        identity of the shift and coupling terms), one outer product replaces
+        """Tensor product.  When `other` has degree-0 support only (every
+        product of the pointwise algebra, say), one outer product replaces
         the series kernel: its other coefficient pairs would add exact zeros."""
         d = min(self.degree, other.degree)
         a = self.chart.ctx.truncate(self.data, d)
@@ -217,8 +217,10 @@ class FieldTensor:
         data = self.chart.ctx.contract(
             self.chart.ctx.truncate(self.data, d), d,
             self.chart.ctx.truncate(s.data, d), d, [pos], [ax_s], d)
-        n_rest = self.order - 1
-        data = np.moveaxis(data, n_rest + 1, pos + 1)
+        # the new slot, first after the rest of self, moves to `pos`
+        perm = list(range(data.ndim))
+        perm.insert(pos + 1, perm.pop(self.order))
+        data = data.transpose(perm)
         slots = list(self.slots)
         slots[pos] = new_slot
         slots += list(s.slots[2:])
@@ -328,14 +330,20 @@ class Geometry:
     adds +G[a,j,b] on contravariant and -G[b,j,a] on covariant s-slots.
     """
 
-    def __init__(self, chart, dims, grams, conns):
+    def __init__(self, chart, dims, grams, conns, *, _parent=None):
         self.chart = chart
         self.dims = dict(dims)
         self.grams = dict(grams)
         self.conns = dict(conns)
-        # the one check of every base-point Gram: its Cholesky factor
+        # the one check of every base-point Gram: its Cholesky factor; a
+        # Gram field that `_parent`, the geometry this one extends, has
+        # already checked keeps the parent's space
         self.registry = SpaceRegistry()
         for name, dim in self.dims.items():
+            if _parent is not None and _parent.dims.get(name) == dim and \
+                    _parent.grams.get(name) is self.grams[name]:
+                self.registry[name] = _parent.registry[name]
+                continue
             try:
                 self.registry.add(name, dim, self.grams[name].data[0])
             except ValueError as exc:
@@ -373,6 +381,8 @@ class Geometry:
         for v in range(nb):
             acc[..., v] = ctx.derive(td1, dout + 1, v)
         td = ctx.truncate(T.data, dout)
+        # the axes of T but the slot's own, after the two of the connection
+        rest = list(range(3, T.order + 2))
         for pos, slot in enumerate(T.slots):
             G = self.conns.get(slot.space)
             gd = None if G is None else ctx.truncate(G.data, dout)
@@ -387,15 +397,11 @@ class Geometry:
             if slot.variance == CONTRA:
                 r = ctx.contract(gd, dout, td, dout, [2], [pos], dout)
                 # r: (C, a, j, *rest) -> (C, ...a at pos..., j)
-                r = np.moveaxis(r, 2, r.ndim - 1)
-                r = np.moveaxis(r, 1, 1 + pos)
-                acc += r
+                acc += r.transpose([0] + rest[:pos] + [1] + rest[pos:] + [2])
             else:
                 r = ctx.contract(gd, dout, td, dout, [0], [pos], dout)
                 # r: (C, j, b, *rest) -> (C, ...b at pos..., j)
-                r = np.moveaxis(r, 1, r.ndim - 1)
-                r = np.moveaxis(r, 1, 1 + pos)
-                acc -= r
+                acc -= r.transpose([0] + rest[:pos] + [2] + rest[pos:] + [1])
         return FieldTensor(self.chart, tuple(T.slots) + ((TAN, COV),), acc, dout)
 
     def cov_degree(self, T, corrections):
@@ -587,7 +593,7 @@ class BundleGeometry(Geometry):
         grams[FIB] = h
         conns = dict(base.conns)
         conns[FIB] = omega
-        super().__init__(chart, dims, grams, conns)
+        super().__init__(chart, dims, grams, conns, _parent=base)
         self.base = base
         self.n = base.n
         self.k = k
@@ -600,4 +606,5 @@ class BundleGeometry(Geometry):
             conns[TAN] = gamma
         if omega is not None:
             conns[FIB] = omega
-        return Geometry(self.chart, dict(self.dims), dict(self.grams), conns)
+        return Geometry(self.chart, dict(self.dims), dict(self.grams), conns,
+                        _parent=self)

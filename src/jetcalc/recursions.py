@@ -14,7 +14,9 @@ maps indexed by (m, s), built by one recursion step shared across families:
 
 Step (iii) is a connection correction per slot: `Geometry.cov` adds the
 signed structure tensor to the connection coefficients of each corrected
-slot, so (i) and (iii) take one contraction per slot together.
+slot, so (i) and (iii) take one contraction per slot together.  The
+identity products of (ii) and (iv) are never formed: each is added into its
+sum along the diagonal of the identity's two slots.
 
 Map tensors are stored as [OUT block][IN-dual block]: OUT = the main lift's
 auxiliary slots followed by m covariant slots, IN-dual = the flipped slots
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FIB, PTN, TAN, FieldTensor, Geometry, identity_field
+from .fields import FIB, PTN, TAN, FieldTensor, Geometry
 from .tensor_core import COV, CONTRA, TensorShape
 
 __all__ = ["FamilySpec", "CoefficientTable", "IdentityMap",
@@ -82,6 +84,33 @@ class FamilySpec:
         return self.geo.iterated(self.lift(comp, obj, 0), s)
 
 
+class _Streams:
+    """The derivative streams of one object under one family, each formed
+    once: the lifted stream of every order, and the total-space stream of
+    order s as `geo.cov` of the one of order s - 1.  Both streams of order 0
+    are the lift itself, as in `FamilySpec`."""
+
+    def __init__(self, spec, obj):
+        self.spec = spec
+        self.obj = obj
+        self._lifted = {}
+        self._total = {}
+
+    def lifted(self, comp, s):
+        key = (comp, s)
+        if key not in self._lifted:
+            self._lifted[key] = self.spec.stream_lifted(comp, self.obj, s)
+        return self._lifted[key]
+
+    def total(self, comp, s):
+        stream = self._total.get(comp)
+        if stream is None:
+            stream = self._total[comp] = [self.lifted(comp, 0)]
+        while len(stream) <= s:
+            stream.append(self.spec.geo.cov(stream[-1]))
+        return stream[s]
+
+
 class CoefficientTable:
     """Entries (m, component, s) -> map FieldTensor."""
 
@@ -90,12 +119,22 @@ class CoefficientTable:
         self.m_max = m_max
         self.entries = entries
         self.direction = direction
+        self._streams = None
 
     def get(self, m, comp, s):
         return self.entries.get((m, comp, s))
 
     def items(self):
         return self.entries.items()
+
+    def _streams_of(self, spec, obj):
+        """The stream memo of `obj` under `spec`: one object at a time,
+        held by a strong reference and matched by identity, so a new object
+        or a new table starts from nothing."""
+        memo = self._streams
+        if memo is None or memo.spec is not spec or memo.obj is not obj:
+            memo = self._streams = _Streams(spec, obj)
+        return memo
 
 
 class IdentityMap(FieldTensor):
@@ -221,26 +260,50 @@ def _cov_term(spec, A, n_out, corrections):
     return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
 
 
-def _shift_term(spec, A, n_out):
-    if isinstance(A, IdentityMap):
-        return A.shifted(spec.geo.dims[TAN])
-    ins = spec.shift_tensor
-    if ins is None:
-        dim = spec.geo.dims[TAN]
-        ins = identity_field(spec.geo.chart, TAN, dim, A.degree,
-                             up_first=False)
-    t = A.product(ins)
-    t = t.move_slot(A.order, n_out)     # the new OUT covariant slot
-    return t
+def _add_identity(new, key, A, n_out, in_pos, dim):
+    """new[key] += A (x) id on the `dim`-dimensional tangent space, the id's
+    down slot at OUT position `n_out` and its up slot at position `in_pos`
+    of the IN-dual block.  The product is never formed: A is added,
+    broadcast, along the diagonal of those two axes through a writable
+    einsum view of the sum, which starts from zeros when the key has none.
+    """
+    up = n_out + 1 + in_pos
+    slots = list(A.slots)
+    slots.insert(n_out, (TAN, COV))
+    slots.insert(up, (TAN, CONTRA))
+    held = new.get(key)
+    if held is None:
+        dims = list(A.dims)
+        dims.insert(n_out, dim)
+        dims.insert(up, dim)
+        held = FieldTensor.zeros(A.chart, slots, dims, A.degree)
+    elif held.slots != TensorShape(slots):
+        raise ValueError("slot mismatch")
+    else:
+        held = held.truncated(A.degree)
+    # einsum labels: 0 the series, 1..order A's axes, order + 1 the diagonal
+    labels = list(range(1, A.order + 1))
+    diag = A.order + 1
+    labels.insert(n_out, diag)
+    labels.insert(up, diag)
+    view = np.einsum(held.data, [0] + labels,
+                     list(range(A.order + 1)) + [diag])
+    view += held.chart.ctx.truncate(A.data, held.degree)[..., None]
+    new[key] = held
 
 
-def _couple_in(spec, A, n_out, pass_pos):
+def _add_shift(spec, new, key, A, n_out):
+    """new[key] += the shift term of A: A (x) id with the id's down slot
+    last in OUT and its up slot last in IN-dual, or A (x) dPhi for the
+    pull-back family, whose shift is a different tensor and is formed."""
     dim = spec.geo.dims[TAN]
-    eye = identity_field(spec.geo.chart, TAN, dim, A.degree, up_first=False)
-    t = A.product(eye)
-    t = t.move_slot(A.order, n_out)                  # id down -> OUT end
-    t = t.move_slot(t.order - 1, n_out + 1 + pass_pos)  # id up into IN-dual
-    return t
+    if isinstance(A, IdentityMap):
+        _accumulate(new, key, A.shifted(dim))
+    elif spec.shift_tensor is None:
+        _add_identity(new, key, A, n_out, A.order - n_out, dim)
+    else:
+        t = A.product(spec.shift_tensor)
+        _accumulate(new, key, t.move_slot(A.order, n_out))
 
 
 def _embed_out_table(P, n_aux_pure, m, moves):
@@ -312,17 +375,19 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
                                   + [(spec.arg_space, COV)] * s, n_out)
             # terms go straight into the sum: no local keeps one alive
             acc(c, s, _cov_term(spec, entries[(m, c, s)], n_out, fix))
-            # the shift keeps no more degrees than the new level needs
+        # the shifts and couplings keep no more degrees than the new level
+        # needs, and are added into the sums of the covariant terms
+        for (c, s) in sorted(level):
             if s < m:
-                acc(c, s + 1, _shift_term(
-                    spec, entries[(m, c, s)].truncated(need), n_out))
+                _add_shift(spec, new, (m + 1, c, s + 1),
+                           entries[(m, c, s)].truncated(need), n_out)
         if not inverse:
             for (src, dst, pass_pos) in spec.couplings:
                 for s in range(m + 1):
                     if (m, src, s) in entries:
-                        acc(dst, s, _couple_in(
-                            spec, entries[(m, src, s)].truncated(need),
-                            n_out, pass_pos))
+                        _add_identity(new, (m + 1, dst, s),
+                                      entries[(m, src, s)].truncated(need),
+                                      n_out, pass_pos, spec.geo.dims[TAN])
         else:
             for (src, dst, moves) in spec.inv_couplings:
                 for s in range(m + 1):
@@ -336,8 +401,8 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
         # alone; formed last, they never meet another term's temporaries
         for (c, s) in sorted(level):
             if s == m:
-                acc(c, s + 1, _shift_term(
-                    spec, entries[(m, c, s)].truncated(need), n_out))
+                _add_shift(spec, new, (m + 1, c, s + 1),
+                           entries[(m, c, s)].truncated(need), n_out)
         for key, val in new.items():
             entries[key] = val.truncated(need)
     return CoefficientTable(spec, m_max, entries, direction)
@@ -350,14 +415,15 @@ def _residual(lhs, rhs, geo):
 
 def verify_expansion(spec, table, obj, m):
     """|| direct total-space derivative - coefficient sum || (relative)."""
-    lhs = spec.stream_total(0, obj, m)
+    streams = table._streams_of(spec, obj)
+    lhs = streams.total(0, m)
     rhs = None
     for c in range(len(spec.aux)):
         for s in range(m + 1):
             A = table.get(m, c, s)
             if A is None:
                 continue
-            arg = spec.stream_lifted(c, obj, s)
+            arg = streams.lifted(c, s)
             term = A.apply_map(spec.n_aux_out() + m, arg)
             rhs = term if rhs is None else rhs + term
     return _residual(lhs, rhs, spec.geo)
@@ -365,14 +431,15 @@ def verify_expansion(spec, table, obj, m):
 
 def verify_inverse_pair(spec, table_inv, obj, m):
     """Reconstruct the lifted base derivative from total-space data."""
-    target = spec.stream_lifted(0, obj, m)
+    streams = table_inv._streams_of(spec, obj)
+    target = streams.lifted(0, m)
     recon = None
     for c in range(len(spec.aux)):
         for s in range(m + 1):
             B = table_inv.get(m, c, s)
             if B is None:
                 continue
-            arg = spec.stream_total(c, obj, s)
+            arg = streams.total(c, s)
             term = B.apply_map(spec.n_aux_out() + m, arg)
             recon = term if recon is None else recon + term
     return _residual(target, recon, spec.geo)
@@ -530,10 +597,11 @@ def pullback_inverse_residual(pbgeo, table_fwd, obj, m):
                       inv_up.data, inv_up.degree)
     w = a.contract_pair(0, inv, 0)            # [TAN up, PTN down]
     spec = table_fwd.spec
+    streams = table_fwd._streams_of(spec, obj)
     q_hat = []
     num = den = 0.0
     for mm in range(m + 1):
-        lhs = spec.stream_total(0, obj, mm)
+        lhs = streams.total(0, mm)
         for s in range(mm):
             A = table_fwd.get(mm, 0, s)
             lhs = lhs - A.apply_map(mm, q_hat[s])
@@ -541,7 +609,7 @@ def pullback_inverse_residual(pbgeo, table_fwd, obj, m):
         for pos in range(mm):
             q = q.contract_pair(pos, w, 0).move_slot(q.order - 1, pos)
         q_hat.append(q)
-        truth = spec.stream_lifted(0, obj, mm)
+        truth = streams.lifted(0, mm)
         num += pbgeo.norm(truth - q) ** 2
         den += pbgeo.norm(truth) ** 2
     return math.sqrt(num) / max(math.sqrt(den), 1e-12)

@@ -334,7 +334,7 @@ class PullbackGeometry(Geometry):
         grams[PTN] = g_n
         conns = dict(dom.conns)
         conns[PTN] = gt
-        super().__init__(chart, dims, grams, conns)
+        super().__init__(chart, dims, grams, conns, _parent=dom)
         self.mapdata = mapdata
 
     def a_phi(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jetcalc import recursions
-from jetcalc.fields import FIB, TAN, FieldTensor, random_field
+from jetcalc.fields import FIB, TAN, FieldTensor, identity_field, random_field
 from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, IdentityMap,
                                 build_coefficients,
                                 bundle_family, conn_family, growth_profile,
@@ -54,6 +54,54 @@ def test_bundle_family_expansion_and_inverse(kind):
     for m in range(3):
         assert verify_expansion(fam, fwd, obj, m) < 1e-8
         assert verify_inverse_pair(fam, inv, obj, m) < 1e-8
+
+
+def _uncached_residual(spec, table, obj, m):
+    """`verify_expansion` read from the uncached stream definitions."""
+    lhs = spec.stream_total(0, obj, m)
+    rhs = None
+    for (mm, c, s), A in sorted(table.items()):
+        if mm == m:
+            term = A.apply_map(spec.n_aux_out() + m,
+                               spec.stream_lifted(c, obj, s))
+            rhs = term if rhs is None else rhs + term
+    return spec.geo.norm(lhs - rhs) / max(spec.geo.norm(lhs), 1e-12)
+
+
+@pytest.mark.parametrize("kind", ["P", "C"])
+def test_expansion_checks_form_each_stream_once_per_table(monkeypatch, kind):
+    scn = builtin_scenario("twisted-bundle")
+    ts = scn.total_at(cap=5)
+    fam = bundle_family(kind, ts)
+    obj = _object_field(ts.bundle, kind, _family_objects(scn, kind, 47))
+    M = 3
+    tables = [build_coefficients(fam, M, "forward") for _ in range(2)]
+    want = [_uncached_residual(fam, tables[0], obj, m) for m in range(M + 1)]
+    covs, lifts = [], []
+    cov, lift = ts.cov, fam.lift
+
+    def counted_cov(T, corrections=None):
+        covs.append(T)
+        return cov(T, corrections)
+
+    def counted_lift(comp, o, s):
+        lifts.append((comp, s))
+        return lift(comp, o, s)
+
+    monkeypatch.setattr(ts, "cov", counted_cov)
+    monkeypatch.setattr(fam, "lift", counted_lift)
+    for tab in tables:
+        covs.clear()
+        lifts.clear()
+        got = [verify_expansion(fam, tab, obj, m) for m in range(M + 1)]
+        assert got == want
+        # the left-hand stream of order m is cov of the one of order m - 1
+        assert len(covs) == M
+        # one lift per (component, order) the table reads, M + 1 for the
+        # family's own component
+        assert sorted(lifts) == sorted({(c, s) for (_, c, s), _ in
+                                        tab.items()})
+        assert sum(c == 0 for c, _ in lifts) == M + 1
 
 
 #: per family: argument auxiliary slots and the lift kinds of the test
@@ -179,6 +227,15 @@ def _out_of_place(new, key, term):
     new[key] = new[key] + term if key in new else term
 
 
+def _dense_identity_term(new, key, A, n_out, in_pos, dim):
+    """Reference shift and coupling term: A (x) id formed as a product, its
+    id down slot moved to OUT position `n_out` and its up slot to position
+    `in_pos` of the IN-dual block, then summed out of place."""
+    eye = identity_field(A.chart, TAN, dim, A.degree, up_first=False)
+    t = A.product(eye).move_slot(A.order, n_out)
+    _out_of_place(new, key, t.move_slot(t.order - 1, n_out + 1 + in_pos))
+
+
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 @pytest.mark.parametrize("kind", ["P", "L", "C", "D"])
 def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
@@ -205,6 +262,7 @@ def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
         for key, A in tab.items():
             assert np.array_equal(A.data, entries[key])
     monkeypatch.setattr(recursions, "_accumulate", _out_of_place)
+    monkeypatch.setattr(recursions, "_add_identity", _dense_identity_term)
     want = build_coefficients(fam, 3, direction)
     assert sorted(k for k, _ in got.items()) == \
         sorted(k for k, _ in want.items())
