@@ -5,7 +5,8 @@ import pytest
 import sympy as sp
 
 from jetcalc.fields import (FIB, TAN, BundleGeometry, Chart, ChartGeometry,
-                            FieldTensor, bracket, connection_difference,
+                            FieldTensor, Geometry, bracket,
+                            connection_difference,
                             lie_derivative, matrix_inverse_field,
                             random_field, torsion)
 from jetcalc.tensor_core import CONTRA, COV
@@ -79,6 +80,24 @@ def test_metric_that_is_not_spd_at_the_point_is_rejected_by_space():
     with pytest.raises(ValueError, match="^fib metric at the base point: "
                                          "Gram matrix must be symmetric"):
         BundleGeometry(base, 2, [["1", "0.5"], ["0", "1"]])
+
+
+def test_a_gram_the_parent_checked_keeps_the_parents_space():
+    from jetcalc.fields import PTN
+    from jetcalc.scenarios import builtin_scenario
+    bun = builtin_scenario("twisted-bundle").bundle_at(cap=2)
+    assert bun.registry[TAN] is bun.base.registry[TAN]
+    alt = bun.with_connections(omega=bun.conns[FIB])
+    assert all(alt.registry[s] is bun.registry[s] for s in (TAN, FIB))
+    md, pb = builtin_scenario("pullback-map").map_at(cap=2)
+    assert pb.registry[TAN] is md.domain.registry[TAN]
+    assert pb.registry[PTN] is not md.target.registry[TAN]
+    # a Gram that is not the parent's own object is checked again
+    grams = dict(bun.grams)
+    grams[FIB] = bun.grams[FIB].copy()
+    again = Geometry(bun.chart, bun.dims, grams, bun.conns, _parent=bun)
+    assert again.registry[TAN] is bun.registry[TAN]
+    assert again.registry[FIB] is not bun.registry[FIB]
 
 
 def test_chart_coordinate_takes_its_degree():
