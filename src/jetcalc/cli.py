@@ -12,9 +12,10 @@
 suite but recursions, `--family` or `--max-order` without `--scenario`, and
 a `--threshold` key that is neither a check tag of the selected suites nor
 the first segment of one.  `fit growth` rejects `--seed` and `fit compare`
-rejects `--family`.  The report's `config` block echoes the seed and, with
-`--scenario` files, the max order, families and scenario names; the suites
-state every other order and bound where they make their rows.
+rejects `--family`.  The report's `config` block echoes the seed when a
+selected suite reads it (and lists it under `ignored` when none does) and,
+with `--scenario` files, the max order, families and scenario names; the
+suites state every other order and bound where they make their rows.
 
 Exit codes: 0 all checks pass, 1 at least one failed check or no check
 run, 2 bad configuration or unparsable input, 3 an internal error (an
@@ -53,6 +54,12 @@ SUITES = {
 }
 
 
+#: the suites whose rows are drawn from `--seed`; taylor, geometry and jets
+#: take literal seeds
+SEEDED_SUITES = ("tensor-laws", "submersion", "recursions",
+                 "connection-compare", "seminorms", "continuity")
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 7
@@ -60,10 +67,15 @@ class SuiteConfig:
     families: tuple = ()
     scenarios: list = field(default_factory=list)
 
-    def echo(self):
-        """The fields that the run reads, with their values: the seed, and
-        with scenario files also the order, families and scenario names."""
-        out = {"seed": self.seed}
+    def echo(self, names):
+        """The fields that a run of the suites `names` reads, with their
+        values: the seed if one of them reads it (else `ignored: ["seed"]`),
+        and with scenario files also the order, families and scenario
+        names."""
+        if any(name in SEEDED_SUITES for name in names):
+            out = {"seed": self.seed}
+        else:
+            out = {"ignored": ["seed"]}
         if self.scenarios:
             out.update(max_order=self.max_order, families=list(self.families),
                        scenarios=[s.name for s in self.scenarios])
@@ -155,7 +167,7 @@ def cmd_verify(args):
     digests = {s.name: scenario_digest(s) for s in config.scenarios}
     for name in (BUILTIN_NAMES if not config.scenarios else ()):
         digests[name] = scenario_digest(builtin_scenario(name))
-    report = build_report(args.suite, rows, config.echo(), digests)
+    report = build_report(args.suite, rows, config.echo(names), digests)
     if args.out:
         emit_report(report, args.format, args.out)
     else:

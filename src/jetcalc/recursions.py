@@ -15,8 +15,13 @@ maps indexed by (m, s), built by one recursion step shared across families:
 Step (iii) is a connection correction per slot: `Geometry.cov` adds the
 signed structure tensor to the connection coefficients of each corrected
 slot, so (i) and (iii) take one contraction per slot together.  The
-identity products of (ii) and (iv) are never formed: each is added into its
-sum along the diagonal of the identity's two slots.
+identity products of (ii) and (iv) are never formed.  The diagonal entries
+are `IdentityMap`s, and every entry the recursion forms from them alone
+(the covariant derivative of a diagonal, and shifts and couplings of such
+entries: each A[m][m-1]) is a `PaddedMap`, a sum of small cores times
+identity pairs, whose derivative, action and norm come in closed form.
+Any other sum is dense, and identity products are added into it along the
+diagonal of the identity's two slots.
 
 Map tensors are stored as [OUT block][IN-dual block]: OUT = the main lift's
 auxiliary slots followed by m covariant slots, IN-dual = the flipped slots
@@ -34,7 +39,7 @@ import numpy as np
 from .fields import FIB, PTN, TAN, FieldTensor, Geometry
 from .tensor_core import COV, CONTRA, TensorShape
 
-__all__ = ["FamilySpec", "CoefficientTable", "IdentityMap",
+__all__ = ["FamilySpec", "CoefficientTable", "IdentityMap", "PaddedMap",
            "build_coefficients",
            "verify_expansion", "verify_inverse_pair", "growth_profile",
            "bundle_family", "conn_family", "pullback_family",
@@ -67,7 +72,9 @@ class FamilySpec:
     aux: list                      # per component: tuple of (space, variance)
     in_rule: dict                  # (space, variance) -> (sign, structure)
     out_rule: dict
-    lift: object                   # lift(comp, obj, s) -> FieldTensor
+    # lift(comp, obj, s) -> FieldTensor; lift.base differentiates obj and
+    # lift.of_derivative(comp, ds) lifts one derivative
+    lift: object
     couplings: list = field(default_factory=list)       # (src, dst, pass_pos)
     inv_couplings: list = field(default_factory=list)   # (src, dst, moves)
     coupled_pure: object = None    # FamilySpec of the pure lift family
@@ -86,20 +93,26 @@ class FamilySpec:
 
 class _Streams:
     """The derivative streams of one object under one family, each formed
-    once: the lifted stream of every order, and the total-space stream of
-    order s as `geo.cov` of the one of order s - 1.  Both streams of order 0
-    are the lift itself, as in `FamilySpec`."""
+    once: the base stream of every order (the object's derivative on the
+    lift's base geometry, as `cov` of the one of order s - 1), the lifted
+    stream of every order (the lift of that derivative), and the
+    total-space stream of order s as `geo.cov` of the one of order s - 1.
+    Both streams of order 0 are the lift itself, as in `FamilySpec`."""
 
     def __init__(self, spec, obj):
         self.spec = spec
         self.obj = obj
+        self._base = [obj]
         self._lifted = {}
         self._total = {}
 
     def lifted(self, comp, s):
         key = (comp, s)
         if key not in self._lifted:
-            self._lifted[key] = self.spec.stream_lifted(comp, self.obj, s)
+            lift = self.spec.lift
+            while len(self._base) <= s:
+                self._base.append(lift.base.cov(self._base[-1]))
+            self._lifted[key] = lift.of_derivative(comp, self._base[s])
         return self._lifted[key]
 
     def total(self, comp, s):
@@ -203,32 +216,272 @@ class IdentityMap(FieldTensor):
                                  f"{self.slots[i]} vs {arg.slots[i]}")
         return arg.truncated(min(self.degree, arg.degree))
 
+    def padded(self):
+        """The same map as a `PaddedMap` of one term: a constant scalar core
+        times the identity on every pair."""
+        n = self.n_pairs
+        core = np.zeros(self.chart.ctx.size(self.degree))
+        core[0] = 1.0
+        return PaddedMap(self.chart, self.slots, self.dims, self.degree,
+                         [(core, (), [(i, n + i) for i in range(n)])])
+
     def cov(self, geo, corrections):
         """`geo.cov(self, corrections)`: the connection terms of the two
         slots of a pair cancel, so each corrected slot (sign, S) adds only
         sign * S[up, down, direction] on its pair, times the identity on
-        the other pairs.  Each is added through an einsum view of the
-        result that runs along the diagonals of the other pairs."""
-        dout = geo.cov_degree(self, corrections)
+        the other pairs: a `PaddedMap` of one term per corrected slot."""
+        return self.padded().cov(geo, corrections)
+
+
+class PaddedMap(FieldTensor):
+    """A map [OUT][IN-dual] held as a sum of terms, each a small core on a
+    few slots times the identity on pairs of the remaining slots: the form
+    the recursion gives every entry it builds from identity maps alone (the
+    covariant derivative of an `IdentityMap`, and shifts and couplings of
+    such entries).
+
+    A term is (core, axes, pairs): `core` an array (coefficients, *dims)
+    whose axes are the map positions `axes`, and `pairs` the position pairs
+    (p, q), p < q, that each hold the identity of one space (opposite
+    variances).  Every position is a core axis or in one pair.  Terms of
+    equal axes and pairs are summed when the map is made.  The covariant
+    derivative, shift, action and Gram norm come in closed form and never
+    form the map; `data` is the dense map, formed on first read and
+    read-only (for report rows, tests and checks outside the recursion).
+    """
+
+    def __init__(self, chart, slots, dims, degree, terms):
+        self.chart = chart
+        self.slots = TensorShape(slots)
+        self.degree = int(degree)
+        self._dims = tuple(dims)
+        self._dense = None
+        rows = chart.ctx.size(self.degree)
+        merged = {}
+        for core, axes, pairs in terms:
+            core, axes, pairs = self._checked(core[:rows], axes, pairs)
+            held = merged.get((axes, pairs))
+            merged[(axes, pairs)] = core if held is None else held + core
+        self.terms = tuple((core, axes, pairs)
+                           for (axes, pairs), core in merged.items())
+
+    def _checked(self, core, axes, pairs):
+        """The term with its axes sorted and its pairs ordered, once its
+        positions are checked to cover the map and its pairs to join dual
+        slots of one space."""
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        core = core.transpose([0] + [k + 1 for k in order])
+        axes = tuple(axes[k] for k in order)
+        pairs = tuple(sorted(tuple(sorted(pq)) for pq in pairs))
+        if sorted(axes + sum(pairs, ())) != list(range(self.order)):
+            raise ValueError(f"term positions {axes} + {pairs} do not cover "
+                             f"{self.order} slots")
+        want = (self.chart.ctx.size(self.degree),) + tuple(
+            self._dims[a] for a in axes)
+        if core.shape != want:
+            raise ValueError(f"core shape {core.shape} is not {want}")
+        for p, q in pairs:
+            a, b = self.slots[p], self.slots[q]
+            if a.space != b.space or a.variance == b.variance:
+                raise ValueError(f"an identity cannot join {a} and {b}")
+        return core, axes, pairs
+
+    @property
+    def dims(self):
+        return self._dims
+
+    @property
+    def data(self):
+        if self._dense is None:
+            dense = np.zeros((self.chart.ctx.size(self.degree),) + self._dims)
+            self.add_to(dense)
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
+
+    def add_to(self, out):
+        """out += the map, one term at a time, each added broadcast along
+        the diagonals of its pairs through a writable einsum view of `out`
+        (an array of the map's shape, to a degree at most the map's)."""
+        rows = out.shape[0]
+        for core, axes, pairs in self.terms:
+            # einsum labels: 0 the series, then the core axes, then a
+            # label per pair shared by its two axes
+            labels = [0] * self.order
+            for k, pos in enumerate(axes):
+                labels[pos] = k + 1
+            for k, (p, q) in enumerate(pairs):
+                labels[p] = labels[q] = len(axes) + 1 + k
+            view = np.einsum(out, [0] + labels,
+                             list(range(len(axes) + len(pairs) + 1)))
+            view += core[:rows].reshape(core[:rows].shape
+                                        + (1,) * len(pairs))
+
+    def truncated(self, degree):
+        if degree >= self.degree:
+            return self
+        return PaddedMap(self.chart, self.slots, self._dims, degree,
+                         self.terms)
+
+    def permuted(self, perm):
+        at = {old: new for new, old in enumerate(perm)}
+        return PaddedMap(
+            self.chart, [self.slots[p] for p in perm],
+            [self._dims[p] for p in perm], self.degree,
+            [(core, [at[a] for a in axes], [(at[p], at[q]) for p, q in pairs])
+             for core, axes, pairs in self.terms])
+
+    def __mul__(self, scalar):
+        return PaddedMap(self.chart, self.slots, self._dims, self.degree,
+                         [(core * float(scalar), axes, pairs)
+                          for core, axes, pairs in self.terms])
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, PaddedMap):
+            return FieldTensor.__add__(self, other)
+        if self.slots != other.slots:
+            raise ValueError("slot mismatch")
+        return PaddedMap(self.chart, self.slots, self._dims,
+                         min(self.degree, other.degree),
+                         self.terms + other.terms)
+
+    def with_pair(self, n_out, in_pos, dim):
+        """self (x) id on the `dim`-dimensional tangent space, the id's down
+        slot at OUT position `n_out` and its up slot at position `in_pos` of
+        the IN-dual block (the layout of `_add_identity`): one more pair on
+        every term."""
+        up = n_out + 1 + in_pos
+        slots, dims = list(self.slots), list(self._dims)
+        slots.insert(n_out, (TAN, COV))
+        dims.insert(n_out, dim)
+        slots.insert(up, (TAN, CONTRA))
+        dims.insert(up, dim)
+        at = [x + (x >= n_out) for x in range(self.order)]
+        at = [x + (x >= up) for x in at]
+        return PaddedMap(
+            self.chart, slots, dims, self.degree,
+            [(core, [at[a] for a in axes],
+              [(at[p], at[q]) for p, q in pairs] + [(n_out, up)])
+             for core, axes, pairs in self.terms])
+
+    def norm(self, geo):
+        """The Gram norm from the terms alone.  Lowering every index of a
+        term by its slot's Gram (the inverse Gram on a down slot) leaves
+        each identity an identity, so the inner product of two terms is the
+        plain contraction of the first term's core with the second's
+        lowered core, the identities of both terms joining their slots into
+        chains: a chain between core axes is a shared einsum label, and a
+        closed loop of identities contributes its dimension."""
+        n = self.order
+        lowered = []
+        for core, axes, pairs in self.terms:
+            low = core[0]
+            for k, pos in enumerate(axes):
+                spec = geo.registry[self.slots[pos].space]
+                gram = spec.gram if self.slots[pos].up else spec.gram_inv
+                low = np.moveaxis(np.tensordot(low, gram, axes=([k], [0])),
+                                  -1, k)
+            lowered.append(low)
+        dots = []
+        for t, (core, axes, pairs) in enumerate(self.terms):
+            for u in range(t, len(self.terms)):
+                _, axes_u, pairs_u = self.terms[u]
+                # each slot's chain, named by one slot of it
+                root = list(range(n))
+                for p, q in pairs + pairs_u:
+                    root[_chain(root, p)] = _chain(root, q)
+                lab_t = [_chain(root, a) for a in axes]
+                lab_u = [_chain(root, a) for a in axes_u]
+                loops = {_chain(root, x) for x in range(n)} - set(lab_t) \
+                    - set(lab_u)
+                dot = float(np.einsum(core[0], lab_t, lowered[u], lab_u, []))
+                dot *= math.prod(self._dims[r] for r in loops)
+                dots.append(dot if t == u else 2.0 * dot)
+        # terms that cancel may leave a rounding error of either sign
+        return math.sqrt(max(math.fsum(dots), 0.0))
+
+    def apply_map(self, n_out, arg):
+        """`FieldTensor.apply_map` term by term: each core contracts the
+        argument's slots at its IN-dual axes, and each pair hands the
+        argument's slot at its IN-dual end to its OUT end."""
+        n_in = self.order - n_out
+        for i in range(n_in):
+            ms, ts = self.slots[n_out + i], arg.slots[i]
+            if ms.space != ts.space or ms.variance == ts.variance:
+                raise ValueError(
+                    f"map/argument mismatch at {i}: {ms} vs {ts}")
         ctx = self.chart.ctx
-        n = self.n_pairs
-        out = np.zeros((ctx.size(dout),) + self.dims + (self.chart.n,))
-        # einsum labels: pair i is i on both of its axes; n and n + 1 the
-        # corrected pair's up and down axes, n + 2 the series, n + 3 the
-        # direction
-        for pos, (sign, S) in corrections.items():
-            i = pos % n
-            up, down = (i, n + i) if self.slots[i].up else (n + i, i)
-            labels = 2 * list(range(n))
-            labels[up], labels[down] = n, n + 1
-            rest = [k for k in range(n) if k != i]
-            view = np.einsum(out, [n + 2] + labels + [n + 3],
-                             [n + 2] + rest + [n, n + 1, n + 3])
-            sd = ctx.truncate(S.data, dout)
-            view += sign * sd.reshape(sd.shape[:1] + (1,) * len(rest)
-                                      + sd.shape[1:])
-        return FieldTensor(self.chart, tuple(self.slots) + ((TAN, COV),),
-                           out, dout)
+        d = min(self.degree, arg.degree)
+        a = ctx.truncate(arg.data, d)
+        out = None
+        for core, axes, pairs in self.terms:
+            c_out = [pos for pos in axes if pos < n_out]
+            c_in = [pos - n_out for pos in axes if pos >= n_out]
+            r = ctx.contract(ctx.truncate(core, d), d, a, d,
+                             list(range(len(c_out), len(axes))), c_in, d)
+            # r: (C, *core OUT axes, *the argument's other axes in order)
+            src = {pos: 1 + k for k, pos in enumerate(c_out)}
+            free = [i for i in range(arg.order) if i not in c_in]
+            partner = {}
+            for p, q in pairs:
+                if not p < n_out <= q:
+                    raise ValueError(f"pair {(p, q)} does not join an OUT "
+                                     f"slot to an IN-dual slot")
+                partner[q - n_out] = p
+            rest = []
+            for k, i in enumerate(free):
+                if i in partner:
+                    src[partner[i]] = 1 + len(c_out) + k
+                else:
+                    rest.append(1 + len(c_out) + k)
+            r = r.transpose([0] + [src[pos] for pos in range(n_out)] + rest)
+            if out is None:
+                out = r
+            else:
+                out += r
+        if out is None:         # no terms: the zero map
+            out = np.zeros((ctx.size(d),) + self._dims[:n_out]
+                           + arg.dims[n_in:])
+        return FieldTensor(self.chart, list(self.slots[:n_out])
+                           + list(arg.slots[n_in:]), out, d)
+
+    def cov(self, geo, corrections):
+        """`geo.cov(self, corrections)` term by term: each term gives the
+        covariant derivative of its core (with the corrections of its core
+        slots) times its identities, and, for each corrected slot (sign, S)
+        of a pair, its core times sign * S[up, down, direction] on that
+        pair; the connection terms of a pair's two slots cancel, as in
+        `IdentityMap.cov`.  The direction slot is appended last."""
+        dout = geo.cov_degree(self, corrections)
+        new = self.order
+        terms = []
+        for core, axes, pairs in self.terms:
+            c = FieldTensor(self.chart, [self.slots[a] for a in axes], core,
+                            self.degree)
+            if axes or np.any(core[1:]):     # a constant scalar is parallel
+                fix = {k: corrections[pos] for k, pos in enumerate(axes)
+                       if pos in corrections}
+                terms.append((geo.cov(c, fix).data, axes + (new,), pairs))
+            c = c.truncated(dout)
+            for p, q in pairs:
+                up, down = (p, q) if self.slots[p].up else (q, p)
+                rest = [pq for pq in pairs if pq != (p, q)]
+                for pos in (p, q):
+                    if pos in corrections:
+                        sign, S = corrections[pos]
+                        t = S.truncated(dout).product(c) * sign
+                        terms.append((t.data, (up, down, new) + axes, rest))
+        return PaddedMap(self.chart, tuple(self.slots) + ((TAN, COV),),
+                         self._dims + (self.chart.n,), dout, terms)
+
+
+def _chain(root, x):
+    """The slot that names the chain of x in the forest `root`."""
+    while root[x] != x:
+        x = root[x]
+    return x
 
 
 def _identity_map(spec):
@@ -253,34 +506,50 @@ def _slot_rules(rules, layout, first):
 def _cov_term(spec, A, n_out, corrections):
     """The covariant derivative of A with the structure-tensor substitutions
     of `corrections` folded into the connection of their slots."""
-    if isinstance(A, IdentityMap):
+    if isinstance(A, (IdentityMap, PaddedMap)):
         dA = A.cov(spec.geo, corrections)
     else:
         dA = spec.geo.cov(A, corrections)
     return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
 
 
+def _dense_sum(new, key, chart, slots, dims, degree):
+    """new[key] as a dense sum that may be added into: zeros of `degree`
+    when the key has no sum yet, and the held padded map added into zeros
+    of its own degree when it has one."""
+    held = new.get(key)
+    if held is None or isinstance(held, PaddedMap):
+        dense = FieldTensor.zeros(chart, slots, dims,
+                                  degree if held is None else held.degree)
+        if held is not None:
+            held.add_to(dense.data)
+        new[key] = held = dense
+    return held
+
+
 def _add_identity(new, key, A, n_out, in_pos, dim):
     """new[key] += A (x) id on the `dim`-dimensional tangent space, the id's
     down slot at OUT position `n_out` and its up slot at position `in_pos`
-    of the IN-dual block.  The product is never formed: A is added,
-    broadcast, along the diagonal of those two axes through a writable
-    einsum view of the sum, which starts from zeros when the key has none.
+    of the IN-dual block.  The product is never formed: an identity or
+    padded A gains one pair, and a dense A is added, broadcast, along the
+    diagonal of those two axes through a writable einsum view of the sum.
     """
+    if isinstance(A, (IdentityMap, PaddedMap)):
+        if isinstance(A, IdentityMap):
+            A = A.padded()
+        _accumulate(new, key, A.with_pair(n_out, in_pos, dim))
+        return
     up = n_out + 1 + in_pos
     slots = list(A.slots)
     slots.insert(n_out, (TAN, COV))
     slots.insert(up, (TAN, CONTRA))
-    held = new.get(key)
-    if held is None:
-        dims = list(A.dims)
-        dims.insert(n_out, dim)
-        dims.insert(up, dim)
-        held = FieldTensor.zeros(A.chart, slots, dims, A.degree)
-    elif held.slots != TensorShape(slots):
+    dims = list(A.dims)
+    dims.insert(n_out, dim)
+    dims.insert(up, dim)
+    held = _dense_sum(new, key, A.chart, slots, dims, A.degree)
+    if held.slots != TensorShape(slots):
         raise ValueError("slot mismatch")
-    else:
-        held = held.truncated(A.degree)
+    held = held.truncated(A.degree)
     # einsum labels: 0 the series, 1..order A's axes, order + 1 the diagonal
     labels = list(range(1, A.order + 1))
     diag = A.order + 1
@@ -319,11 +588,13 @@ def _embed_out_table(P, n_aux_pure, m, moves):
 
 
 def _accumulate(new, key, term):
-    """new[key] += term, added in place into the first term stored.
+    """new[key] += term, added in place into the first dense term stored.
 
     Every term passed here is a fresh array that nothing else holds (a
     covariant derivative, product or embedding formed for this level), so
-    it may be overwritten; a table entry or an input never is.
+    it may be overwritten; a table entry or an input never is.  Padded
+    terms stay padded while the key holds no dense term, and are added into
+    its dense sum once it does.
     """
     held = new.get(key)
     if held is None:
@@ -331,8 +602,16 @@ def _accumulate(new, key, term):
         return
     if held.slots != term.slots:
         raise ValueError("slot mismatch")
+    if isinstance(held, PaddedMap) and isinstance(term, PaddedMap):
+        new[key] = held + term
+        return
+    if isinstance(held, PaddedMap):
+        held, term = term, held
     held = held.truncated(term.degree)
-    held.data += term.truncated(held.degree).data
+    if isinstance(term, PaddedMap):
+        term.add_to(held.data)
+    else:
+        held.data += term.truncated(held.degree).data
     new[key] = held
 
 
@@ -373,8 +652,17 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             else:
                 fix = _slot_rules(spec.in_rule, list(spec.aux[c])
                                   + [(spec.arg_space, COV)] * s, n_out)
-            # terms go straight into the sum: no local keeps one alive
-            acc(c, s, _cov_term(spec, entries[(m, c, s)], n_out, fix))
+            A = entries[(m, c, s)]
+            if isinstance(A, PaddedMap):
+                # the derivative of a padded map multiplies its terms, so
+                # it is added into a dense sum
+                dA = _cov_term(spec, A, n_out, fix)
+                _dense_sum(new, (m + 1, c, s), dA.chart, dA.slots, dA.dims,
+                           dA.degree)
+                acc(c, s, dA)
+            else:
+                # terms go straight into the sum: no local keeps one alive
+                acc(c, s, _cov_term(spec, A, n_out, fix))
         # the shifts and couplings keep no more degrees than the new level
         # needs, and are added into the sums of the covariant terms
         for (c, s) in sorted(level):
@@ -392,6 +680,8 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             for (src, dst, moves) in spec.inv_couplings:
                 for s in range(m + 1):
                     P = pure_tables.get(m, src, s) if pure_tables else None
+                    if isinstance(P, IdentityMap):
+                        P = P.padded()
                     if P is not None:
                         n_aux_pure = len(spec.coupled_pure.aux[0])
                         emb = _embed_out_table(P.truncated(need),
@@ -456,7 +746,12 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
     geo = geo or table.spec.geo
     rows = []
     for (m, c, s), A in sorted(table.items()):
-        norm = A.norm() if isinstance(A, IdentityMap) else geo.norm(A)
+        if isinstance(A, IdentityMap):
+            norm = A.norm()
+        elif isinstance(A, PaddedMap):
+            norm = A.norm(geo)
+        else:
+            norm = geo.norm(A)
         rows.append((m, s, c, norm))
     offdiag = [r for r in rows if r[0] != r[1] and r[3] > tol]
     if not offdiag:
@@ -497,13 +792,19 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
 # --------------------------------------------------------------------------
 
 class _BundleLift:
+    """lift(comp, obj, s): the total-space lift of the s-th derivative of
+    `obj` on the bundle `base`."""
+
     def __init__(self, ts, evaluate):
         self.ts = ts
+        self.base = ts.bundle
         self.evaluate = evaluate
 
     def __call__(self, comp, obj, s):
+        return self.of_derivative(comp, self.base.iterated(obj, s))
+
+    def of_derivative(self, comp, ds):
         # component 0 is the family's own lift, component 1 the pure one
-        ds = self.ts.bundle.iterated(obj, s)
         return self.ts.lift(ds, self.evaluate and comp == 0)
 
 
@@ -537,10 +838,13 @@ def bundle_family(kind, ts):
 
 class _ConnLift:
     def __init__(self, bun):
-        self.bun = bun
+        self.base = bun
 
     def __call__(self, comp, obj, s):
-        return self.bun.iterated(obj, s)
+        return self.base.iterated(obj, s)
+
+    def of_derivative(self, comp, ds):
+        return ds
 
 
 def conn_family(bun, bun_bar):
@@ -561,11 +865,13 @@ def conn_family(bun, bun_bar):
 class _PullbackLift:
     def __init__(self, pb):
         self.pb = pb
+        # obj is a scalar FieldTensor on the target chart
+        self.base = pb.mapdata.target
 
     def __call__(self, comp, obj, s):
-        # obj is a scalar FieldTensor on the target chart
-        tgt = self.pb.mapdata.target
-        ds = tgt.iterated(obj, s)
+        return self.of_derivative(comp, self.base.iterated(obj, s))
+
+    def of_derivative(self, comp, ds):
         return self.pb.mapdata.pullback_field(ds)
 
 

@@ -297,7 +297,6 @@ def suite_tensor_laws(config):
 
 def suite_taylor(config):
     rows = []
-    seed = config.seed
     prims = []
     for name in ("flat", "conformal-base", "sphere-chart", "twisted-bundle"):
         scn = builtin_scenario(name)
@@ -374,7 +373,6 @@ def _multi_indices_upto(n, order):
 
 def suite_geometry(config):
     rows = []
-    seed = config.seed
     # Levi-Civita on the built-in charts: the order-1 rows read nabla g and
     # the Christoffel symbols, so these charts are built to degree 1
     for name in ("flat",) + NONFLAT_SCENARIOS:
@@ -520,7 +518,6 @@ def suite_geometry(config):
 
 def suite_jets(config):
     rows = []
-    seed = config.seed
     fl = builtin_scenario("flat")
     bun = fl.bundle_at([0.0, 0.0], cap=2)
     f = function_field(bun, "(* x1 x1)")

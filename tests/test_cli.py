@@ -418,7 +418,8 @@ def test_config_echo_lists_only_what_the_suites_read(tmp_path, monkeypatch):
         cli.main(["verify", *args, "--out", str(out)])
         return json.loads(out.read_text())["config"]
 
-    assert echoed("jets") == {"seed": 7}
+    assert echoed("jets") == {"ignored": ["seed"]}
+    assert echoed("taylor", "--seed", "3") == {"ignored": ["seed"]}
     assert echoed("seminorms", "--seed", "3") == {"seed": 3}
     assert echoed("all") == {"seed": 7}
     assert echoed("recursions", "--scenario", _flat_scenario(tmp_path),
@@ -430,9 +431,10 @@ def test_config_echo_lists_only_what_the_suites_read(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["tensor-laws", "taylor", "geometry", "jets",
                                   "submersion", "seminorms", "recursions"])
 def test_reads_names_the_fields_a_suite_reads(name, tmp_path):
-    # the fields a suite reads are the keys of the config echo; the
-    # expensive built-in suites (recursions without scenarios,
-    # connection-compare, continuity) are left out
+    # the fields a suite reads are the keys of the config echo, and a
+    # field it does not read is listed as ignored; the expensive built-in
+    # suites (recursions without scenarios, connection-compare,
+    # continuity) are left out
     from dataclasses import fields
 
     from jetcalc import cli
@@ -449,10 +451,12 @@ def test_reads_names_the_fields_a_suite_reads(name, tmp_path):
     config = Recording(max_order=1, families=("P",))
     if name == "recursions":
         config.scenarios = [load_scenario(_flat_scenario(tmp_path))]
-    want = set(config.echo())
+    echo = config.echo([name])
+    want = set(echo) - {"ignored"}
     read.clear()
     cli.SUITES[name](config)
     assert read == want
+    assert set(echo.get("ignored", [])) == {"seed"} - read
 
 
 @pytest.mark.parametrize("argv", [["verify", "jets"], ["verify", "all"],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from jetcalc import recursions
-from jetcalc.fields import FIB, TAN, FieldTensor, identity_field, random_field
+from jetcalc.fields import (FIB, TAN, Chart, FieldTensor, Geometry,
+                            identity_field, random_field)
 from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, IdentityMap,
                                 build_coefficients,
                                 bundle_family, conn_family, growth_profile,
@@ -12,7 +13,7 @@ from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, IdentityMap,
                                 verify_expansion, verify_inverse_pair)
 from jetcalc.scenarios import builtin_scenario, function_field, section_field
 from jetcalc.suites import _family_objects, _object_field
-from jetcalc.tensor_core import CONTRA, COV
+from jetcalc.tensor_core import CONTRA, COV, frobenius_norm
 
 
 def test_flat_collapse_and_exactness():
@@ -77,26 +78,34 @@ def test_expansion_checks_form_each_stream_once_per_table(monkeypatch, kind):
     M = 3
     tables = [build_coefficients(fam, M, "forward") for _ in range(2)]
     want = [_uncached_residual(fam, tables[0], obj, m) for m in range(M + 1)]
-    covs, lifts = [], []
-    cov, lift = ts.cov, fam.lift
+    covs, base_covs, lifts = [], [], []
+    cov, base_cov, lift = ts.cov, ts.bundle.cov, fam.lift.of_derivative
 
     def counted_cov(T, corrections=None):
         covs.append(T)
         return cov(T, corrections)
 
-    def counted_lift(comp, o, s):
-        lifts.append((comp, s))
-        return lift(comp, o, s)
+    def counted_base_cov(T, corrections=None):
+        base_covs.append(T)
+        return base_cov(T, corrections)
+
+    def counted_lift(comp, ds):
+        lifts.append((comp, ds.order - obj.order))
+        return lift(comp, ds)
 
     monkeypatch.setattr(ts, "cov", counted_cov)
-    monkeypatch.setattr(fam, "lift", counted_lift)
+    monkeypatch.setattr(ts.bundle, "cov", counted_base_cov)
+    monkeypatch.setattr(fam.lift, "of_derivative", counted_lift)
     for tab in tables:
         covs.clear()
+        base_covs.clear()
         lifts.clear()
         got = [verify_expansion(fam, tab, obj, m) for m in range(M + 1)]
         assert got == want
         # the left-hand stream of order m is cov of the one of order m - 1
         assert len(covs) == M
+        # so is the base stream the lifts read: one base cov per order
+        assert len(base_covs) == M
         # one lift per (component, order) the table reads, M + 1 for the
         # family's own component
         assert sorted(lifts) == sorted({(c, s) for (_, c, s), _ in
@@ -431,3 +440,239 @@ def test_identity_rejects_an_argument_off_its_slots():
         A.slots[2:4]), (A.dims[1], A.dims[0]) + A.dims[2:4], seed=5)
     with pytest.raises(ValueError):
         A.apply_map(4, swapped)
+
+
+# --------------------------------------------------------------------------
+# padded maps: the sub-diagonal entries as identity-padded terms
+# --------------------------------------------------------------------------
+
+def _hand_geometry():
+    """A chart with a 2-dimensional TAN and a 3-dimensional FIB space, each
+    with a random non-diagonal Gram field and a random connection."""
+    chart = Chart([0.1, 0.2], 4)
+    dims = {TAN: 2, FIB: 3}
+    grams, conns = {}, {}
+    for k, (space, d) in enumerate(dims.items()):
+        g = random_field(chart, [(space, COV)] * 2, (d, d), 20 + k)
+        g.data[0] += 3.0 * np.eye(d)
+        g.data[:] += np.swapaxes(g.data, 1, 2)
+        grams[space] = g
+        conns[space] = random_field(chart, [(space, CONTRA), (TAN, COV),
+                                            (space, COV)], (d, 2, d), 30 + k)
+    return Geometry(chart, dims, grams, conns)
+
+
+#: OUT slots a (TAN up), b, c (TAN down), g (FIB up); IN-dual slots d (TAN
+#: down), e, f (TAN up), h (FIB down): positions 0..3 and 4..7
+_HAND_SLOTS = [(TAN, CONTRA), (TAN, COV), (TAN, COV), (FIB, CONTRA),
+               (TAN, COV), (TAN, CONTRA), (TAN, CONTRA), (FIB, COV)]
+
+
+def _hand_map(bun, degree=3):
+    """A padded map with crossed pairings ((b, f) and (c, e)), cores on
+    both blocks, a scalar series core and a FIB pair."""
+    dims = [bun.dims[space] for space, _ in _HAND_SLOTS]
+
+    def core(axes, seed):
+        return random_field(bun.chart, [_HAND_SLOTS[a] for a in axes],
+                            [dims[a] for a in axes], seed, degree).data
+
+    terms = [(core((0, 4), 1), (0, 4), [(1, 6), (2, 5), (3, 7)]),
+             (core((5, 1), 2), (5, 1), [(0, 4), (2, 6), (3, 7)]),
+             (core((), 3), (), [(0, 4), (1, 5), (2, 6), (3, 7)]),
+             (core((0, 1, 4, 6), 4), (0, 1, 4, 6), [(2, 5), (7, 3)]),
+             (core((3, 7, 2, 5), 5), (3, 7, 2, 5), [(0, 4), (1, 6)])]
+    return recursions.PaddedMap(bun.chart, _HAND_SLOTS, dims, degree, terms)
+
+
+def _hand_rules(bun):
+    """A structure tensor per slot space and a sign per variance."""
+    n = bun.dims[TAN]
+    S = {space: random_field(bun.chart, [(space, CONTRA), (space, COV),
+                                         (TAN, COV)],
+                             (bun.dims[space],) * 2 + (n,), seed)
+         for space, seed in ((TAN, 7), (FIB, 8))}
+    return {(space, v): (sign, S[space]) for space in (TAN, FIB)
+            for v, sign in ((CONTRA, 1.0), (COV, -1.0))}
+
+
+def _close(got, want, tol):
+    assert got.slots == want.slots and got.degree == want.degree
+    scale = max(float(np.abs(want.data).max()), 1e-300)
+    assert float(np.abs(got.data - want.data).max()) <= tol * scale
+
+
+def test_hand_built_padded_map_matches_its_dense_form():
+    bun = _hand_geometry()
+    A = _hand_map(bun)
+    dense = A.copy()
+    assert type(dense) is FieldTensor
+    assert A.data.flags.writeable is False and A.data is A.data
+    assert A.norm(bun) == pytest.approx(frobenius_norm(bun.value(dense)),
+                                        rel=1e-13)
+    # the action, on an argument with one trailing slot
+    flip = {CONTRA: COV, COV: CONTRA}
+    arg_slots = [(space, flip[v]) for space, v in _HAND_SLOTS[4:]]
+    arg = random_field(bun.chart, arg_slots + [(TAN, COV)],
+                       A.dims[4:] + (bun.dims[TAN],), seed=6)
+    _close(A.apply_map(4, arg), FieldTensor.apply_map(dense, 4, arg), 1e-14)
+    # the covariant derivative with forward (IN-dual), inverse (OUT) and
+    # both-ended corrections, each slot by its own sign and tensor
+    rules = _hand_rules(bun)
+    for block in (range(4, 8), range(4), range(8)):
+        fix = {p: rules[_HAND_SLOTS[p]] for p in block}
+        got = A.cov(bun, fix)
+        assert isinstance(got, recursions.PaddedMap)
+        _close(got, bun.cov(dense, fix), 1e-14)
+
+
+def test_padded_map_rejects_a_pair_of_unlike_slots_and_a_gap():
+    bun = _hand_geometry()
+    A = _hand_map(bun)
+    core, axes, pairs = A.terms[2]
+    with pytest.raises(ValueError):     # (a, e): two up slots
+        recursions.PaddedMap(bun.chart, _HAND_SLOTS, A.dims, A.degree,
+                             [(core, (), [(0, 5), (1, 4), (2, 6), (3, 7)])])
+    with pytest.raises(ValueError):     # slot 7 in no pair
+        recursions.PaddedMap(bun.chart, _HAND_SLOTS, A.dims, A.degree,
+                             [(core, (), pairs[:3])])
+    with pytest.raises(ValueError):     # an argument off the IN-dual slots
+        A.apply_map(4, random_field(bun.chart, _HAND_SLOTS[4:], A.dims[4:],
+                                    seed=6))
+
+
+def test_padded_terms_that_cancel_read_zero():
+    bun = _hand_geometry()
+    A = _hand_map(bun)
+    # each term negated and given with its axes and pairs in another order
+    flipped = [(core.transpose([0] + list(range(core.ndim - 1, 0, -1))),
+                axes[::-1], [(q, p) for p, q in pairs[::-1]])
+               for core, axes, pairs in (A * -1.0).terms]
+    Z = recursions.PaddedMap(bun.chart, A.slots, A.dims, A.degree,
+                             list(A.terms) + flipped)
+    assert Z.norm(bun) == 0.0
+    assert not np.any(Z.data)
+    # the identity on a pair against the same identity written as a core:
+    # the Grams round the cross terms, and the norm stays a number near 0
+    core = np.zeros((bun.chart.ctx.size(A.degree),) + A.dims[:1] * 2)
+    core[0] = -np.eye(A.dims[0])
+    one = np.zeros(bun.chart.ctx.size(A.degree))
+    one[0] = 1.0
+    pairs = [(1, 5), (2, 6), (3, 7)]
+    Z = recursions.PaddedMap(bun.chart, A.slots, A.dims, A.degree,
+                             [(one, (), [(0, 4)] + pairs),
+                              (core, (0, 4), pairs)])
+    assert not np.any(Z.data)
+    assert 0.0 <= Z.norm(bun) <= 1e-6
+
+
+def _dense_reference(spec, m_max, direction, keep_degree=0):
+    """The recursion with every map dense and every term formed: covariant
+    derivatives as `Geometry.cov` plus written-out substitutions, shifts
+    and couplings as products with the identity, sums out of place."""
+    inverse = direction == "inverse"
+    pure = None
+    if inverse and spec.coupled_pure is not None:
+        pure = _dense_reference(spec.coupled_pure, m_max, "inverse",
+                                keep_degree + 1)
+    aux = spec.aux[0]
+    entries = {(0, 0, 0): IdentityMap(
+        spec.geo.chart, aux, [spec.geo.dims[space] for space, _ in aux],
+        spec.geo.chart.cap).copy()}
+    dim = spec.geo.dims[TAN]
+    for m in range(m_max):
+        need = max(m_max - (m + 1), 0) + keep_degree
+        n_out = spec.n_aux_out() + m
+        new = {}
+        for (mm, c, s), A in sorted(entries.items()):
+            if mm != m:
+                continue
+            rules = _rules_of(spec, A, m, c, s, direction)
+            _out_of_place(new, (m + 1, c, s),
+                          _cov_plus_substitutions(spec, A, n_out, rules))
+            _dense_identity_term(new, (m + 1, c, s + 1), A.truncated(need),
+                                 n_out, A.order - n_out, dim)
+        for src, dst, pass_pos in ([] if inverse else spec.couplings):
+            for s in range(m + 1):
+                if (m, src, s) in entries:
+                    _dense_identity_term(new, (m + 1, dst, s),
+                                         entries[(m, src, s)].truncated(need),
+                                         n_out, pass_pos, dim)
+        for src, dst, moves in (spec.inv_couplings if inverse else []):
+            for s in range(m + 1):
+                if (m, src, s) in pure:
+                    emb = recursions._embed_out_table(
+                        pure[(m, src, s)].truncated(need),
+                        len(spec.coupled_pure.aux[0]), m, moves)
+                    _out_of_place(new, (m + 1, dst, s), emb * -1.0)
+        for key, val in new.items():
+            entries[key] = val.truncated(need)
+    return entries
+
+
+@pytest.mark.parametrize("scenario, kind", [
+    (scenario, kind) for scenario in ("twisted-bundle", "sphere-chart",
+                                      "flat-line")
+    for kind in BUNDLE_FAMILY_KINDS] + [("twisted-bundle", "CONN")])
+def test_every_entry_matches_a_dense_reference(scenario, kind):
+    # order 4, but 3 for the two families with two auxiliary slots, whose
+    # order-4 dense references take several seconds each; only
+    # twisted-bundle has a second connection to compare
+    M = 3 if kind in ("L", "C") else 4
+    scn = builtin_scenario(scenario)
+    if kind == "CONN":
+        bun = scn.bundle_at(cap=M)
+        alt = scn.alt_bundle_at(cap=M)
+        spec = conn_family(bun, bun.with_connections(gamma=alt.conns[TAN],
+                                                      omega=alt.conns[FIB]))
+    else:
+        spec = bundle_family(kind, scn.total_at(cap=M))
+    for direction in ("forward", "inverse"):
+        got = build_coefficients(spec, M, direction)
+        want = _dense_reference(spec, M, direction)
+        assert sorted(k for k, _ in got.items()) == sorted(want)
+        for key, A in want.items():
+            B = got.get(*key)
+            assert B.slots == A.slots and B.degree == A.degree
+            scale = max(float(np.abs(A.data).max()), 1.0)
+            assert float(np.abs(B.data - A.data).max()) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+@pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS + ("CONN",))
+def test_every_sub_diagonal_is_padded(kind, direction):
+    # the entries one below each component's top are padded, and no other
+    table = build_coefficients(_spec(kind), 3, direction)
+    top = {}
+    for (m, c, s), _ in table.items():
+        top[(m, c)] = max(top.get((m, c), -1), s)
+    padded = 0
+    for (m, c, s), A in table.items():
+        marked = isinstance(A, recursions.PaddedMap)
+        assert marked == (s == m - 1 and s == top[(m, c)] - (c == 0)), \
+            (m, c, s)
+        padded += marked
+    assert padded == 3 * len(_spec(kind).aux)
+
+
+def test_padded_entries_keep_the_order_4_table_under_20_mb():
+    # every array the L table owns, each counted once, without forming a
+    # padded entry: its cores stand for it (63.9 MB when they were dense)
+    ts = builtin_scenario("twisted-bundle").total_at(cap=6)
+    table = build_coefficients(bundle_family("L", ts), 4, "forward")
+    owners = {}
+
+    def own(a):
+        while a.base is not None:
+            a = a.base
+        owners[id(a)] = a.nbytes
+
+    for (m, c, s), A in table.items():
+        if isinstance(A, recursions.PaddedMap):
+            for core, _, _ in A.terms:
+                own(core)
+        else:
+            own(A.data)
+    assert all(A._dense is None for _, A in table.items()
+               if isinstance(A, recursions.PaddedMap))
+    assert sum(owners.values()) <= 20e6
