@@ -234,14 +234,21 @@ class FieldTensor:
             raise ValueError("insertion index out of range")
         return self.substitute(cov_positions[j - 1], s)
 
-    def apply_map(self, n_out, arg):
-        """Treat self as a map [OUT][IN-dual] and apply it to `arg`."""
+    def check_argument(self, n_out, arg):
+        """The number of IN-dual slots of self as a map with `n_out` OUT
+        slots, once each is checked to be dual to the slot of `arg` it
+        contracts."""
         n_in = self.order - n_out
         for i in range(n_in):
             ms, ts = self.slots[n_out + i], arg.slots[i]
             if ms.space != ts.space or ms.variance == ts.variance:
                 raise ValueError(
                     f"map/argument mismatch at {i}: {ms} vs {ts}")
+        return n_in
+
+    def apply_map(self, n_out, arg):
+        """Treat self as a map [OUT][IN-dual] and apply it to `arg`."""
+        n_in = self.check_argument(n_out, arg)
         d = min(self.degree, arg.degree)
         data = self.chart.ctx.contract(
             self.chart.ctx.truncate(self.data, d), d,

@@ -406,12 +406,7 @@ class PaddedMap(FieldTensor):
         """`FieldTensor.apply_map` term by term: each core contracts the
         argument's slots at its IN-dual axes, and each pair hands the
         argument's slot at its IN-dual end to its OUT end."""
-        n_in = self.order - n_out
-        for i in range(n_in):
-            ms, ts = self.slots[n_out + i], arg.slots[i]
-            if ms.space != ts.space or ms.variance == ts.variance:
-                raise ValueError(
-                    f"map/argument mismatch at {i}: {ms} vs {ts}")
+        n_in = self.check_argument(n_out, arg)
         ctx = self.chart.ctx
         d = min(self.degree, arg.degree)
         a = ctx.truncate(arg.data, d)
@@ -534,9 +529,9 @@ def _add_identity(new, key, A, n_out, in_pos, dim):
     padded A gains one pair, and a dense A is added, broadcast, along the
     diagonal of those two axes through a writable einsum view of the sum.
     """
-    if isinstance(A, (IdentityMap, PaddedMap)):
-        if isinstance(A, IdentityMap):
-            A = A.padded()
+    if isinstance(A, IdentityMap):
+        A = A.padded()
+    if isinstance(A, PaddedMap):
         _accumulate(new, key, A.with_pair(n_out, in_pos, dim))
         return
     up = n_out + 1 + in_pos
