@@ -414,7 +414,8 @@ def test_pullback_diagonals_stay_dense():
     scn = builtin_scenario("pullback-map")
     _, pb = scn.map_at(cap=scn.degree)
     table = build_coefficients(pullback_family(pb), 2, "forward")
-    assert not any(isinstance(A, IdentityMap) for _, A in table.items())
+    assert not any(isinstance(A, (IdentityMap, recursions.PaddedMap))
+                   for _, A in table.items())
 
 
 def test_identity_diagonals_keep_the_order_4_table_small():
@@ -653,6 +654,29 @@ def test_every_sub_diagonal_is_padded(kind, direction):
             (m, c, s)
         padded += marked
     assert padded == 3 * len(_spec(kind).aux)
+
+
+@pytest.mark.parametrize("kind", ["L", "C", "CONN"])
+def test_build_check_and_profile_never_form_a_padded_map(monkeypatch, kind):
+    # forward and inverse (whose C embeds the padded entries of the pure L
+    # table), every expansion and inverse check, and the growth profile
+    def formed(self):
+        raise AssertionError("a padded map was formed")
+
+    monkeypatch.setattr(recursions.PaddedMap, "data", property(formed))
+    scn = builtin_scenario("twisted-bundle")
+    spec = _spec(kind)
+    base = spec.lift.base
+    obj = section_field(base, scn.random_section(48)) if kind == "CONN" \
+        else _object_field(base, kind, _family_objects(scn, kind, 47))
+    fwd = build_coefficients(spec, 3, "forward")
+    inv = build_coefficients(spec, 3, "inverse")
+    for m in range(4):
+        assert verify_expansion(spec, fwd, obj, m) < 1e-8
+        assert verify_inverse_pair(spec, inv, obj, m) < 1e-8
+    prof = growth_profile(fwd, spec.geo)
+    assert any(isinstance(fwd.get(m, c, s), recursions.PaddedMap)
+               for m, s, c, _ in prof["rows"])
 
 
 def test_padded_entries_keep_the_order_4_table_under_20_mb():
