@@ -11,11 +11,13 @@
 `verify` rejects a flag that the run would not read: `--scenario` with any
 suite but recursions, `--family` or `--max-order` without `--scenario`, and
 a `--threshold` key that is neither a check tag of the selected suites nor
-the first segment of one.  `fit growth` rejects `--seed` and `fit compare`
-rejects `--family`.  The report's `config` block echoes the seed when a
-selected suite reads it (and lists it under `ignored` when none does) and,
-with `--scenario` files, the max order, families and scenario names; the
-suites state every other order and bound where they make their rows.
+the first segment of one.  It also rejects a `--threshold` value that is
+not a finite number (`nan`, `inf`).  `fit growth` rejects `--seed` and
+`fit compare` rejects `--family`.  The report's `config` block echoes the
+seed when a selected suite reads it (and lists it under `ignored` when none
+does) and, with `--scenario` files, the max order, families and scenario
+names; the suites state every other order and bound where they make their
+rows.
 
 Exit codes: 0 all checks pass, 1 at least one failed check or no check
 run, 2 bad configuration or unparsable input, 3 an internal error (an
@@ -30,6 +32,7 @@ cannot be read.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -89,6 +92,9 @@ def _parse_thresholds(pairs):
             raise ValueError(f"bad threshold override {p!r}, expected KEY=VAL")
         key, val = p.split("=", 1)
         out[key] = float(val)
+        if not math.isfinite(out[key]):
+            raise ValueError(f"threshold override {p!r} is not a finite "
+                             f"number")
     return out
 
 

@@ -15,13 +15,13 @@ maps indexed by (m, s), built by one recursion step shared across families:
 Step (iii) is a connection correction per slot: `Geometry.cov` adds the
 signed structure tensor to the connection coefficients of each corrected
 slot, so (i) and (iii) take one contraction per slot together.  The
-identity products of (ii) and (iv) are never formed.  The diagonal entries
-are `IdentityMap`s, and every entry the recursion forms from them alone
-(the covariant derivative of a diagonal, and shifts and couplings of such
-entries: each A[m][m-1]) is a `PaddedMap`, a sum of small cores times
-identity pairs, whose derivative, action and norm come in closed form.
-Any other sum is dense, and identity products are added into it along the
-diagonal of the identity's two slots.
+identity products of (ii) and (iv) are never formed.  Every entry the
+recursion forms from the identity alone (the diagonal A[m][m], its
+covariant derivative, and shifts and couplings of such entries: each
+A[m][m-1]) is a `PaddedMap`, a sum of small cores times identity pairs,
+whose derivative, action and norm come in closed form.  Any other sum is
+dense, and identity products are added into it along the diagonal of the
+identity's two slots.
 
 Map tensors are stored as [OUT block][IN-dual block]: OUT = the main lift's
 auxiliary slots followed by m covariant slots, IN-dual = the flipped slots
@@ -39,8 +39,7 @@ import numpy as np
 from .fields import FIB, PTN, TAN, FieldTensor, Geometry
 from .tensor_core import COV, CONTRA, TensorShape
 
-__all__ = ["FamilySpec", "CoefficientTable", "IdentityMap", "PaddedMap",
-           "build_coefficients",
+__all__ = ["FamilySpec", "CoefficientTable", "PaddedMap", "build_coefficients",
            "verify_expansion", "verify_inverse_pair", "growth_profile",
            "bundle_family", "conn_family", "pullback_family",
            "BUNDLE_FAMILY_KINDS", "FAMILY_SLOTS", "EVALUATING_FAMILIES"]
@@ -150,94 +149,11 @@ class CoefficientTable:
         return memo
 
 
-class IdentityMap(FieldTensor):
-    """A map [OUT][IN-dual] that is the identity: OUT slot i and IN-dual
-    slot n + i hold one space with opposite variances, and the map is the
-    product of the identities on these n pairs.
-
-    `data` is a read-only strided view, never a dense array: per series
-    coefficient it reads Π(2 d_i - 1) floats, with entry (a, b) of pair i at
-    offset w_i (a - b) in the balanced radix w_i = Π_{j>i} (2 d_j - 1)
-    from a single 1.0, and every coefficient above degree 0 is a zero row.
-    The recursion takes the covariant derivative, shift, action and Gram
-    norm of such a map in closed form.
-    """
-
-    def __init__(self, chart, out_slots, dims, degree):
-        out_slots = TensorShape(out_slots)
-        slots = tuple(out_slots) + tuple(
-            (s.space, COV if s.up else CONTRA) for s in out_slots)
-        radix = [2 * d - 1 for d in dims]
-        weights = [math.prod(radix[i + 1:]) for i in range(len(dims))]
-        buf = np.zeros((chart.ctx.size(degree), math.prod(radix)))
-        center = sum(w * (d - 1) for w, d in zip(weights, dims))
-        buf[0, center] = 1.0
-        buf.flags.writeable = False
-        step = buf.itemsize
-        data = np.ndarray(
-            buf.shape[:1] + 2 * tuple(dims), buffer=buf, offset=center * step,
-            strides=(buf.strides[0],) + tuple(w * step for w in weights)
-            + tuple(-w * step for w in weights))
-        super().__init__(chart, slots, data, degree)
-
-    @property
-    def n_pairs(self):
-        return self.order // 2
-
-    def truncated(self, degree):
-        if degree >= self.degree:
-            return self
-        n = self.n_pairs
-        return IdentityMap(self.chart, self.slots[:n], self.dims[:n], degree)
-
-    def shifted(self, dim):
-        """The shift term of the recursion, `self` (x) id on the tangent
-        space with the id's down slot last in OUT and its up slot last in
-        IN-dual: the identity with one more (TAN down, TAN up) pair."""
-        n = self.n_pairs
-        return IdentityMap(self.chart, self.slots[:n] + ((TAN, COV),),
-                           self.dims[:n] + (dim,), self.degree)
-
-    def norm(self):
-        """The Gram norm under any Grams: each pair's identity has squared
-        norm tr(G G^-1) = d."""
-        return math.sqrt(math.prod(self.dims[:self.n_pairs]))
-
-    def apply_map(self, n_out, arg):
-        """`FieldTensor.apply_map`: the argument itself, cut to the map's
-        degree."""
-        n = self.n_pairs
-        if n_out != n:
-            raise ValueError(f"an identity on {n} pairs has {n} OUT slots, "
-                             f"not {n_out}")
-        for i in range(n):
-            if arg.slots[i] != self.slots[i]:
-                raise ValueError(f"map/argument mismatch at {i}: "
-                                 f"{self.slots[i]} vs {arg.slots[i]}")
-        return arg.truncated(min(self.degree, arg.degree))
-
-    def padded(self):
-        """The same map as a `PaddedMap` of one term: a constant scalar core
-        times the identity on every pair."""
-        n = self.n_pairs
-        core = np.zeros(self.chart.ctx.size(self.degree))
-        core[0] = 1.0
-        return PaddedMap(self.chart, self.slots, self.dims, self.degree,
-                         [(core, (), [(i, n + i) for i in range(n)])])
-
-    def cov(self, geo, corrections):
-        """`geo.cov(self, corrections)`: the connection terms of the two
-        slots of a pair cancel, so each corrected slot (sign, S) adds only
-        sign * S[up, down, direction] on its pair, times the identity on
-        the other pairs: a `PaddedMap` of one term per corrected slot."""
-        return self.padded().cov(geo, corrections)
-
-
 class PaddedMap(FieldTensor):
     """A map [OUT][IN-dual] held as a sum of terms, each a small core on a
     few slots times the identity on pairs of the remaining slots: the form
-    the recursion gives every entry it builds from identity maps alone (the
-    covariant derivative of an `IdentityMap`, and shifts and couplings of
+    the recursion gives every entry it builds from the identity alone (the
+    identity itself, its covariant derivative, and shifts and couplings of
     such entries).
 
     A term is (core, axes, pairs): `core` an array (coefficients, *dims)
@@ -246,8 +162,9 @@ class PaddedMap(FieldTensor):
     variances).  Every position is a core axis or in one pair.  Terms of
     equal axes and pairs are summed when the map is made.  The covariant
     derivative, shift, action and Gram norm come in closed form and never
-    form the map; `data` is the dense map, formed on first read and
-    read-only (for report rows, tests and checks outside the recursion).
+    form the map.  `data` is read-only and made on first read (for report
+    rows, tests and checks outside the recursion): a strided view for a map
+    of one term without core axes (`_pair_view`), the dense map otherwise.
     """
 
     def __init__(self, chart, slots, dims, degree, terms):
@@ -290,14 +207,53 @@ class PaddedMap(FieldTensor):
     def dims(self):
         return self._dims
 
+    @classmethod
+    def identity(cls, chart, out_slots, dims, degree):
+        """The identity on the OUT slots `out_slots`: one term, the constant
+        scalar core 1, pairing OUT slot i with IN-dual slot n + i."""
+        out_slots = TensorShape(out_slots)
+        n = len(out_slots)
+        slots = tuple(out_slots) + tuple(
+            (s.space, COV if s.up else CONTRA) for s in out_slots)
+        core = np.zeros(chart.ctx.size(degree))
+        core[0] = 1.0
+        return cls(chart, slots, tuple(dims) * 2, degree,
+                   [(core, (), [(i, n + i) for i in range(n)])])
+
     @property
     def data(self):
         if self._dense is None:
-            dense = np.zeros((self.chart.ctx.size(self.degree),) + self._dims)
-            self.add_to(dense)
-            dense.flags.writeable = False
-            self._dense = dense
+            if len(self.terms) == 1 and not self.terms[0][1]:
+                core, _, pairs = self.terms[0]
+                self._dense = self._pair_view(core, pairs)
+            else:
+                dense = np.zeros((self.chart.ctx.size(self.degree),)
+                                 + self._dims)
+                self.add_to(dense)
+                dense.flags.writeable = False
+                self._dense = dense
         return self._dense
+
+    def _pair_view(self, core, pairs):
+        """The map of one term without core axes as a read-only strided
+        view: per series coefficient it reads Π(2 d_i - 1) floats, with
+        entry (a, b) of pair i = (p, q) at offset w_i (a - b) in the
+        balanced radix w_i = Π_{j>i} (2 d_j - 1) from the float that holds
+        the core's coefficient, every other float being zero."""
+        dims = [self._dims[p] for p, _ in pairs]
+        radix = [2 * d - 1 for d in dims]
+        weights = [math.prod(radix[i + 1:]) for i in range(len(dims))]
+        center = sum(w * (d - 1) for w, d in zip(weights, dims))
+        buf = np.zeros((len(core), math.prod(radix)))
+        buf[:, center] = core
+        buf.flags.writeable = False
+        step = buf.itemsize
+        strides = [0] * self.order
+        for (p, q), w in zip(pairs, weights):
+            strides[p], strides[q] = w * step, -w * step
+        return np.ndarray((len(core),) + self._dims, buffer=buf,
+                          offset=center * step,
+                          strides=(buf.strides[0],) + tuple(strides))
 
     def add_to(self, out):
         """out += the map, one term at a time, each added broadcast along
@@ -414,8 +370,11 @@ class PaddedMap(FieldTensor):
         for core, axes, pairs in self.terms:
             c_out = [pos for pos in axes if pos < n_out]
             c_in = [pos - n_out for pos in axes if pos >= n_out]
-            r = ctx.contract(ctx.truncate(core, d), d, a, d,
-                             list(range(len(c_out), len(axes))), c_in, d)
+            if axes or np.any(core[1:]):
+                r = ctx.contract(ctx.truncate(core, d), d, a, d,
+                                 list(range(len(c_out), len(axes))), c_in, d)
+            else:       # a constant scalar times identities
+                r = a * core[0]
             # r: (C, *core OUT axes, *the argument's other axes in order)
             src = {pos: 1 + k for k, pos in enumerate(c_out)}
             free = [i for i in range(arg.order) if i not in c_in]
@@ -447,8 +406,8 @@ class PaddedMap(FieldTensor):
         covariant derivative of its core (with the corrections of its core
         slots) times its identities, and, for each corrected slot (sign, S)
         of a pair, its core times sign * S[up, down, direction] on that
-        pair; the connection terms of a pair's two slots cancel, as in
-        `IdentityMap.cov`.  The direction slot is appended last."""
+        pair; the connection terms of a pair's two slots cancel.  The
+        direction slot is appended last."""
         dout = geo.cov_degree(self, corrections)
         new = self.order
         terms = []
@@ -480,14 +439,14 @@ def _chain(root, x):
 
 
 def _identity_map(spec):
-    """The order-zero map: the identity on the main lift space.  It is an
-    IdentityMap when the family's shift is the tangent identity, so that
-    every diagonal entry stays one; the pull-back family, whose shift is
+    """The order-zero map: the identity on the main lift space.  It is
+    padded when the family's shift is the tangent identity, so that every
+    diagonal entry stays an identity; the pull-back family, whose shift is
     dPhi, gets it dense."""
     aux = spec.aux[0]
-    ident = IdentityMap(spec.geo.chart, aux,
-                        [spec.geo.dims[space] for space, _ in aux],
-                        spec.geo.chart.cap)
+    ident = PaddedMap.identity(spec.geo.chart, aux,
+                               [spec.geo.dims[space] for space, _ in aux],
+                               spec.geo.chart.cap)
     return ident if spec.shift_tensor is None else ident.copy()
 
 
@@ -501,7 +460,7 @@ def _slot_rules(rules, layout, first):
 def _cov_term(spec, A, n_out, corrections):
     """The covariant derivative of A with the structure-tensor substitutions
     of `corrections` folded into the connection of their slots."""
-    if isinstance(A, (IdentityMap, PaddedMap)):
+    if isinstance(A, PaddedMap):
         dA = A.cov(spec.geo, corrections)
     else:
         dA = spec.geo.cov(A, corrections)
@@ -525,12 +484,10 @@ def _dense_sum(new, key, chart, slots, dims, degree):
 def _add_identity(new, key, A, n_out, in_pos, dim):
     """new[key] += A (x) id on the `dim`-dimensional tangent space, the id's
     down slot at OUT position `n_out` and its up slot at position `in_pos`
-    of the IN-dual block.  The product is never formed: an identity or
-    padded A gains one pair, and a dense A is added, broadcast, along the
-    diagonal of those two axes through a writable einsum view of the sum.
+    of the IN-dual block.  The product is never formed: a padded A gains
+    one pair, and a dense A is added, broadcast, along the diagonal of those
+    two axes through a writable einsum view of the sum.
     """
-    if isinstance(A, IdentityMap):
-        A = A.padded()
     if isinstance(A, PaddedMap):
         _accumulate(new, key, A.with_pair(n_out, in_pos, dim))
         return
@@ -560,11 +517,9 @@ def _add_shift(spec, new, key, A, n_out):
     """new[key] += the shift term of A: A (x) id with the id's down slot
     last in OUT and its up slot last in IN-dual, or A (x) dPhi for the
     pull-back family, whose shift is a different tensor and is formed."""
-    dim = spec.geo.dims[TAN]
-    if isinstance(A, IdentityMap):
-        _accumulate(new, key, A.shifted(dim))
-    elif spec.shift_tensor is None:
-        _add_identity(new, key, A, n_out, A.order - n_out, dim)
+    if spec.shift_tensor is None:
+        _add_identity(new, key, A, n_out, A.order - n_out,
+                      spec.geo.dims[TAN])
     else:
         t = A.product(spec.shift_tensor)
         _accumulate(new, key, t.move_slot(A.order, n_out))
@@ -648,9 +603,10 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
                 fix = _slot_rules(spec.in_rule, list(spec.aux[c])
                                   + [(spec.arg_space, COV)] * s, n_out)
             A = entries[(m, c, s)]
-            if isinstance(A, PaddedMap):
-                # the derivative of a padded map multiplies its terms, so
-                # it is added into a dense sum
+            if isinstance(A, PaddedMap) and s < m:
+                # the derivative of a padded entry below the diagonal
+                # multiplies its terms, so it is added into a dense sum; a
+                # diagonal's stays padded
                 dA = _cov_term(spec, A, n_out, fix)
                 _dense_sum(new, (m + 1, c, s), dA.chart, dA.slots, dA.dims,
                            dA.degree)
@@ -675,8 +631,6 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             for (src, dst, moves) in spec.inv_couplings:
                 for s in range(m + 1):
                     P = pure_tables.get(m, src, s) if pure_tables else None
-                    if isinstance(P, IdentityMap):
-                        P = P.padded()
                     if P is not None:
                         n_aux_pure = len(spec.coupled_pure.aux[0])
                         emb = _embed_out_table(P.truncated(need),
@@ -741,9 +695,7 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
     geo = geo or table.spec.geo
     rows = []
     for (m, c, s), A in sorted(table.items()):
-        if isinstance(A, IdentityMap):
-            norm = A.norm()
-        elif isinstance(A, PaddedMap):
+        if isinstance(A, PaddedMap):
             norm = A.norm(geo)
         else:
             norm = geo.norm(A)

@@ -262,6 +262,9 @@ def _flat_scenario(tmp_path):
     ["jets", "--threshold", "nosuch/tag=1"],
     ["jets", "--threshold", "recursions/P-expansion=1"],
     ["jets", "--threshold", "recursions=1"],
+    # a threshold value must be a finite number
+    ["tensor-laws", "--threshold", "tensor=nan"],
+    ["tensor-laws", "--threshold", "tensor=inf"],
     ["jets", "--scenario", "FLAT", "--family", "Q", "--max-order", "9",
      "--threshold", "nosuch/tag=1"],
 ])

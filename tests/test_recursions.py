@@ -6,8 +6,7 @@ import pytest
 from jetcalc import recursions
 from jetcalc.fields import (FIB, TAN, Chart, FieldTensor, Geometry,
                             identity_field, random_field)
-from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, IdentityMap,
-                                build_coefficients,
+from jetcalc.recursions import (BUNDLE_FAMILY_KINDS, build_coefficients,
                                 bundle_family, conn_family, growth_profile,
                                 pullback_family, pullback_inverse_residual,
                                 verify_expansion, verify_inverse_pair)
@@ -355,9 +354,28 @@ def test_cov_rejects_a_correction_off_its_slot():
 def _dense_identity(A):
     """The identity map with A's slots and degree, written out."""
     dense = np.zeros(A.data.shape)
-    for out in np.ndindex(*A.dims[:A.n_pairs]):
+    for out in np.ndindex(*A.dims[:A.order // 2]):
         dense[(0,) + out + out] = 1.0
     return dense
+
+
+def _added(A):
+    """A padded map added into zeros: its dense form, by another path."""
+    dense = np.zeros(A.data.shape)
+    A.add_to(dense)
+    return dense
+
+
+def _is_view(A):
+    """Whether A's `data` is the strided view of one axis-free term."""
+    return (isinstance(A, recursions.PaddedMap) and len(A.terms) == 1
+            and not A.terms[0][1])
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 def _spec(kind):
@@ -370,18 +388,27 @@ def _spec(kind):
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 @pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS + ("CONN",))
 def test_every_diagonal_is_a_read_only_identity(kind, direction):
+    # the diagonals, and the coupling entry (1, 1, 0) of the evaluating
+    # families (the identity with a crossed pairing, negated in the
+    # inverse), are the entries of one term without core axes, whose
+    # data is a read-only strided view; (m + 1, 1, m) above it sums m + 1
+    # such terms, one per pairing, and is dense when read
     table = build_coefficients(_spec(kind), 3, direction)
-    diagonals = 0
+    views = 0
     for (m, c, s), A in table.items():
-        marked = isinstance(A, IdentityMap)
-        assert marked == (c == 0 and s == m)
-        if not marked:
+        coupled = kind in recursions.EVALUATING_FAMILIES \
+            and (m, c, s) == (1, 1, 0)
+        assert _is_view(A) == (c == 0 and s == m or coupled), (m, c, s)
+        if not _is_view(A):
             continue
-        diagonals += 1
-        assert np.array_equal(A.data, _dense_identity(A))
+        views += 1
+        assert A.data.base is not None
+        if not coupled:
+            assert np.array_equal(A.data, _dense_identity(A))
+        assert np.array_equal(A.data, _added(A))
         with pytest.raises(ValueError):
             A.data[(0,) * A.data.ndim] = 2.0
-    assert diagonals == 4
+    assert views == 4 + (kind in recursions.EVALUATING_FAMILIES)
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
@@ -401,20 +428,21 @@ def test_identity_closed_forms_match_the_generic_path(kind, direction):
         assert got.slots == want.slots and got.degree == want.degree
         assert float(np.abs(got.data - want.data).max()) <= 1e-15 * max(
             float(np.abs(want.data).max()), 1.0)
-        n = A.n_pairs
+        n = A.order // 2
         arg = random_field(geo.chart, tuple(A.slots[:n]) + ((TAN, COV),),
                            A.dims[:n] + (geo.dims[TAN],), seed=m)
         got, want = A.apply_map(n, arg), FieldTensor.apply_map(dense, n, arg)
         assert got.slots == want.slots and got.degree == want.degree
         assert np.array_equal(got.data, want.data)
-        assert A.norm() == pytest.approx(geo.norm(dense), rel=1e-13)
+        assert A.norm(geo) == math.sqrt(math.prod(A.dims[:n]))
+        assert A.norm(geo) == pytest.approx(geo.norm(dense), rel=1e-13)
 
 
 def test_pullback_diagonals_stay_dense():
     scn = builtin_scenario("pullback-map")
     _, pb = scn.map_at(cap=scn.degree)
     table = build_coefficients(pullback_family(pb), 2, "forward")
-    assert not any(isinstance(A, (IdentityMap, recursions.PaddedMap))
+    assert not any(isinstance(A, recursions.PaddedMap)
                    for _, A in table.items())
 
 
@@ -425,11 +453,11 @@ def test_identity_diagonals_keep_the_order_4_table_small():
     table = build_coefficients(bundle_family("L", ts), 4, "forward")
     owners = {}
     for _, A in table.items():
-        base = A.data
-        while base.base is not None:
-            base = base.base
+        base = _owner(A.data)
         owners[id(base)] = base.nbytes
     assert sum(owners.values()) <= 65e6
+    top = table.get(4, 0, 4).data
+    assert not top.flags.writeable and _owner(top).nbytes <= 1e6
 
 
 def test_identity_rejects_an_argument_off_its_slots():
@@ -527,6 +555,30 @@ def test_hand_built_padded_map_matches_its_dense_form():
         _close(got, bun.cov(dense, fix), 1e-14)
 
 
+def test_one_axis_free_term_reads_as_a_strided_view():
+    # a non-constant scalar core on crossed pairs (a, e), (b, f), (c, g)
+    # and (d, h): per coefficient, Π(2 d_i - 1) floats hold the map
+    bun = _hand_geometry()
+    dims = [bun.dims[space] for space, _ in _HAND_SLOTS]
+    core = random_field(bun.chart, [], [], 9, 3).data
+    assert np.any(core[1:])
+    pairs = [(0, 4), (1, 6), (2, 5), (3, 7)]
+    A = recursions.PaddedMap(bun.chart, _HAND_SLOTS, dims, 3,
+                             [(core, (), pairs)])
+    assert np.array_equal(A.data, _added(A))
+    assert A.data.flags.writeable is False and A.data is A.data
+    with pytest.raises(ValueError):
+        A.data[(0,) * A.data.ndim] = 2.0
+    assert _owner(A.data).size == bun.chart.ctx.size(3) * math.prod(
+        2 * dims[p] - 1 for p, _ in pairs)
+    # a second term, on other pairs, makes the map dense
+    B = recursions.PaddedMap(bun.chart, _HAND_SLOTS, dims, 3,
+                             [(core, (), pairs),
+                              (core, (), [(0, 4), (1, 5), (2, 6), (3, 7)])])
+    assert B.data.base is None and B.data.flags.writeable is False
+    assert np.array_equal(B.data, _added(B))
+
+
 def test_padded_map_rejects_a_pair_of_unlike_slots_and_a_gap():
     bun = _hand_geometry()
     A = _hand_map(bun)
@@ -577,7 +629,7 @@ def _dense_reference(spec, m_max, direction, keep_degree=0):
         pure = _dense_reference(spec.coupled_pure, m_max, "inverse",
                                 keep_degree + 1)
     aux = spec.aux[0]
-    entries = {(0, 0, 0): IdentityMap(
+    entries = {(0, 0, 0): recursions.PaddedMap.identity(
         spec.geo.chart, aux, [spec.geo.dims[space] for space, _ in aux],
         spec.geo.chart.cap).copy()}
     dim = spec.geo.dims[TAN]
@@ -642,7 +694,8 @@ def test_every_entry_matches_a_dense_reference(scenario, kind):
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
 @pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS + ("CONN",))
 def test_every_sub_diagonal_is_padded(kind, direction):
-    # the entries one below each component's top are padded, and no other
+    # the diagonals and the entries one below each component's top are
+    # padded, and no other
     table = build_coefficients(_spec(kind), 3, direction)
     top = {}
     for (m, c, s), _ in table.items():
@@ -650,10 +703,10 @@ def test_every_sub_diagonal_is_padded(kind, direction):
     padded = 0
     for (m, c, s), A in table.items():
         marked = isinstance(A, recursions.PaddedMap)
-        assert marked == (s == m - 1 and s == top[(m, c)] - (c == 0)), \
-            (m, c, s)
+        assert marked == (c == 0 and s == m or s == m - 1
+                          and s == top[(m, c)] - (c == 0)), (m, c, s)
         padded += marked
-    assert padded == 3 * len(_spec(kind).aux)
+    assert padded == 4 + 3 * len(_spec(kind).aux)
 
 
 @pytest.mark.parametrize("kind", ["L", "C", "CONN"])
