@@ -740,8 +740,7 @@ def test_padded_entries_keep_the_order_4_table_under_20_mb():
     owners = {}
 
     def own(a):
-        while a.base is not None:
-            a = a.base
+        a = _owner(a)
         owners[id(a)] = a.nbytes
 
     for (m, c, s), A in table.items():
