@@ -98,7 +98,7 @@ def _context_tables(nvars, cap):
 
 
 #: Floats allowed in each operand of one batched chunk (2^14 floats = 128 KB):
-#: the gathered blocks of a and b and their products.
+#: the gathered blocks of a and b, padded, and the chunk's output blocks.
 CHUNK_FLOATS = 1 << 14
 
 #: Floats allowed in each operand of one block of a pair multiplied on its
@@ -169,25 +169,95 @@ def _pair_tables(nvars, cap, da, db, dout):
     return arrs
 
 
+@lru_cache(maxsize=None)
+def _padded_runs(key):
+    """The pair table `key` with every run of equal k padded to its width:
+    (ti, tj, width, targets), the runs in order of width.
+
+    The width of a run of m pairs is the least power of two >= m, and at
+    least 2, so that the one pair of the constant term joins the
+    first-order runs.  It depends on m alone: the sum of a run is one fixed
+    product whatever other runs the table holds.  ti and tj are the
+    coefficients of a and b of the padded pairs, run after run; a pad pair
+    reads the zero block that `_series_contract` puts after a's blocks of
+    degree <= dout (index size(dout), as no pair reads a block of a higher
+    degree) and the first b block of its run.  `targets` is the output
+    coefficient of each run.  The arrays are shared, so they are read-only.
+    """
+    pi, pj, pk = _pair_tables(*key)
+    heads = np.flatnonzero(np.concatenate(([True], pk[1:] != pk[:-1])))
+    mult = np.diff(np.append(heads, len(pk)))
+    width = 1 << np.ceil(np.log2(np.maximum(mult, 2))).astype(int)
+    order = np.argsort(width, kind="stable")
+    width = width[order]
+    run_of = np.repeat(np.arange(len(order)), width)
+    col = np.arange(len(run_of)) - (np.cumsum(width) - width)[run_of]
+    short = col >= mult[order][run_of]
+    pos = heads[order][run_of] + np.where(short, 0, col)
+    arrs = (np.where(short, n_coeffs(key[0], key[4]), pi[pos]), pj[pos],
+            width, pk[heads[order]])
+    for x in arrs:
+        x.flags.writeable = False
+    return arrs
+
+
+@lru_cache(maxsize=None)
+def _grouped_chunks(key, pair_room, run_room):
+    """The padded runs of the pair table `key` cut into chunks: per chunk
+    (ti, tj, groups), its slices of the tables of `_padded_runs` and per
+    width in it (slice of its padded pairs, runs, width, dest).
+
+    A chunk holds at most `run_room` runs and `pair_room` padded pairs, and
+    always at least one run.  `dest` selects the output coefficients of a
+    group's runs, a slice when they are consecutive.  The chunks are views
+    of the tables that the plans of one pair table share, whatever their
+    block shapes and budgets.
+    """
+    ti, tj, width, targets = _padded_runs(key)
+    ends = np.cumsum(width).tolist()
+    width = width.tolist()
+    chunks = []
+    s, n = 0, len(width)
+    while s < n:
+        e, used = s + 1, width[s]
+        while e < n and e - s < run_room and used + width[e] <= pair_room:
+            used += width[e]
+            e += 1
+        groups, p0 = [], ends[s] - width[s]
+        for m, rows in itertools.groupby(range(s, e), width.__getitem__):
+            rows = list(rows)
+            r0, g = rows[0], len(rows)
+            dest = targets[r0:r0 + g]
+            if np.array_equal(dest, np.arange(dest[0], dest[0] + g)):
+                dest = slice(int(dest[0]), int(dest[0]) + g)
+            start = ends[r0] - m - p0
+            groups.append((slice(start, start + g * m), g, m, dest))
+        pairs = slice(p0, ends[e - 1])
+        chunks.append((ti[pairs], tj[pairs], tuple(groups)))
+        s = e
+    return tuple(chunks)
+
+
 class _Plan(NamedTuple):
     """How `_series_contract` runs for one pair table, chunk budget, pair
     of block shapes and contracted axes."""
 
-    perm_a: tuple       # a transposed to (coeff, free_a, contracted)
+    perm_a: tuple       # a transposed to (free_a, coeff, contracted)
     perm_b: tuple       # b transposed to (coeff, contracted, free_b)
     dims_a: tuple
     dims_b: tuple
     fa: int
     kk: int
     fb: int
-    step: int           # pairs per chunk; 0 multiplies pairs one at a time
-    chunks: tuple       # per chunk (pi, pj, segment heads, targets)
-    direct: bool        # one chunk whose targets are 0..n_out-1
+    n_out: int
+    padded_a: tuple     # a's blocks of degree <= dout and a zero block,
+                        # transposed like a
+    unperm_a: tuple     # padded_a back to a's axis order
+    chunks: tuple       # from _grouped_chunks; empty: one pair at a time
 
 
 @lru_cache(maxsize=None)
 def _contract_plan(key, chunk_floats, shape_a, shape_b, axes_a, axes_b):
-    pi, pj, pk = _pair_tables(*key)
     axa = [x + 1 for x in axes_a]
     axb = [x + 1 for x in axes_b]
     free_a = [x for x in range(1, len(shape_a) + 1) if x not in axa]
@@ -196,61 +266,71 @@ def _contract_plan(key, chunk_floats, shape_a, shape_b, axes_a, axes_b):
     dims_b = tuple(shape_b[x - 1] for x in free_b)
     fa, fb = math.prod(dims_a), math.prod(dims_b)
     kk = math.prod(shape_a[x - 1] for x in axa)
-    step = chunk_floats // max(fa * kk, kk * fb, fa * fb, 1)
-    chunks = []
-    for s in (range(0, len(pk), step) if step else ()):
-        ck = pk[s:s + step]
-        heads = np.flatnonzero(np.concatenate(([True], ck[1:] != ck[:-1])))
-        targets = ck[heads]
-        heads.flags.writeable = targets.flags.writeable = False
-        chunks.append((pi[s:s + step], pj[s:s + step], heads, targets))
     n_out = n_coeffs(key[0], key[4])
-    direct = (len(chunks) == 1
-              and np.array_equal(chunks[0][3], np.arange(n_out)))
-    return _Plan((0, *free_a, *axa), (0, *axb, *free_b), dims_a, dims_b,
-                 fa, kk, fb, step, tuple(chunks), direct)
+    pair_room = chunk_floats // max(fa * kk, kk * fb, 1)
+    run_room = chunk_floats // max(fa * fb, 1)
+    chunks = (_grouped_chunks(key, pair_room, run_room)
+              if pair_room and run_room else ())
+    perm_a = (*free_a, 0, *axa)
+    padded_a = (*dims_a, n_out + 1, *(shape_a[x - 1] for x in axa))
+    return _Plan(perm_a, (0, *axb, *free_b), dims_a, dims_b, fa, kk, fb,
+                 n_out, padded_a, tuple(np.argsort(perm_a).tolist()), chunks)
 
 
 def _series_contract(a, b, axes_a, axes_b, key):
     """sum over (i, j, k) in the pair table `key` of a[i] . b[j] into out[k].
 
+    `key` has dout <= min(da, db), as `mul` and `contract` clip it, so every
+    output coefficient k has a pair, (0, k) at least.
+
     The contracted axes move to the end of a's blocks and the front of b's,
-    so each pair is one (Fa, K) @ (K, Fb) product.  Pairs come grouped by k;
-    they run in chunks of gathered blocks, one batched matmul per chunk and
-    one segment sum per run of equal k.  Pairs whose blocks alone exceed
+    so each pair is one (Fa, K) @ (K, Fb) product.  The m pairs of one k
+    are one product of length m K, [a[i1] ... a[im]] @ [b[j1]; ...; b[jm]],
+    padded with zero blocks to the run's width: a chunk gathers the blocks
+    of its runs once, and each width in it is one batched matmul written
+    straight into its output blocks.  Pairs whose blocks alone exceed
     CHUNK_FLOATS are multiplied one at a time into their output block, in
     row blocks of the side with more free entries; scalar series (no tensor
     axes) take one weighted bincount.  Everything that depends only on the
     shapes is a cached `_Plan`.
     """
-    n_out = n_coeffs(key[0], key[4])
     if a.ndim == b.ndim == 1:       # scalar series: one weighted count
         pi, pj, pk = _pair_tables(*key)
-        return np.bincount(pk, a[pi] * b[pj], n_out)
+        return np.bincount(pk, a[pi] * b[pj], n_coeffs(key[0], key[4]))
     plan = _contract_plan(key, CHUNK_FLOATS, a.shape[1:], b.shape[1:],
                           tuple(axes_a), tuple(axes_b))
-    fa, kk, fb = plan.fa, plan.kk, plan.fb
+    fa, kk, fb, n_out = plan.fa, plan.kk, plan.fb, plan.n_out
+    lead = len(plan.dims_a)
     A = a.transpose(plan.perm_a)
     B = b.transpose(plan.perm_b)
     shape = (n_out,) + plan.dims_a + plan.dims_b
-    if plan.step == 0:
+    if not plan.chunks:
         out = np.zeros((n_out, fa, fb))
         pi, pj, pk = _pair_tables(*key)
+        head = (slice(None),) * lead
         for i, j, k in zip(pi.tolist(), pj.tolist(), pk.tolist()):
-            _pair_product(A[i], B[j], plan.dims_a, plan.dims_b, out[k])
+            _pair_product(A[head + (i,)], B[j], plan.dims_a, plan.dims_b,
+                          out[k])
         return out.reshape(shape)
-    out = None if plan.direct else np.zeros((n_out, fa, fb))
-    for ci, cj, heads, targets in plan.chunks:
-        ga = A[ci].reshape(-1, fa, kk)
-        gb = B[cj].reshape(-1, kk, fb)
-        prod = ga * gb if kk == 1 else np.matmul(ga, gb)
-        sums = np.add.reduceat(prod, heads, axis=0)
-        if out is None:
-            # the sums are the output; + 0.0 as if added to zeros, so that
-            # -0.0 reads 0.0
-            out = sums + 0.0
-        else:
-            out[targets] += sums
+    # the blocks of a that pairs read and a zero block after them, which the
+    # pad pairs read
+    A = np.empty(plan.padded_a)
+    ext = A.transpose(plan.unperm_a)
+    ext[:n_out] = a[:n_out]
+    ext[n_out] = 0.0
+    # every output block is one run's sum, and a matmul sum starts from
+    # +0.0, so products of -0.0 read 0.0
+    out = np.empty((n_out, fa, fb))
+    for ti, tj, groups in plan.chunks:
+        ga = np.take(A, ti, axis=lead).reshape(fa, len(ti), kk)
+        gb = B[tj].reshape(len(tj), kk, fb)
+        for pairs, g, m, dest in groups:
+            x = ga[:, pairs].reshape(fa, g, m * kk).transpose(1, 0, 2)
+            y = gb[pairs].reshape(g, m * kk, fb)
+            if isinstance(dest, slice):
+                np.matmul(x, y, out=out[dest])
+            else:
+                out[dest] = np.matmul(x, y)
     return out.reshape(shape)
 
 
@@ -282,7 +362,7 @@ class TaylorContext:
 
     def mul(self, a, da, b, db, dout=None):
         """Coefficient product of scalar series arrays (no tensor axes)."""
-        dout = min(da, db) if dout is None else dout
+        dout = min(da, db) if dout is None else min(dout, da, db)
         return _series_contract(a, b, (), (), self._pair_key(da, db, dout))
 
     def contract(self, a, da, b, db, axes_a, axes_b, dout=None):

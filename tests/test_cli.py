@@ -24,6 +24,15 @@ def test_tensor_laws_exit_zero_and_row_count(tmp_path):
     assert rep["tool"]["name"] == "jetcalc"
 
 
+def test_package_runs_as_a_module(tmp_path):
+    out = tmp_path / "r.json"
+    res = subprocess.run([sys.executable, "-m", "jetcalc", "verify", "taylor",
+                          "--seed", "7", "--out", str(out)],
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
+
+
 def test_json_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

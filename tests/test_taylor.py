@@ -186,11 +186,15 @@ _CONTRACT_CASES = [
     ((3,), (2, 2), [], []),
     ((3, 4), (4, 2), [1], [0]),
     ((2, 3, 4), (4, 5, 3), [2, 1], [0, 2]),
+    # 4 x 16 output blocks: at the default budget the runs of equal k of
+    # more than one variable are padded and cut into several chunks
+    ((4, 8), (8, 16), [1], [0]),
 ]
 
 
-#: the default budget; one that cuts runs of equal k across chunks; and 0,
-#: which sends every pair down the one-pair-at-a-time path
+#: the default budget; one that holds a few runs per chunk, or sends blocks
+#: of more than 5 floats down the one-pair-at-a-time path; and 0, which
+#: sends every pair down that path
 _BUDGETS = [taylor.CHUNK_FLOATS, 5, 0]
 
 
@@ -230,21 +234,29 @@ def test_contexts_of_one_shape_share_pair_tables():
 def test_cold_and_warm_contractions_agree_bitwise():
     ctx = TaylorContext(2, 4)
     rng = np.random.default_rng(5)
-    cases = [((3, 4), (4, 2), [1], [0]),
-             # products of -0.0 that must sum to 0.0, as into a zeroed output
-             ((3,), (2,), [], [])]
-    for dims_a, dims_b, axes_a, axes_b in cases:
+    # (dims_a, dims_b, axes_a, axes_b, b's entries that are -0.0): products
+    # of -0.0 must sum to 0.0, as into a zeroed output
+    cases = [((3, 4), (4, 2), [1], [0], (..., 0)),
+             ((3,), (2,), [], [], (..., 0)),
+             # padded runs in several chunks, every product -0.0
+             ((4, 8), (8, 16), [1], [0], ...)]
+    for dims_a, dims_b, axes_a, axes_b, zeros in cases:
         a = rng.uniform(0.5, 1, (ctx.size(4),) + dims_a)
         b = rng.uniform(-1, 1, (ctx.size(3),) + dims_b)
-        b[..., 0] = -0.0
-        taylor._contract_plan.cache_clear()
-        taylor._pair_tables.cache_clear()
+        b[zeros] = -0.0
+        for cache in (taylor._contract_plan, taylor._grouped_chunks,
+                      taylor._padded_runs, taylor._pair_tables):
+            cache.cache_clear()
         cold = ctx.contract(a, 4, b, 3, axes_a, axes_b)
         warm = ctx.contract(a, 4, b, 3, axes_a, axes_b)
         assert cold.tobytes() == warm.tobytes()
-        assert not np.signbit(cold[..., 0]).any()
+        assert not np.signbit(cold[zeros]).any()
         want = _pairwise_contract(ctx, a, 4, b, 3, axes_a, axes_b, 3)
         assert np.allclose(cold, want, rtol=0, atol=1e-13)
+
+
+def _runs(chunk):
+    return sum(g for _, g, _, _ in chunk[2])
 
 
 def test_plan_follows_the_chunk_budget(monkeypatch):
@@ -264,10 +276,92 @@ def test_plan_follows_the_chunk_budget(monkeypatch):
     ctx.contract(a, 4, b, 4, [0], [0])
     monkeypatch.setattr(taylor, "CHUNK_FLOATS", 5)
     got = ctx.contract(a, 4, b, 4, [0], [0])
-    assert len(plans[0].chunks) == 1 and plans[0].direct
-    assert len(plans[1].chunks) > 1 and not plans[1].direct
+    default, small = plans
+    assert len(default.chunks) == 1
+    assert len(small.chunks) > len(default.chunks)
+    # 2-float blocks of a and b: at most 2 padded pairs in a chunk, unless
+    # one longer run fills it alone
+    assert all(len(c[0]) <= 2 or _runs(c) == 1 for c in small.chunks)
     want = _pairwise_contract(ctx, a, 4, b, 4, [0], [0], 4)
     assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_grouped_chunks_cover_every_pair_once():
+    # every run of equal k lands in one chunk, padded to a power of two
+    # (at least 2) by pairs that read the zero block after a's blocks
+    ctx = TaylorContext(4, 4)
+    key = ctx._pair_key(4, 4, 4)
+    pi, pj, pk = taylor._pair_tables(*key)
+    ti, tj, width, targets = taylor._padded_runs(key)
+    assert not any(x.flags.writeable for x in (ti, tj, width, targets))
+    zero = ctx.size(4)
+    assert (ti == zero).any()
+    chunks = taylor._grouped_chunks(key, 128, 256)
+    assert len(chunks) > 1
+    seen, end = [], 0
+    for chunk in chunks:
+        cti, ctj, groups = chunk
+        assert len(cti) <= 128 or _runs(chunk) == 1
+        # consecutive views of the shared tables
+        assert np.shares_memory(cti, ti) and np.array_equal(
+            cti, ti[end:end + len(cti)])
+        end += len(cti)
+        for sub, g, m, dest in groups:
+            assert m >= 2 and m & (m - 1) == 0
+            rows = np.arange(len(cti))[sub].reshape(g, m)
+            for row, k in zip(rows, np.arange(ctx.size(4))[dest]):
+                lo, hi = np.searchsorted(pk, [k, k + 1])
+                assert m // 2 < max(hi - lo, 2) <= m
+                assert np.array_equal(cti[row[:hi - lo]], pi[lo:hi])
+                assert np.array_equal(ctj[row[:hi - lo]], pj[lo:hi])
+                assert (cti[row[hi - lo:]] == zero).all()
+                seen.append(int(k))
+    assert end == len(ti)
+    assert sorted(seen) == list(range(ctx.size(4)))
+
+
+def test_leading_coefficients_do_not_depend_on_the_table():
+    # a run is padded by its own length only, so the coefficients through
+    # degree 2 read the same bits whatever degree the table runs to
+    rng = np.random.default_rng(8)
+    for nvars in (1, 2, 3):
+        small, big = TaylorContext(nvars, 2), TaylorContext(nvars, 6)
+        for dims_a, dims_b, axes_a, axes_b in _CONTRACT_CASES[1:]:
+            a = rng.uniform(-1, 1, (big.size(6),) + dims_a)
+            b = rng.uniform(-1, 1, (big.size(6),) + dims_b)
+            got = big.contract(a, 6, b, 6, axes_a, axes_b)
+            want = small.contract(a[:small.size(2)], 2, b[:small.size(2)], 2,
+                                  axes_a, axes_b)
+            assert got[:small.size(2)].tobytes() == want.tobytes()
+
+
+def test_plans_of_one_pair_table_share_their_index_tables():
+    # block shapes with the same budgets share the chunks, and every budget
+    # cuts the one padded table of the pair table
+    ctx = TaylorContext(2, 4)
+    key = ctx._pair_key(4, 4, 4)
+    p1 = taylor._contract_plan(key, taylor.CHUNK_FLOATS, (3, 4), (4, 2),
+                               (1,), (0,))
+    p2 = taylor._contract_plan(key, taylor.CHUNK_FLOATS, (4, 3), (4, 2),
+                               (0,), (0,))
+    p3 = taylor._contract_plan(key, 40, (3, 4), (4, 2), (1,), (0,))
+    assert p1 is not p2 and p1.chunks is p2.chunks
+    assert len(p3.chunks) > len(p1.chunks)
+    ti = taylor._padded_runs(key)[0]
+    for plan in (p1, p3):
+        assert sum(len(c[0]) for c in plan.chunks) == len(ti)
+        assert all(np.shares_memory(c[0], ti) for c in plan.chunks)
+
+
+def test_mul_clips_the_output_degree():
+    ctx = TaylorContext(2, 4)
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1, 1, ctx.size(4))
+    b = rng.uniform(-1, 1, ctx.size(2))
+    got = ctx.mul(a, 4, b, 2, 4)
+    assert got.shape == (ctx.size(2),)
+    assert np.array_equal(got, ctx.mul(a, 4, b, 2))
+    assert np.array_equal(got, ctx.contract(a, 4, b, 2, [], [], 4))
 
 
 @pytest.mark.parametrize("budget", _BUDGETS)
