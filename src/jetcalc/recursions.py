@@ -15,13 +15,13 @@ maps indexed by (m, s), built by one recursion step shared across families:
 Step (iii) is a connection correction per slot: `Geometry.cov` adds the
 signed structure tensor to the connection coefficients of each corrected
 slot, so (i) and (iii) take one contraction per slot together.  The
-identity products of (ii) and (iv) are never formed.  Every entry the
-recursion forms from the identity alone (the diagonal A[m][m], its
-covariant derivative, and shifts and couplings of such entries: each
-A[m][m-1]) is a `PaddedMap`, a sum of small cores times identity pairs,
-whose derivative, action and norm come in closed form.  Any other sum is
-dense, and identity products are added into it along the diagonal of the
-identity's two slots.
+identity products of (ii) and (iv) are never formed: A (x) id is A with
+one more identity pair (a dense A is the one term whose core is A), added
+along the diagonal of the pair's two slots.  Every entry the recursion
+forms from the identity alone (the diagonal A[m][m], its covariant
+derivative, and shifts and couplings of such entries: each A[m][m-1])
+stays a `PaddedMap`, a sum of small cores times identity pairs, whose
+derivative, action and norm come in closed form.  Any other sum is dense.
 
 Map tensors are stored as [OUT block][IN-dual block]: OUT = the main lift's
 auxiliary slots followed by m covariant slots, IN-dual = the flipped slots
@@ -227,12 +227,17 @@ class PaddedMap(FieldTensor):
                 core, _, pairs = self.terms[0]
                 self._dense = self._pair_view(core, pairs)
             else:
-                dense = np.zeros((self.chart.ctx.size(self.degree),)
-                                 + self._dims)
-                self.add_to(dense)
-                dense.flags.writeable = False
-                self._dense = dense
+                self._dense = self.dense().data
+                self._dense.flags.writeable = False
         return self._dense
+
+    def dense(self):
+        """The map formed as a new, writable dense FieldTensor: zeros with
+        every term added."""
+        out = FieldTensor.zeros(self.chart, self.slots, self._dims,
+                                self.degree)
+        self.add_to(out.data)
+        return out
 
     def _pair_view(self, core, pairs):
         """The map of one term without core axes as a read-only strided
@@ -467,50 +472,18 @@ def _cov_term(spec, A, n_out, corrections):
     return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
 
 
-def _dense_sum(new, key, chart, slots, dims, degree):
-    """new[key] as a dense sum that may be added into: zeros of `degree`
-    when the key has no sum yet, and the held padded map added into zeros
-    of its own degree when it has one."""
-    held = new.get(key)
-    if held is None or isinstance(held, PaddedMap):
-        dense = FieldTensor.zeros(chart, slots, dims,
-                                  degree if held is None else held.degree)
-        if held is not None:
-            held.add_to(dense.data)
-        new[key] = held = dense
-    return held
-
-
 def _add_identity(new, key, A, n_out, in_pos, dim):
     """new[key] += A (x) id on the `dim`-dimensional tangent space, the id's
     down slot at OUT position `n_out` and its up slot at position `in_pos`
-    of the IN-dual block.  The product is never formed: a padded A gains
-    one pair, and a dense A is added, broadcast, along the diagonal of those
-    two axes through a writable einsum view of the sum.
+    of the IN-dual block.  The product is never formed: A gains one pair
+    (`PaddedMap.with_pair`), a dense A as the one term whose core is A
+    itself, which `_accumulate` adds into a dense sum along the diagonal of
+    those two axes.  A dense A is only read, so it may be a table entry.
     """
-    if isinstance(A, PaddedMap):
-        _accumulate(new, key, A.with_pair(n_out, in_pos, dim))
-        return
-    up = n_out + 1 + in_pos
-    slots = list(A.slots)
-    slots.insert(n_out, (TAN, COV))
-    slots.insert(up, (TAN, CONTRA))
-    dims = list(A.dims)
-    dims.insert(n_out, dim)
-    dims.insert(up, dim)
-    held = _dense_sum(new, key, A.chart, slots, dims, A.degree)
-    if held.slots != TensorShape(slots):
-        raise ValueError("slot mismatch")
-    held = held.truncated(A.degree)
-    # einsum labels: 0 the series, 1..order A's axes, order + 1 the diagonal
-    labels = list(range(1, A.order + 1))
-    diag = A.order + 1
-    labels.insert(n_out, diag)
-    labels.insert(up, diag)
-    view = np.einsum(held.data, [0] + labels,
-                     list(range(A.order + 1)) + [diag])
-    view += held.chart.ctx.truncate(A.data, held.degree)[..., None]
-    new[key] = held
+    if not isinstance(A, PaddedMap):
+        A = PaddedMap(A.chart, A.slots, A.dims, A.degree,
+                      [(A.data, tuple(range(A.order)), ())])
+    _accumulate(new, key, A.with_pair(n_out, in_pos, dim))
 
 
 def _add_shift(spec, new, key, A, n_out):
@@ -540,11 +513,11 @@ def _embed_out_table(P, n_aux_pure, m, moves):
 def _accumulate(new, key, term):
     """new[key] += term, added in place into the first dense term stored.
 
-    Every term passed here is a fresh array that nothing else holds (a
-    covariant derivative, product or embedding formed for this level), so
-    it may be overwritten; a table entry or an input never is.  Padded
-    terms stay padded while the key holds no dense term, and are added into
-    its dense sum once it does.
+    A padded term's cores are only read: padded terms stay padded while the
+    key holds no dense term, and are added into its dense sum once it does.
+    A dense term must be fresh, an array that nothing else holds (a
+    covariant derivative, product or embedding formed for this level), as
+    it may become the sum and be overwritten; a table entry never is.
     """
     held = new.get(key)
     if held is None:
@@ -602,24 +575,18 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             else:
                 fix = _slot_rules(spec.in_rule, list(spec.aux[c])
                                   + [(spec.arg_space, COV)] * s, n_out)
-            A = entries[(m, c, s)]
-            if isinstance(A, PaddedMap) and s < m:
-                # the derivative of a padded entry below the diagonal
-                # multiplies its terms, so it is added into a dense sum; a
-                # diagonal's stays padded
-                dA = _cov_term(spec, A, n_out, fix)
-                _dense_sum(new, (m + 1, c, s), dA.chart, dA.slots, dA.dims,
-                           dA.degree)
-                acc(c, s, dA)
-            else:
-                # terms go straight into the sum: no local keeps one alive
-                acc(c, s, _cov_term(spec, A, n_out, fix))
+            dA = _cov_term(spec, entries[(m, c, s)], n_out, fix)
+            # the derivative of a padded entry below the diagonal multiplies
+            # its terms, so it starts its key's dense sum; a diagonal's
+            # stays padded
+            acc(c, s, dA.dense() if isinstance(dA, PaddedMap) and s < m
+                else dA)
         # the shifts and couplings keep no more degrees than the new level
-        # needs, and are added into the sums of the covariant terms
+        # needs, and are added into the sums of the covariant terms; a
+        # diagonal's key takes its own shift alone
         for (c, s) in sorted(level):
-            if s < m:
-                _add_shift(spec, new, (m + 1, c, s + 1),
-                           entries[(m, c, s)].truncated(need), n_out)
+            _add_shift(spec, new, (m + 1, c, s + 1),
+                       entries[(m, c, s)].truncated(need), n_out)
         if not inverse:
             for (src, dst, pass_pos) in spec.couplings:
                 for s in range(m + 1):
@@ -636,12 +603,6 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
                         emb = _embed_out_table(P.truncated(need),
                                                n_aux_pure, m, moves)
                         acc(dst, s, emb * -1.0)
-        # the diagonal entries, the level's largest, take the shift term
-        # alone; formed last, they never meet another term's temporaries
-        for (c, s) in sorted(level):
-            if s == m:
-                _add_shift(spec, new, (m + 1, c, s + 1),
-                           entries[(m, c, s)].truncated(need), n_out)
         for key, val in new.items():
             entries[key] = val.truncated(need)
     return CoefficientTable(spec, m_max, entries, direction)
@@ -652,36 +613,33 @@ def _residual(lhs, rhs, geo):
     return geo.norm(diff) / max(geo.norm(lhs), 1e-12)
 
 
-def verify_expansion(spec, table, obj, m):
-    """|| direct total-space derivative - coefficient sum || (relative)."""
-    streams = table._streams_of(spec, obj)
-    lhs = streams.total(0, m)
-    rhs = None
+def _table_sum(spec, table, m, stream):
+    """The sum over (c, s) of table[m, c, s] applied to stream(c, s)."""
+    out = None
     for c in range(len(spec.aux)):
         for s in range(m + 1):
             A = table.get(m, c, s)
             if A is None:
                 continue
-            arg = streams.lifted(c, s)
-            term = A.apply_map(spec.n_aux_out() + m, arg)
-            rhs = term if rhs is None else rhs + term
-    return _residual(lhs, rhs, spec.geo)
+            term = A.apply_map(spec.n_aux_out() + m, stream(c, s))
+            out = term if out is None else out + term
+    return out
+
+
+def verify_expansion(spec, table, obj, m):
+    """|| direct total-space derivative - coefficient sum || (relative)."""
+    streams = table._streams_of(spec, obj)
+    lhs = streams.total(0, m)
+    return _residual(lhs, _table_sum(spec, table, m, streams.lifted),
+                     spec.geo)
 
 
 def verify_inverse_pair(spec, table_inv, obj, m):
     """Reconstruct the lifted base derivative from total-space data."""
     streams = table_inv._streams_of(spec, obj)
     target = streams.lifted(0, m)
-    recon = None
-    for c in range(len(spec.aux)):
-        for s in range(m + 1):
-            B = table_inv.get(m, c, s)
-            if B is None:
-                continue
-            arg = streams.total(c, s)
-            term = B.apply_map(spec.n_aux_out() + m, arg)
-            recon = term if recon is None else recon + term
-    return _residual(target, recon, spec.geo)
+    return _residual(target, _table_sum(spec, table_inv, m, streams.total),
+                     spec.geo)
 
 
 def growth_profile(table, geo=None, slack=2.0, tol=1e-13):

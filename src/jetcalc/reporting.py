@@ -74,7 +74,10 @@ def load_report_rows(path):
     JSON report.
     """
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON report: {exc}") from None
     rows = {}
     try:
         for r in report["rows"]:

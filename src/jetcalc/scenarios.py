@@ -49,6 +49,8 @@ class Scenario:
         for key in ("n", "k", "degree", "seed"):
             if not _is_int(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
         if self.degree < 2:

@@ -710,6 +710,9 @@ def eval_expr(expr, point):
         if op == "cos":
             return math.cos(ev(node[1]))
         if op == "^":
+            if node[2] < 0:     # as `expand` would reject it
+                raise ValueError("only nonnegative integer powers are "
+                                 "supported")
             return ev(node[1]) ** int(node[2])
         return _fold(op, [ev(a) for a in node[1:]])
 

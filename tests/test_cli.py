@@ -180,13 +180,13 @@ def test_fit_growth_bad_input_exits_two(args, monkeypatch, capsys):
     assert "configuration error" in out.err and out.out == ""
 
 
-def _write_report(path, rows):
+def _write_report(path, rows, fmt="json"):
     from jetcalc.reporting import build_report, emit_report
     from jetcalc.suites import CheckRow
     rows = [CheckRow(check_id=f"{tag}/{where}", tag=tag, inputs=inputs,
                      value=value, threshold=1e-8, passed=passed)
             for tag, where, inputs, value, passed in rows]
-    emit_report(build_report("test", rows, {}, {}), "json", path)
+    emit_report(build_report("test", rows, {}, {}), fmt, path)
 
 
 # one check id may cover several inputs; each is its own row
@@ -239,12 +239,18 @@ def test_report_diff_unreadable_input_exits_two(tmp_path):
     nonreport.write_text("[1, 2]")
     twice = tmp_path / "twice.json"
     _write_report(twice, _ROWS + _ROWS[:1])
-    for args in ([str(good), str(bad)], [str(tmp_path / "none.json"),
-                                         str(good)],
-                 [str(good), str(nonreport)], [str(twice), str(good)]):
-        res = run_cli("report", "diff", *args)
+    csv_report = tmp_path / "report.csv"
+    _write_report(csv_report, _ROWS, "csv")
+    none = tmp_path / "none.json"
+    # each case names the file that cannot be read
+    for args, culprit in (([good, bad], bad), ([none, good], none),
+                          ([good, nonreport], nonreport),
+                          ([twice, good], twice),
+                          ([good, csv_report], csv_report)):
+        res = run_cli("report", "diff", *map(str, args))
         assert res.returncode == 2, args
         assert "configuration error" in res.stderr
+        assert str(culprit) in res.stderr, args
         assert "Traceback" not in res.stderr
 
 
@@ -356,6 +362,30 @@ def test_malformed_scenario_data_exits_two(fields, tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "recursions", "--scenario", "FILE"],
+    ["fit", "compare", "--scenario", "FILE", "--max-order", "1"],
+])
+def test_negative_scenario_seed_exits_two_naming_it(argv, tmp_path, capsys):
+    from jetcalc import cli
+    path = _scenario_file(tmp_path, seed=-1, alt={
+        "metric": [["1", "0"], ["0", "1"]], "fibre_metric": [["1"]]})
+    assert cli.main([path if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: seed"), err
+
+
+def test_negative_power_in_a_scenario_fails_at_load(tmp_path, capsys):
+    # (^ x2 -2) evaluates at x2 = 0.5, but no series can be formed for it
+    from jetcalc import cli
+    path = _scenario_file(tmp_path,
+                          metric=[["1", "0"], ["0", "(^ x2 -2)"]])
+    assert cli.main(["verify", "recursions", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: metric: '(^ x2 -2)'"), err
+    assert "only nonnegative integer powers" in err
 
 
 def test_crash_exits_three_with_one_line(monkeypatch, capsys):

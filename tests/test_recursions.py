@@ -281,6 +281,36 @@ def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
         assert float(np.abs(B.data - A.data).max()) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("in_pos", [0, 2])
+@pytest.mark.parametrize("strided", [False, True])
+def test_dense_identity_add_is_the_formed_product_added(strided, in_pos):
+    # a dense A, C-contiguous or a transposed view, added as the padded
+    # term whose core is A, with the id's up slot first or last in IN-dual
+    chart = Chart([0.1, -0.2], 2)
+    rng = np.random.default_rng(11)
+    dims = (3, 2, 3)        # OUT: one FIB up slot; IN-dual: TAN up, FIB down
+    data = rng.uniform(-1, 1, (chart.ctx.size(2),) + dims)
+    if strided:
+        data = np.ascontiguousarray(data.transpose(0, 3, 2, 1)) \
+            .transpose(0, 3, 2, 1)
+    A = FieldTensor(chart, [(FIB, CONTRA), (TAN, CONTRA), (FIB, COV)], data,
+                    2)
+    assert A.data.flags.c_contiguous != strided
+    before = A.data.copy()
+    key = (2, 0, 1)
+    ref = {}
+    _dense_identity_term(ref, key, A, 1, in_pos, chart.n)
+    product = ref[key]
+    held = FieldTensor(chart, product.slots,
+                       rng.uniform(-1, 1, product.data.shape), 2)
+    want = held.data + product.data
+    new = {key: held}
+    recursions._add_identity(new, key, A, 1, in_pos, chart.n)
+    assert type(new[key]) is FieldTensor and new[key].slots == product.slots
+    assert np.array_equal(new[key].data, want)
+    assert np.array_equal(A.data, before)
+
+
 def _cov_plus_substitutions(spec, A, n_out, rules):
     """The recursion's covariant term written out: cov(A) plus sign times
     the substitution of S at p for every p: (sign, S) in `rules`, each with

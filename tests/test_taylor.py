@@ -127,6 +127,14 @@ def test_eval_expr_matches_expansion_value():
     assert eval_expr(e, pt) == pytest.approx(expand(e, pt, 2).value)
 
 
+def test_eval_expr_rejects_a_negative_power_as_expand_does():
+    # x1^-2 has a value at x1 = 0.5, but no series that `expand` forms
+    for f in (lambda e: eval_expr(e, [0.5]), lambda e: expand(e, [0.5], 2)):
+        with pytest.raises(ValueError, match="only nonnegative integer "
+                                             "powers are supported"):
+            f("(^ x1 -2)")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_ring_distributive(sa, sb, sc):
