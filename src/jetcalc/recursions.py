@@ -14,14 +14,13 @@ maps indexed by (m, s), built by one recursion step shared across families:
 
 Step (iii) is a connection correction per slot: `Geometry.cov` adds the
 signed structure tensor to the connection coefficients of each corrected
-slot, so (i) and (iii) take one contraction per slot together.  The
-identity products of (ii) and (iv) are never formed: A (x) id is A with
-one more identity pair (a dense A is the one term whose core is A), added
-along the diagonal of the pair's two slots.  Every entry the recursion
-forms from the identity alone (the diagonal A[m][m], its covariant
-derivative, and shifts and couplings of such entries: each A[m][m-1])
-stays a `PaddedMap`, a sum of small cores times identity pairs, whose
-derivative, action and norm come in closed form.  Any other sum is dense.
+slot, so (i) and (iii) take one contraction per slot together.  Every entry
+is a `PaddedMap`, a sum of small cores times identity pairs, whose
+derivative, action and norm come in closed form.  The identity products of
+(ii) and (iv) are never formed: A (x) id is A with one more identity pair on
+every term, and the pull-back shift A (x) dPhi is every core times dPhi.
+How far an entry stays sparse is up to its terms: a term whose pairs contain
+another term's pairs is folded into that term's core.
 
 Map tensors are stored as [OUT block][IN-dual block]: OUT = the main lift's
 auxiliary slots followed by m covariant slots, IN-dual = the flipped slots
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FIB, PTN, TAN, FieldTensor, Geometry
-from .tensor_core import COV, CONTRA, TensorShape
+from .tensor_core import COV, CONTRA, TensorShape, whiten_trailing
 
 __all__ = ["FamilySpec", "CoefficientTable", "PaddedMap", "build_coefficients",
            "verify_expansion", "verify_inverse_pair", "growth_profile",
@@ -124,7 +123,7 @@ class _Streams:
 
 
 class CoefficientTable:
-    """Entries (m, component, s) -> map FieldTensor."""
+    """Entries (m, component, s) -> PaddedMap."""
 
     def __init__(self, spec, m_max, entries, direction):
         self.spec = spec
@@ -152,19 +151,21 @@ class CoefficientTable:
 class PaddedMap(FieldTensor):
     """A map [OUT][IN-dual] held as a sum of terms, each a small core on a
     few slots times the identity on pairs of the remaining slots: the form
-    the recursion gives every entry it builds from the identity alone (the
-    identity itself, its covariant derivative, and shifts and couplings of
-    such entries).
+    of every entry of a coefficient table.
 
     A term is (core, axes, pairs): `core` an array (coefficients, *dims)
     whose axes are the map positions `axes`, and `pairs` the position pairs
     (p, q), p < q, that each hold the identity of one space (opposite
-    variances).  Every position is a core axis or in one pair.  Terms of
-    equal axes and pairs are summed when the map is made.  The covariant
-    derivative, shift, action and Gram norm come in closed form and never
-    form the map.  `data` is read-only and made on first read (for report
-    rows, tests and checks outside the recursion): a strided view for a map
-    of one term without core axes (`_pair_view`), the dense map otherwise.
+    variances).  Every position is a core axis or in one pair, so the pairs
+    fix the axes.  When the map is made, a term whose pairs contain another
+    term's pairs (equal pairs included) is added into that term's core
+    along its extra pairs (`_folded`): no term's pairs contain another's,
+    and a term without pairs, the dense map, holds every term.
+    The covariant derivative, shift, action and Gram norm come in closed
+    form and never form the map.  `data` forms it anew on every read (for
+    report rows, tests and checks outside the recursion), read-only: a
+    strided view for a map of one term without core axes (`_pair_view`),
+    the dense map otherwise.
     """
 
     def __init__(self, chart, slots, dims, degree, terms):
@@ -172,15 +173,9 @@ class PaddedMap(FieldTensor):
         self.slots = TensorShape(slots)
         self.degree = int(degree)
         self._dims = tuple(dims)
-        self._dense = None
         rows = chart.ctx.size(self.degree)
-        merged = {}
-        for core, axes, pairs in terms:
-            core, axes, pairs = self._checked(core[:rows], axes, pairs)
-            held = merged.get((axes, pairs))
-            merged[(axes, pairs)] = core if held is None else held + core
-        self.terms = tuple((core, axes, pairs)
-                           for (axes, pairs), core in merged.items())
+        self.terms = _folded([self._checked(core[:rows], axes, pairs)
+                              for core, axes, pairs in terms])
 
     def _checked(self, core, axes, pairs):
         """The term with its axes sorted and its pairs ordered, once its
@@ -222,14 +217,12 @@ class PaddedMap(FieldTensor):
 
     @property
     def data(self):
-        if self._dense is None:
-            if len(self.terms) == 1 and not self.terms[0][1]:
-                core, _, pairs = self.terms[0]
-                self._dense = self._pair_view(core, pairs)
-            else:
-                self._dense = self.dense().data
-                self._dense.flags.writeable = False
-        return self._dense
+        if len(self.terms) == 1 and not self.terms[0][1]:
+            core, _, pairs = self.terms[0]
+            return self._pair_view(core, pairs)
+        data = self.dense().data
+        data.flags.writeable = False
+        return data
 
     def dense(self):
         """The map formed as a new, writable dense FieldTensor: zeros with
@@ -261,22 +254,10 @@ class PaddedMap(FieldTensor):
                           strides=(buf.strides[0],) + tuple(strides))
 
     def add_to(self, out):
-        """out += the map, one term at a time, each added broadcast along
-        the diagonals of its pairs through a writable einsum view of `out`
-        (an array of the map's shape, to a degree at most the map's)."""
-        rows = out.shape[0]
+        """out += the map, one term at a time (`_add_term`); `out` is an
+        array of the map's shape, to a degree at most the map's."""
         for core, axes, pairs in self.terms:
-            # einsum labels: 0 the series, then the core axes, then a
-            # label per pair shared by its two axes
-            labels = [0] * self.order
-            for k, pos in enumerate(axes):
-                labels[pos] = k + 1
-            for k, (p, q) in enumerate(pairs):
-                labels[p] = labels[q] = len(axes) + 1 + k
-            view = np.einsum(out, [0] + labels,
-                             list(range(len(axes) + len(pairs) + 1)))
-            view += core[:rows].reshape(core[:rows].shape
-                                        + (1,) * len(pairs))
+            _add_term(out, range(self.order), core, axes, pairs)
 
     def truncated(self, degree):
         if degree >= self.degree:
@@ -308,6 +289,18 @@ class PaddedMap(FieldTensor):
                          min(self.degree, other.degree),
                          self.terms + other.terms)
 
+    def product(self, other):
+        """self (x) other, `other` a FieldTensor: every core times other,
+        whose slots are appended as core axes."""
+        extra = tuple(range(self.order, self.order + other.order))
+        terms = [(FieldTensor(self.chart, [self.slots[a] for a in axes], core,
+                              self.degree).product(other).data,
+                  axes + extra, pairs)
+                 for core, axes, pairs in self.terms]
+        return PaddedMap(self.chart, tuple(self.slots) + tuple(other.slots),
+                         self._dims + tuple(other.dims),
+                         min(self.degree, other.degree), terms)
+
     def with_pair(self, n_out, in_pos, dim):
         """self (x) id on the `dim`-dimensional tangent space, the id's down
         slot at OUT position `n_out` and its up slot at position `in_pos` of
@@ -328,25 +321,24 @@ class PaddedMap(FieldTensor):
              for core, axes, pairs in self.terms])
 
     def norm(self, geo):
-        """The Gram norm from the terms alone.  Lowering every index of a
-        term by its slot's Gram (the inverse Gram on a down slot) leaves
-        each identity an identity, so the inner product of two terms is the
-        plain contraction of the first term's core with the second's
-        lowered core, the identities of both terms joining their slots into
-        chains: a chain between core axes is a shared einsum label, and a
-        closed loop of identities contributes its dimension."""
+        """The Gram norm from the terms alone.  Every core is whitened at
+        the base point by the `pair_whiteners` of its slots (U on an up
+        slot, U^-T on a down slot, U^T U the Gram), which leave each
+        identity an identity, so the inner product of two terms is the
+        plain contraction of their whitened cores, the identities of both
+        terms joining their slots into chains: a chain between core axes is
+        a shared einsum label, and a closed loop of identities contributes
+        its dimension."""
         n = self.order
-        lowered = []
-        for core, axes, pairs in self.terms:
-            low = core[0]
-            for k, pos in enumerate(axes):
-                spec = geo.registry[self.slots[pos].space]
-                gram = spec.gram if self.slots[pos].up else spec.gram_inv
-                low = np.moveaxis(np.tensordot(low, gram, axes=([k], [0])),
-                                  -1, k)
-            lowered.append(low)
+        white = []
+        for core, axes, _ in self.terms:
+            x = np.array(core[:1], order="C")
+            whiten_trailing(x, [None] + [
+                geo.registry[self.slots[a].space].pair_whiteners[
+                    not self.slots[a].up] for a in axes])
+            white.append(x[0])
         dots = []
-        for t, (core, axes, pairs) in enumerate(self.terms):
+        for t, (_, axes, pairs) in enumerate(self.terms):
             for u in range(t, len(self.terms)):
                 _, axes_u, pairs_u = self.terms[u]
                 # each slot's chain, named by one slot of it
@@ -357,7 +349,7 @@ class PaddedMap(FieldTensor):
                 lab_u = [_chain(root, a) for a in axes_u]
                 loops = {_chain(root, x) for x in range(n)} - set(lab_t) \
                     - set(lab_u)
-                dot = float(np.einsum(core[0], lab_t, lowered[u], lab_u, []))
+                dot = float(np.einsum(white[t], lab_t, white[u], lab_u, []))
                 dot *= math.prod(self._dims[r] for r in loops)
                 dots.append(dot if t == u else 2.0 * dot)
         # terms that cancel may leave a rounding error of either sign
@@ -430,10 +422,43 @@ class PaddedMap(FieldTensor):
                 for pos in (p, q):
                     if pos in corrections:
                         sign, S = corrections[pos]
-                        t = S.truncated(dout).product(c) * sign
+                        t = (S.truncated(dout) * sign).product(c)
                         terms.append((t.data, (up, down, new) + axes, rest))
         return PaddedMap(self.chart, tuple(self.slots) + ((TAN, COV),),
                          self._dims + (self.chart.n,), dout, terms)
+
+
+def _add_term(out, out_axes, core, axes, pairs):
+    """out += core times the identities of `pairs`, added broadcast along
+    the diagonal of each pair through a writable einsum view of `out`, an
+    array (coefficients, *dims) whose axes are the map positions
+    `out_axes`, to a degree at most the core's."""
+    rows = out.shape[0]
+    # einsum labels: 0 the series, then the core axes, then a label per
+    # pair shared by its two axes
+    label = {pos: k + 1 for k, pos in enumerate(axes)}
+    for k, (p, q) in enumerate(pairs):
+        label[p] = label[q] = len(axes) + 1 + k
+    view = np.einsum(out, [0] + [label[a] for a in out_axes],
+                     list(range(len(axes) + len(pairs) + 1)))
+    view += core[:rows].reshape(core[:rows].shape + (1,) * len(pairs))
+
+
+def _folded(terms):
+    """`terms`, fewest pairs first, each whose pairs contain the pairs of a
+    term kept before it added into that term's core (a copy, as a core is
+    only read) along its extra pairs."""
+    kept = []       # [core, axes, pairs, set of pairs, core is a copy]
+    for core, axes, pairs in sorted(terms, key=lambda term: len(term[2])):
+        into = next((held for held in kept if held[3] <= set(pairs)), None)
+        if into is None:
+            kept.append([core, axes, pairs, set(pairs), False])
+            continue
+        if not into[4]:
+            into[0], into[4] = np.array(into[0], order="C"), True
+        _add_term(into[0], into[1], core, axes,
+                  [pq for pq in pairs if pq not in into[3]])
+    return tuple((core, axes, pairs) for core, axes, pairs, _, _ in kept)
 
 
 def _chain(root, x):
@@ -444,15 +469,11 @@ def _chain(root, x):
 
 
 def _identity_map(spec):
-    """The order-zero map: the identity on the main lift space.  It is
-    padded when the family's shift is the tangent identity, so that every
-    diagonal entry stays an identity; the pull-back family, whose shift is
-    dPhi, gets it dense."""
+    """The order-zero map: the identity on the main lift space."""
     aux = spec.aux[0]
-    ident = PaddedMap.identity(spec.geo.chart, aux,
-                               [spec.geo.dims[space] for space, _ in aux],
-                               spec.geo.chart.cap)
-    return ident if spec.shift_tensor is None else ident.copy()
+    return PaddedMap.identity(spec.geo.chart, aux,
+                              [spec.geo.dims[space] for space, _ in aux],
+                              spec.geo.chart.cap)
 
 
 def _slot_rules(rules, layout, first):
@@ -465,31 +486,23 @@ def _slot_rules(rules, layout, first):
 def _cov_term(spec, A, n_out, corrections):
     """The covariant derivative of A with the structure-tensor substitutions
     of `corrections` folded into the connection of their slots."""
-    if isinstance(A, PaddedMap):
-        dA = A.cov(spec.geo, corrections)
-    else:
-        dA = spec.geo.cov(A, corrections)
+    dA = A.cov(spec.geo, corrections)
     return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
 
 
 def _add_identity(new, key, A, n_out, in_pos, dim):
     """new[key] += A (x) id on the `dim`-dimensional tangent space, the id's
     down slot at OUT position `n_out` and its up slot at position `in_pos`
-    of the IN-dual block.  The product is never formed: A gains one pair
-    (`PaddedMap.with_pair`), a dense A as the one term whose core is A
-    itself, which `_accumulate` adds into a dense sum along the diagonal of
-    those two axes.  A dense A is only read, so it may be a table entry.
-    """
-    if not isinstance(A, PaddedMap):
-        A = PaddedMap(A.chart, A.slots, A.dims, A.degree,
-                      [(A.data, tuple(range(A.order)), ())])
+    of the IN-dual block.  The product is never formed: every term of A
+    gains one pair (`PaddedMap.with_pair`)."""
     _accumulate(new, key, A.with_pair(n_out, in_pos, dim))
 
 
 def _add_shift(spec, new, key, A, n_out):
     """new[key] += the shift term of A: A (x) id with the id's down slot
-    last in OUT and its up slot last in IN-dual, or A (x) dPhi for the
-    pull-back family, whose shift is a different tensor and is formed."""
+    last in OUT and its up slot last in IN-dual, or A (x) dPhi, every core
+    times dPhi, for the pull-back family, whose shift is a different
+    tensor."""
     if spec.shift_tensor is None:
         _add_identity(new, key, A, n_out, A.order - n_out,
                       spec.geo.dims[TAN])
@@ -511,31 +524,9 @@ def _embed_out_table(P, n_aux_pure, m, moves):
 
 
 def _accumulate(new, key, term):
-    """new[key] += term, added in place into the first dense term stored.
-
-    A padded term's cores are only read: padded terms stay padded while the
-    key holds no dense term, and are added into its dense sum once it does.
-    A dense term must be fresh, an array that nothing else holds (a
-    covariant derivative, product or embedding formed for this level), as
-    it may become the sum and be overwritten; a table entry never is.
-    """
+    """new[key] += term, as one map of the terms of both."""
     held = new.get(key)
-    if held is None:
-        new[key] = term
-        return
-    if held.slots != term.slots:
-        raise ValueError("slot mismatch")
-    if isinstance(held, PaddedMap) and isinstance(term, PaddedMap):
-        new[key] = held + term
-        return
-    if isinstance(held, PaddedMap):
-        held, term = term, held
-    held = held.truncated(term.degree)
-    if isinstance(term, PaddedMap):
-        term.add_to(held.data)
-    else:
-        held.data += term.truncated(held.degree).data
-    new[key] = held
+    new[key] = term if held is None else held + term
 
 
 def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
@@ -575,15 +566,9 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             else:
                 fix = _slot_rules(spec.in_rule, list(spec.aux[c])
                                   + [(spec.arg_space, COV)] * s, n_out)
-            dA = _cov_term(spec, entries[(m, c, s)], n_out, fix)
-            # the derivative of a padded entry below the diagonal multiplies
-            # its terms, so it starts its key's dense sum; a diagonal's
-            # stays padded
-            acc(c, s, dA.dense() if isinstance(dA, PaddedMap) and s < m
-                else dA)
+            acc(c, s, _cov_term(spec, entries[(m, c, s)], n_out, fix))
         # the shifts and couplings keep no more degrees than the new level
-        # needs, and are added into the sums of the covariant terms; a
-        # diagonal's key takes its own shift alone
+        # needs; a diagonal's key takes its own shift alone
         for (c, s) in sorted(level):
             _add_shift(spec, new, (m + 1, c, s + 1),
                        entries[(m, c, s)].truncated(need), n_out)
@@ -653,11 +638,7 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
     geo = geo or table.spec.geo
     rows = []
     for (m, c, s), A in sorted(table.items()):
-        if isinstance(A, PaddedMap):
-            norm = A.norm(geo)
-        else:
-            norm = geo.norm(A)
-        rows.append((m, s, c, norm))
+        rows.append((m, s, c, A.norm(geo)))
     offdiag = [r for r in rows if r[0] != r[1] and r[3] > tol]
     if not offdiag:
         return {"rows": rows, "degenerate": True, "coverage": 1.0,

@@ -2,7 +2,7 @@
 
 A scenario bundles the analytic data (metric, fibre metric, connection
 coefficients, optional comparison data and pull-back map) with sample
-points, a degree budget, and a seed.  Scenario files are JSON with the same
+points, and a seed.  Scenario files are JSON with the same
 field names as the dataclass; expression entries use the prefix grammar of
 the series module, e.g. ``(+ 1 (* 0.3 (* x1 x1)))``.
 
@@ -38,7 +38,6 @@ class Scenario:
     connection: list = None          # omega[a][i][b] exprs, None = flat
     base_points: list = field(default_factory=list)
     fibre_points: list = field(default_factory=list)
-    degree: int = 6
     seed: int = 0
     alt: dict = None                 # second (metric, connection) data
     map: dict = None                 # pull-back map block
@@ -46,15 +45,13 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError("name must be a string")
-        for key in ("n", "k", "degree", "seed"):
+        for key in ("n", "k", "seed"):
             if not _is_int(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
-        if self.degree < 2:
-            raise ValueError("degree budget must be at least 2")
         if not self.base_points:
             raise ValueError("a scenario needs at least one base point")
         for label, points, dim in (("base", self.base_points, self.n),
@@ -274,7 +271,7 @@ def _flat():
         connection=None,
         base_points=[[0.1, -0.2], [0.4, 0.3], [-0.3, 0.2]],
         fibre_points=[[0.6, 0.8], [1.0, 0.0], [-0.6, 0.8]],
-        degree=7, seed=7007)
+        seed=7007)
 
 
 def _flat_line():
@@ -282,7 +279,7 @@ def _flat_line():
         name="flat-line", n=1, k=1,
         metric=[["1"]], fibre_metric=[["1"]], connection=None,
         base_points=[[0.0]], fibre_points=[[1.0]],
-        degree=12, seed=101)
+        seed=101)
 
 
 def _conformal():
@@ -297,7 +294,7 @@ def _conformal():
         connection=_compatible_omega(dpsi, a),
         base_points=[[0.1, -0.2], [0.35, 0.15], [-0.25, 0.3]],
         fibre_points=[[0.6, 0.8], [0.28, -0.96]],
-        degree=6, seed=4242)
+        seed=4242)
 
 
 def _sphere():
@@ -309,7 +306,7 @@ def _sphere():
         connection=_compatible_omega(["0", "0"], a),
         base_points=[[0.8, 0.3], [1.1, -0.2], [0.7, 0.5]],
         fibre_points=[[0.6, 0.8], [-0.8, 0.6]],
-        degree=6, seed=99)
+        seed=99)
 
 
 def _twisted():
@@ -329,7 +326,7 @@ def _twisted():
         connection=_compatible_omega(dpsi, a),
         base_points=[[0.1, -0.2], [0.3, 0.25], [-0.2, 0.1]],
         fibre_points=[[0.6, 0.8], [1.0, 0.0]],
-        degree=6, seed=515,
+        seed=515,
         alt={"metric": [["(exp (* 0.3 x1))", "0"], ["0", "(exp (* 0.3 x1))"]],
              "fibre_metric": [[alt_e, "0"], ["0", alt_e]],
              "connection": _compatible_omega(alt_dpsi, alt_a)})
@@ -341,7 +338,7 @@ def _pullback():
         metric=[["1"]], fibre_metric=[["1"]], connection=None,
         base_points=[[0.5], [0.2], [-0.4]],
         fibre_points=[[1.0]],
-        degree=6, seed=333,
+        seed=333,
         map={"exprs": ["x1", "(* x1 x1)"],
              "target_n": 2,
              "target_metric": [["(+ 1 (* 0.1 (* x2 x2)))", "0"],
@@ -355,7 +352,7 @@ def _pullback_split():
         fibre_metric=[["1"]], connection=None,
         base_points=[[0.3, -0.1], [0.1, 0.2]],
         fibre_points=[[1.0]],
-        degree=6, seed=777,
+        seed=777,
         map={"exprs": ["(+ x1 (* 0.3 (* x2 x2)))"],
              "target_n": 1,
              "target_metric": [["(+ 1 (* 0.1 (* x1 x1)))"]]})

@@ -33,6 +33,7 @@ __all__ = [
     "Slot",
     "TensorShape",
     "DenseTensor",
+    "whiten_trailing",
     "symmetrized_data",
     "sym_axes_data",
     "sym_product",
@@ -80,6 +81,13 @@ class VectorSpaceSpec:
     def whiteners(self):
         """Upper factors U with U^T U = gram and = gram_inv respectively."""
         return self._upper, np.linalg.cholesky(self.gram_inv).T
+
+    @cached_property
+    def pair_whiteners(self):
+        """U and U^-T, U^T U = gram, for an up and a down slot: they whiten
+        as `whiteners` do, and the identity joining an up slot to a down
+        slot stays the identity (U U^-1)."""
+        return self._upper, np.linalg.inv(self._upper).T
 
 
 class SpaceRegistry(dict):
@@ -155,11 +163,11 @@ class DenseTensor:
 WHITEN_CHUNK = 1 << 16
 
 
-def _whiten_trailing(x, uppers):
+def whiten_trailing(x, factors):
     """Multiply every axis of x but the first, in place, by its whitener
-    from `uppers`; x is C-contiguous.  WHITEN_CHUNK entries per product."""
+    from `factors`; x is C-contiguous.  WHITEN_CHUNK entries per product."""
     for ax in range(1, x.ndim):
-        upper = uppers[ax]
+        factor = factors[ax]
         d = x.shape[ax]
         view = x.reshape(math.prod(x.shape[:ax]), d, -1)
         rows, cols = view.shape[0], view.shape[2]
@@ -167,14 +175,14 @@ def _whiten_trailing(x, uppers):
             step = max(1, WHITEN_CHUNK // d)
             for p in range(0, rows, step):
                 block = view[p:p + step, :, 0]
-                block[...] = block @ upper.T
+                block[...] = block @ factor.T
             continue
         sb = max(1, min(cols, WHITEN_CHUNK // d))
         sa = max(1, WHITEN_CHUNK // (d * sb))
         for p in range(0, rows, sa):
             for q in range(0, cols, sb):
                 block = view[p:p + sa, :, q:q + sb]
-                block[...] = upper @ block
+                block[...] = factor @ block
 
 
 def _memory_order(x):
@@ -215,7 +223,7 @@ def _whitened_blocks(a, order):
             np.einsum("ij,j...->i...", u, x[p:], out=block)
         else:
             np.matmul(u, flat[p:], out=block.reshape(len(u), -1))
-        _whiten_trailing(block, uppers)
+        whiten_trailing(block, uppers)
         yield block.reshape(-1)
 
 

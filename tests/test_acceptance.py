@@ -76,7 +76,7 @@ def test_criterion_4_metric_connection():
     gi = g.inv()
     from jetcalc.scenarios import builtin_scenario
     scn = builtin_scenario("sphere-chart")
-    geo = scn.chart_at(cap=scn.degree)
+    geo = scn.chart_at(cap=6)
     point = dict(zip((th, ph), scn.base_points[0]))
     worst = 0.0
     for i in range(2):

@@ -72,8 +72,7 @@ def test_invalid_scenario_fields_exit_two(tmp_path):
     bad.write_text(json.dumps({"name": "x", "n": 2, "k": 1,
                                "metric": [["1", "0"], ["0", "1"]],
                                "fibre_metric": [["1"]],
-                               "base_points": [[0.0]],  # wrong dimension
-                               "degree": 4}))
+                               "base_points": [[0.0]]}))  # wrong dimension
     res = run_cli("verify", "recursions", "--scenario", str(bad))
     assert res.returncode == 2
 
@@ -96,7 +95,7 @@ def test_custom_flat_scenario_recursions(tmp_path):
         "metric": [["1"]], "fibre_metric": [["1"]],
         "connection": None,
         "base_points": [[0.1]], "fibre_points": [[0.8]],
-        "degree": 5, "seed": 5,
+        "seed": 5,
     }
     p = tmp_path / "flat.json"
     p.write_text(json.dumps(scn))
@@ -124,7 +123,7 @@ def test_negative_max_order_exits_two(tmp_path):
         "metric": [["1"]], "fibre_metric": [["1"]],
         "connection": None,
         "base_points": [[0.1]], "fibre_points": [[0.8]],
-        "degree": 5, "seed": 5,
+        "seed": 5,
     }
     p = tmp_path / "flat.json"
     p.write_text(json.dumps(scn))
@@ -260,7 +259,7 @@ def _flat_scenario(tmp_path):
         "name": "customflat", "n": 1, "k": 1,
         "metric": [["1"]], "fibre_metric": [["1"]], "connection": None,
         "base_points": [[0.1]], "fibre_points": [[0.8]],
-        "degree": 5, "seed": 5}))
+        "seed": 5}))
     return str(p)
 
 
@@ -329,7 +328,7 @@ def _scenario_file(tmp_path, **fields):
     data = {"name": "custom", "n": 2, "k": 1,
             "metric": [["1", "0"], ["0", "1"]], "fibre_metric": [["1"]],
             "connection": None, "base_points": [[0.0, 0.5]],
-            "fibre_points": [[0.8]], "degree": 5, "seed": 5}
+            "fibre_points": [[0.8]], "seed": 5}
     data.update(fields)
     p = tmp_path / "scn.json"
     p.write_text(json.dumps(data))
@@ -401,18 +400,22 @@ def test_crash_exits_three_with_one_line(monkeypatch, capsys):
     assert "checks passed" not in err
 
 
-def test_scenario_degree_below_max_order_exits_two(tmp_path, capsys):
+def test_scenario_degree_field_fails_at_load_exits_two(tmp_path, capsys):
+    # a scenario holds no degree budget: every geometry takes its degree
+    # from the run, and a file that still sets one fails when it loads
     from jetcalc import cli
-    path = _scenario_file(tmp_path, degree=2)
+    path = _scenario_file(tmp_path, degree=5)
     out = tmp_path / "r.json"
-    # degree == max order - 1
-    assert cli.main(["verify", "recursions", "--scenario", path,
-                     "--max-order", "3", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "checks passed" not in err
-    assert "scenario custom has degree 2, below max order 3" in err
+    for argv in (["verify", "recursions", "--scenario", path,
+                  "--max-order", "3", "--out", str(out)],
+                 ["fit", "growth", "--scenario", path, "--max-order", "1"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "checks passed" not in err
+        assert f"{path}: " in err and "'degree'" in err
     assert not out.exists()
-    for order in ("0", "2"):    # degree == max order runs
+    path = _scenario_file(tmp_path)
+    for order in ("0", "3"):
         assert cli.main(["verify", "recursions", "--scenario", path,
                          "--max-order", order, "--family", "P",
                          "--out", str(out)]) == 0

@@ -94,8 +94,7 @@ def _points(dim):
 #: its fields by near-valid or arbitrary JSON values
 BASE = {"name": "s", "n": 2, "k": 1, "metric": [["1", "0"], ["0", "1"]],
         "fibre_metric": [["1"]], "connection": None,
-        "base_points": [[0.1, 0.2]], "fibre_points": [[0.5]], "degree": 5,
-        "seed": 3}
+        "base_points": [[0.1, 0.2]], "fibre_points": [[0.5]], "seed": 3}
 FIELDS = {
     "name": st.text(max_size=4) | JSON,
     "n": st.integers(-1, 3) | JSON,
@@ -105,7 +104,6 @@ FIELDS = {
     "connection": st.none() | _array((1, 2, 1)),
     "base_points": _points(2),
     "fibre_points": _points(1),
-    "degree": st.integers(-1, 8) | JSON,
     "seed": st.integers() | JSON,
     "alt": st.none() | JSON | st.fixed_dictionaries(
         {"metric": _array((2, 2)), "fibre_metric": _array((1, 1))},

@@ -169,14 +169,14 @@ def test_conn_family_and_trivial_change():
 
 def test_pullback_family_forward_and_submersive_inverse():
     scn = builtin_scenario("pullback-map")
-    md, pb = scn.map_at(cap=scn.degree)
+    md, pb = scn.map_at(cap=6)
     fam = pullback_family(pb)
     fwd = build_coefficients(fam, 3, "forward")
     f = function_field(md.target, scn.random_function(49, nvars=2))
     for m in range(4):
         assert verify_expansion(fam, fwd, f, m) < 1e-9
     scn2 = builtin_scenario("pullback-split")
-    md2, pb2 = scn2.map_at(cap=scn2.degree)
+    md2, pb2 = scn2.map_at(cap=6)
     fam2 = pullback_family(pb2)
     fwd2 = build_coefficients(fam2, 3, "forward")
     f2 = function_field(md2.target, scn2.random_function(50, nvars=1))
@@ -281,11 +281,18 @@ def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
         assert float(np.abs(B.data - A.data).max()) <= 1e-14 * scale
 
 
+def _dense_map(A):
+    """A as the padded map of one term without pairs, whose core is A."""
+    return recursions.PaddedMap(A.chart, A.slots, A.dims, A.degree,
+                                [(A.data, tuple(range(A.order)), ())])
+
+
 @pytest.mark.parametrize("in_pos", [0, 2])
 @pytest.mark.parametrize("strided", [False, True])
 def test_dense_identity_add_is_the_formed_product_added(strided, in_pos):
-    # a dense A, C-contiguous or a transposed view, added as the padded
-    # term whose core is A, with the id's up slot first or last in IN-dual
+    # a map of one term without pairs, its core C-contiguous or a transposed
+    # view, with the id's up slot first or last in IN-dual, added to an
+    # entry that is one such term: the sum folds into that entry's core
     chart = Chart([0.1, -0.2], 2)
     rng = np.random.default_rng(11)
     dims = (3, 2, 3)        # OUT: one FIB up slot; IN-dual: TAN up, FIB down
@@ -304,11 +311,15 @@ def test_dense_identity_add_is_the_formed_product_added(strided, in_pos):
     held = FieldTensor(chart, product.slots,
                        rng.uniform(-1, 1, product.data.shape), 2)
     want = held.data + product.data
-    new = {key: held}
-    recursions._add_identity(new, key, A, 1, in_pos, chart.n)
-    assert type(new[key]) is FieldTensor and new[key].slots == product.slots
-    assert np.array_equal(new[key].data, want)
+    held_before = held.data.copy()
+    new = {key: _dense_map(held)}
+    recursions._add_identity(new, key, _dense_map(A), 1, in_pos, chart.n)
+    got = new[key]
+    assert len(got.terms) == 1 and got.terms[0][2] == ()
+    assert got.slots == product.slots
+    assert np.array_equal(got.data, want)
     assert np.array_equal(A.data, before)
+    assert np.array_equal(held.data, held_before)
 
 
 def _cov_plus_substitutions(spec, A, n_out, rules):
@@ -468,24 +479,34 @@ def test_identity_closed_forms_match_the_generic_path(kind, direction):
         assert A.norm(geo) == pytest.approx(geo.norm(dense), rel=1e-13)
 
 
-def test_pullback_diagonals_stay_dense():
-    scn = builtin_scenario("pullback-map")
-    _, pb = scn.map_at(cap=scn.degree)
+def test_pullback_diagonals_are_padded():
+    # the shift dPhi holds no identity, so every entry is padded by at most
+    # one term, without pairs: the dense map, held as its core (the
+    # derivative of the constant identity has no term); the diagonal
+    # (m, 0, m) is dPhi (x) ... (x) dPhi
+    _, pb = builtin_scenario("pullback-map").map_at(cap=4)
     table = build_coefficients(pullback_family(pb), 2, "forward")
-    assert not any(isinstance(A, recursions.PaddedMap)
-                   for _, A in table.items())
+    for (m, c, s), A in table.items():
+        assert isinstance(A, recursions.PaddedMap), (m, c, s)
+        assert [pairs for _, _, pairs in A.terms] == [()] * (s > 0 or m == 0)
+    dphi = pb.conversion()
+    want = dphi.product(dphi).move_slot(2, 1).truncated(
+        table.get(2, 0, 2).degree)
+    assert np.allclose(table.get(2, 0, 2).data, want.data, rtol=0,
+                       atol=1e-14)
 
 
 def test_identity_diagonals_keep_the_order_4_table_small():
-    # every array an entry of the L table owns, each counted once: the
-    # diagonals own a few hundred KB where their dense form held 186 MB
+    # every array that the L table's entries read as, each held and
+    # counted once: the diagonals read as a few hundred KB where their
+    # dense form held 186 MB
     ts = builtin_scenario("twisted-bundle").total_at(cap=6)
     table = build_coefficients(bundle_family("L", ts), 4, "forward")
     owners = {}
     for _, A in table.items():
         base = _owner(A.data)
-        owners[id(base)] = base.nbytes
-    assert sum(owners.values()) <= 65e6
+        owners[id(base)] = base
+    assert sum(base.nbytes for base in owners.values()) <= 65e6
     top = table.get(4, 0, 4).data
     assert not top.flags.writeable and _owner(top).nbytes <= 1e6
 
@@ -566,7 +587,8 @@ def test_hand_built_padded_map_matches_its_dense_form():
     A = _hand_map(bun)
     dense = A.copy()
     assert type(dense) is FieldTensor
-    assert A.data.flags.writeable is False and A.data is A.data
+    assert A.data.flags.writeable is False
+    assert np.array_equal(A.data, dense.data)
     assert A.norm(bun) == pytest.approx(frobenius_norm(bun.value(dense)),
                                         rel=1e-13)
     # the action, on an argument with one trailing slot
@@ -596,7 +618,8 @@ def test_one_axis_free_term_reads_as_a_strided_view():
     A = recursions.PaddedMap(bun.chart, _HAND_SLOTS, dims, 3,
                              [(core, (), pairs)])
     assert np.array_equal(A.data, _added(A))
-    assert A.data.flags.writeable is False and A.data is A.data
+    assert A.data.flags.writeable is False
+    assert np.array_equal(A.data, A.data)
     with pytest.raises(ValueError):
         A.data[(0,) * A.data.ndim] = 2.0
     assert _owner(A.data).size == bun.chart.ctx.size(3) * math.prod(
@@ -722,21 +745,24 @@ def test_every_entry_matches_a_dense_reference(scenario, kind):
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
-@pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS + ("CONN",))
+@pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS + (
+    "CONN", "PB-pullback-map", "PB-pullback-split"))
 def test_every_sub_diagonal_is_padded(kind, direction):
-    # the diagonals and the entries one below each component's top are
-    # padded, and no other
-    table = build_coefficients(_spec(kind), 3, direction)
-    top = {}
-    for (m, c, s), _ in table.items():
-        top[(m, c)] = max(top.get((m, c), -1), s)
-    padded = 0
-    for (m, c, s), A in table.items():
-        marked = isinstance(A, recursions.PaddedMap)
-        assert marked == (c == 0 and s == m or s == m - 1
-                          and s == top[(m, c)] - (c == 0)), (m, c, s)
-        padded += marked
-    assert padded == 4 + 3 * len(_spec(kind).aux)
+    # every entry, below the diagonal or on it, is a padded map, and no
+    # term's pairs contain another term's pairs (such a term is folded)
+    if kind.startswith("PB-"):
+        _, pb = builtin_scenario(kind[3:]).map_at(cap=3)
+        spec = pullback_family(pb)
+    else:
+        spec = _spec(kind)
+    table = build_coefficients(spec, 3, direction)
+    assert len(table.entries) >= 10
+    for key, A in table.items():
+        assert isinstance(A, recursions.PaddedMap), key
+        pair_sets = [set(pairs) for _, _, pairs in A.terms]
+        for i, one in enumerate(pair_sets):
+            for j, other in enumerate(pair_sets):
+                assert i == j or not one <= other, (key, i, j)
 
 
 @pytest.mark.parametrize("kind", ["L", "C", "CONN"])
@@ -773,12 +799,21 @@ def test_padded_entries_keep_the_order_4_table_under_20_mb():
         a = _owner(a)
         owners[id(a)] = a.nbytes
 
-    for (m, c, s), A in table.items():
-        if isinstance(A, recursions.PaddedMap):
-            for core, _, _ in A.terms:
-                own(core)
-        else:
-            own(A.data)
-    assert all(A._dense is None for _, A in table.items()
-               if isinstance(A, recursions.PaddedMap))
+    for _, A in table.items():
+        for core, _, _ in A.terms:
+            own(core)
     assert sum(owners.values()) <= 20e6
+
+
+@pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS)
+def test_padded_norm_is_the_gram_norm_of_the_formed_map(kind):
+    # every entry of the order-4 forward table, its cores whitened one by
+    # one, against the dense Gram norm of the formed map
+    ts = builtin_scenario("twisted-bundle").total_at(cap=4)
+    table = build_coefficients(bundle_family(kind, ts), 4, "forward")
+    worst = 0.0
+    for key, A in table.items():
+        got, want = A.norm(ts), ts.norm(A.dense())
+        assert got > 0.0 or want == 0.0, key   # the derivatives of a constant
+        worst = max(worst, abs(got - want) / max(want, 1e-300))
+    assert worst <= 1e-13

@@ -11,7 +11,7 @@ from jetcalc.total_space import (LIFT_KINDS, MapData, PullbackGeometry,
 
 def flat_total():
     fl = builtin_scenario("flat")
-    return fl.total_at(cap=fl.degree)
+    return fl.total_at(cap=7)
 
 
 def twisted_total():
@@ -274,7 +274,7 @@ def test_lift_isometries():
 
 def _pullback_pair(name="pullback-map"):
     scn = builtin_scenario(name)
-    return scn.map_at(cap=scn.degree)
+    return scn.map_at(cap=6)
 
 
 def test_map_data_validates_target_point():
