@@ -2,9 +2,9 @@
 
 A scenario bundles the analytic data (metric, fibre metric, connection
 coefficients, optional comparison data and pull-back map) with sample
-points, and a seed.  Scenario files are JSON with the same
-field names as the dataclass; expression entries use the prefix grammar of
-the series module, e.g. ``(+ 1 (* 0.3 (* x1 x1)))``.
+points and a seed.  Scenario files are JSON with the same field names as
+the dataclass; expression entries use the prefix grammar of the series
+module, e.g. ``(+ 1 (* 0.3 (* x1 x1)))``.
 
 The fibre connections of the built-in nonflat scenarios are metric for
 their fibre metrics (the derivative identities on the total space require

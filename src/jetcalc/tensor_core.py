@@ -171,7 +171,7 @@ def whiten_trailing(x, factors):
         d = x.shape[ax]
         view = x.reshape(math.prod(x.shape[:ax]), d, -1)
         rows, cols = view.shape[0], view.shape[2]
-        if cols == 1:       # last axis: chunks of rows times U^T
+        if cols == 1:       # last axis: chunks of rows times factor^T
             step = max(1, WHITEN_CHUNK // d)
             for p in range(0, rows, step):
                 block = view[p:p + step, :, 0]
