@@ -13,12 +13,16 @@ the change was developed, so each recorded run picks its own `--seed`.
 
 Per workload and end-to-end metric it records each side's median and
 quartiles, the change's wins (ties count for neither), the relative shift
-of the medians, whether that shift lies within the metric's bound and
-whether the change's gain is claimable: it wins at least nine tenths of
-the pairs and the medians differ, in the better direction, by more than
-the parent's interquartile spread.  Every run's figures, the failed
-operations, the seeds, `nproc` and the numpy and BLAS versions are recorded
-too.
+of the medians, whether that shift lies within the metric's bound, whether
+the metric is unresolved and whether the change's gain is claimable.  A
+metric is unresolved when the parent's interquartile spread over its median
+exceeds the bound, so the bound cannot tell a shift from noise, unless
+every change run beats every parent run.  A gain is claimable when the
+change wins at least nine tenths of the pairs, the medians differ, in the
+better direction, by more than the parent's interquartile spread, and the
+change fails no larger share of the workload's operations than the parent.
+Every run's figures, the failed operations, the seeds, `nproc` and the
+numpy and BLAS versions are recorded too.
 """
 
 from __future__ import annotations
@@ -61,12 +65,41 @@ def compare(metric, parent, change):
     ps, cs = quartiles(parent), quartiles(change)
     gain = sign * (ps["median"] - cs["median"])
     shift = (cs["median"] - ps["median"]) / ps["median"]
+    spread = ps["q3"] - ps["q1"]
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
     return {"unit": metric["unit"], "better": metric["better"],
             "bound": metric["bound"], "parent": ps, "change": cs,
             "wins": wins, "ties": ties, "pairs": len(parent),
             "shift": shift, "within_bound": sign * shift <= metric["bound"],
-            "claimable": (wins >= 0.9 * len(parent)
-                          and gain > ps["q3"] - ps["q1"])}
+            "unresolved": (spread / ps["median"] > metric["bound"]
+                           and not beats_all),
+            "claimable": wins >= 0.9 * len(parent) and gain > spread}
+
+
+def summarize(end_to_end, runs):
+    """One workload's paired `runs` compared per end-to-end metric, with no
+    gain claimable when the change fails a larger share of operations than
+    the parent; the failed and attempted operations of each side and
+    whether every run's outputs were correct."""
+    sides = ("parent", "change")
+    failed = {side: [sum(r[side]["failed"] for r in runs),
+                     sum(r[side]["attempted"] for r in runs)]
+              for side in sides}
+    (p_failed, p_tried), (c_failed, c_tried) = failed["parent"], \
+        failed["change"]
+    fails_more = c_failed * p_tried > p_failed * c_tried
+    summary = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        got = compare(metric, *([r[side]["metrics"][name]["value"]
+                                 for r in runs] for side in sides))
+        got["claimable"] = got["claimable"] and not fails_more
+        summary[name] = got
+    summary["failed"] = failed
+    summary["correct"] = all(r[side]["correct"] for r in runs
+                             for side in sides)
+    summary["runs"] = runs
+    return summary
 
 
 def git_state(checkout):
@@ -107,20 +140,7 @@ def main(argv=None):
                     {k: v["value"] for k, v in
                      pair[side]["metrics"].items()}), file=sys.stderr)
             runs.append(pair)
-        summary = {}
-        for metric in bench["end_to_end"]:
-            name = metric["name"]
-            summary[name] = compare(
-                metric, *([r[side]["metrics"][name]["value"] for r in runs]
-                          for side in ("parent", "change")))
-        summary["failed"] = {
-            side: [sum(r[side]["failed"] for r in runs),
-                   sum(r[side]["attempted"] for r in runs)]
-            for side in sides}
-        summary["correct"] = all(r[side]["correct"] for r in runs
-                                 for side in sides)
-        summary["runs"] = runs
-        record["workloads"][workload] = summary
+        record["workloads"][workload] = summarize(bench["end_to_end"], runs)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -31,7 +31,7 @@ in terms of lifted base derivatives; the inverse tables go back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +73,8 @@ class FamilySpec:
     # lift(comp, obj, s) -> FieldTensor; lift.base differentiates obj and
     # lift.of_derivative(comp, ds) lifts one derivative
     lift: object
-    couplings: list = field(default_factory=list)       # (src, dst, pass_pos)
-    inv_couplings: list = field(default_factory=list)   # (src, dst, moves)
     coupled_pure: object = None    # FamilySpec of the pure lift family
+    eval_at: object = None         # its aux slot that component 0 evaluates
     shift_tensor: object = None    # defaults to the tangent identity
     arg_space: str = TAN           # space of the argument covariant slots
 
@@ -280,15 +279,6 @@ class PaddedMap(FieldTensor):
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        if not isinstance(other, PaddedMap):
-            return FieldTensor.__add__(self, other)
-        if self.slots != other.slots:
-            raise ValueError("slot mismatch")
-        return PaddedMap(self.chart, self.slots, self._dims,
-                         min(self.degree, other.degree),
-                         self.terms + other.terms)
-
     def product(self, other):
         """self (x) other, `other` a FieldTensor: every core times other,
         whose slots are appended as core axes."""
@@ -304,8 +294,8 @@ class PaddedMap(FieldTensor):
     def with_pair(self, n_out, in_pos, dim):
         """self (x) id on the `dim`-dimensional tangent space, the id's down
         slot at OUT position `n_out` and its up slot at position `in_pos` of
-        the IN-dual block (the layout of `_add_identity`): one more pair on
-        every term."""
+        the IN-dual block (the layout of a shift or a coupling): one more
+        pair on every term."""
         up = n_out + 1 + in_pos
         slots, dims = list(self.slots), list(self._dims)
         slots.insert(n_out, (TAN, COV))
@@ -468,14 +458,6 @@ def _chain(root, x):
     return x
 
 
-def _identity_map(spec):
-    """The order-zero map: the identity on the main lift space."""
-    aux = spec.aux[0]
-    return PaddedMap.identity(spec.geo.chart, aux,
-                              [spec.geo.dims[space] for space, _ in aux],
-                              spec.geo.chart.cap)
-
-
 def _slot_rules(rules, layout, first):
     """{map position: (sign, S)} for the slots of `layout`, which start at
     position `first` of the map, that `rules` corrects."""
@@ -490,43 +472,14 @@ def _cov_term(spec, A, n_out, corrections):
     return dA.move_slot(dA.order - 1, n_out)    # the new OUT covariant slot
 
 
-def _add_identity(new, key, A, n_out, in_pos, dim):
-    """new[key] += A (x) id on the `dim`-dimensional tangent space, the id's
-    down slot at OUT position `n_out` and its up slot at position `in_pos`
-    of the IN-dual block.  The product is never formed: every term of A
-    gains one pair (`PaddedMap.with_pair`)."""
-    _accumulate(new, key, A.with_pair(n_out, in_pos, dim))
-
-
-def _add_shift(spec, new, key, A, n_out):
-    """new[key] += the shift term of A: A (x) id with the id's down slot
-    last in OUT and its up slot last in IN-dual, or A (x) dPhi, every core
-    times dPhi, for the pull-back family, whose shift is a different
-    tensor."""
+def _shift_term(spec, A, n_out):
+    """The shift term of A: A (x) id with the id's down slot last in OUT and
+    its up slot last in IN-dual, or A (x) dPhi, every core times dPhi, for
+    the pull-back family, whose shift is a different tensor."""
     if spec.shift_tensor is None:
-        _add_identity(new, key, A, n_out, A.order - n_out,
-                      spec.geo.dims[TAN])
-    else:
-        t = A.product(spec.shift_tensor)
-        _accumulate(new, key, t.move_slot(A.order, n_out))
-
-
-def _embed_out_table(P, n_aux_pure, m, moves):
-    """Move auxiliary OUT slots of a pure-family map to the end of the
-    covariant block (the subbundle embeddings of the evaluation families)."""
-    out = P
-    removed = 0
-    for a in sorted(moves):
-        pos = a - removed
-        out = out.move_slot(pos, n_aux_pure - removed + m - 1)
-        removed += 1
-    return out
-
-
-def _accumulate(new, key, term):
-    """new[key] += term, as one map of the terms of both."""
-    held = new.get(key)
-    new[key] = term if held is None else held + term
+        return A.with_pair(n_out, A.order - n_out, spec.geo.dims[TAN])
+    t = A.product(spec.shift_tensor)
+    return t.move_slot(A.order, n_out)
 
 
 def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
@@ -536,7 +489,13 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
     derivatives) or "inverse".  Entries at level m are eagerly truncated to
     the degree still needed, and every term of level m + 1 but the covariant
     derivative (which drops a degree itself) is formed from entries cut to
-    the degree level m + 1 keeps, which keeps high orders cheap.
+    the degree level m + 1 keeps, which keeps high orders cheap.  Each entry
+    of level m + 1 is made once, from its parts in one order (the covariant
+    term, the shift, the evaluation coupling) that fixes the order in which
+    its terms fold, and so its rounding.  An evaluating family couples
+    component 0 into component 1 through the slot `eval_at` of the pure
+    family: forward, A (x) id with the id's up slot there; inverse, minus
+    the pure table's entry with that slot moved last in OUT.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(direction)
@@ -545,19 +504,18 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
     if inverse and spec.coupled_pure is not None:
         pure_tables = build_coefficients(spec.coupled_pure, m_max, "inverse",
                                          keep_degree=keep_degree + 1)
-    entries = {(0, 0, 0): _identity_map(spec)}
+    aux = spec.aux[0]
+    entries = {(0, 0, 0): PaddedMap.identity(
+        spec.geo.chart, aux, [spec.geo.dims[space] for space, _ in aux],
+        spec.geo.chart.cap)}
     n_aux_main = spec.n_aux_out()
     for m in range(m_max):
-        level = [(c, s) for (mm, c, s) in entries if mm == m]
-        new = {}
+        level = sorted((c, s) for (mm, c, s) in entries if mm == m)
+        parts = {}      # (c, s) of level m + 1 -> its parts, in fold order
         need = max(m_max - (m + 1), 0) + keep_degree
 
         n_out = n_aux_main + m
-
-        def acc(c, s, term):
-            _accumulate(new, (m + 1, c, s), term)
-
-        for (c, s) in sorted(level):
+        for (c, s) in level:
             # the structure tensor corrects the output slots (inverse) or
             # the argument slots (forward) inside the covariant derivative
             if inverse:
@@ -566,30 +524,30 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             else:
                 fix = _slot_rules(spec.in_rule, list(spec.aux[c])
                                   + [(spec.arg_space, COV)] * s, n_out)
-            acc(c, s, _cov_term(spec, entries[(m, c, s)], n_out, fix))
+            parts.setdefault((c, s), []).append(
+                _cov_term(spec, entries[(m, c, s)], n_out, fix))
         # the shifts and couplings keep no more degrees than the new level
         # needs; a diagonal's key takes its own shift alone
-        for (c, s) in sorted(level):
-            _add_shift(spec, new, (m + 1, c, s + 1),
-                       entries[(m, c, s)].truncated(need), n_out)
-        if not inverse:
-            for (src, dst, pass_pos) in spec.couplings:
-                for s in range(m + 1):
-                    if (m, src, s) in entries:
-                        _add_identity(new, (m + 1, dst, s),
-                                      entries[(m, src, s)].truncated(need),
-                                      n_out, pass_pos, spec.geo.dims[TAN])
-        else:
-            for (src, dst, moves) in spec.inv_couplings:
-                for s in range(m + 1):
-                    P = pure_tables.get(m, src, s) if pure_tables else None
-                    if P is not None:
-                        n_aux_pure = len(spec.coupled_pure.aux[0])
-                        emb = _embed_out_table(P.truncated(need),
-                                               n_aux_pure, m, moves)
-                        acc(dst, s, emb * -1.0)
-        for key, val in new.items():
-            entries[key] = val.truncated(need)
+        for (c, s) in level:
+            parts.setdefault((c, s + 1), []).append(
+                _shift_term(spec, entries[(m, c, s)].truncated(need), n_out))
+        for s in range(m + 1 if spec.eval_at is not None else 0):
+            if inverse:
+                P = pure_tables.get(m, 0, s).truncated(need)
+                last = len(spec.coupled_pure.aux[0]) + m - 1
+                term = P.move_slot(spec.eval_at, last) * -1.0
+            else:
+                term = entries[(m, 0, s)].truncated(need).with_pair(
+                    n_out, spec.eval_at, spec.geo.dims[TAN])
+            parts.setdefault((1, s), []).append(term)
+        for (c, s), key_parts in parts.items():
+            first = key_parts[0]
+            if any(part.slots != first.slots for part in key_parts):
+                raise ValueError("slot mismatch")
+            entries[(m + 1, c, s)] = PaddedMap(
+                first.chart, first.slots, first.dims,
+                min([need] + [part.degree for part in key_parts]),
+                [term for part in key_parts for term in part.terms])
     return CoefficientTable(spec, m_max, entries, direction)
 
 
@@ -627,7 +585,7 @@ def verify_inverse_pair(spec, table_inv, obj, m):
                      spec.geo)
 
 
-def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
+def growth_profile(table, geo, slack=2.0, tol=1e-13):
     """Entry norms plus a fitted factorial-weighted envelope.
 
     Fits log||A^m_s|| ~ log C - m log sigma - (m-s) log rho + log (m-s)! by
@@ -635,7 +593,6 @@ def growth_profile(table, geo=None, slack=2.0, tol=1e-13):
     slack-inflated bound.  A degenerate (all-zero off-diagonal) profile is
     reported as such.
     """
-    geo = geo or table.spec.geo
     rows = []
     for (m, c, s), A in sorted(table.items()):
         rows.append((m, s, c, A.norm(geo)))
@@ -714,8 +671,7 @@ def bundle_family(kind, ts):
         # family of the same slots, coupled in at that slot's position
         at = slots.index((FIB, COV))
         spec.aux = [lifted[:at] + lifted[at + 1:], lifted]
-        spec.couplings = [(0, 1, at)]
-        spec.inv_couplings = [(0, 1, [at])]
+        spec.eval_at = at
         pure = next(k for k, s in FAMILY_SLOTS.items()
                     if s == slots and k not in EVALUATING_FAMILIES)
         spec.coupled_pure = bundle_family(pure, ts)

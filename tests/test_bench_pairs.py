@@ -69,3 +69,48 @@ def test_within_bound_limits_the_worse_shift_only(metric, factor, within):
     got = bench_pairs.compare(metric, PARENT, [p * factor for p in PARENT])
     assert got["shift"] == pytest.approx(factor - 1.0)
     assert got["within_bound"] is within
+
+
+@pytest.mark.parametrize("bound, step, unresolved", [
+    (0.25, 0.0, False),     # the parent's spread, 4.3 % of its median, fits
+    (0.01, 0.0, True),      # a bound below that spread cannot tell
+    (0.01, -0.05, True),    # a gain, but the runs overlap
+    (0.01, -0.1, False),    # every change run beats every parent run
+    (0.01, 0.1, True)])     # a loss is unresolved too
+def test_a_metric_is_unresolved_when_the_parent_spread_exceeds_the_bound(
+        bound, step, unresolved):
+    got = bench_pairs.compare(dict(LOWER, bound=bound), PARENT,
+                              [p + step for p in PARENT])
+    assert got["unresolved"] is unresolved
+    # the same rule in the higher-is-better direction
+    got = bench_pairs.compare(dict(HIGHER, bound=bound), PARENT,
+                              [p - step for p in PARENT])
+    assert got["unresolved"] is unresolved
+
+
+def _runs(parent, change, failed, attempted):
+    """Hand-made pairs of `wall_s` values with the given failed and
+    attempted operations per run and side."""
+    return [{side: {"metrics": {"wall_s": {"value": value}},
+                    "failed": failed[side], "attempted": attempted[side],
+                    "correct": True}
+             for side, value in (("parent", p), ("change", c))}
+            for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("failed, attempted, claimable", [
+    ({"parent": 0, "change": 0}, {"parent": 100, "change": 100}, True),
+    ({"parent": 0, "change": 1}, {"parent": 100, "change": 100}, False),
+    # the same share of a larger number of operations still claims
+    ({"parent": 1, "change": 2}, {"parent": 100, "change": 200}, True),
+    ({"parent": 1, "change": 3}, {"parent": 100, "change": 200}, False)])
+def test_a_claim_is_refused_when_the_change_fails_a_larger_share(
+        failed, attempted, claimable):
+    change = [p - 0.2 for p in PARENT]
+    got = bench_pairs.summarize([LOWER], _runs(PARENT, change, failed,
+                                               attempted))
+    assert got["wall_s"]["wins"] == 10
+    assert got["wall_s"]["claimable"] is claimable
+    assert got["failed"] == {side: [10 * failed[side], 10 * attempted[side]]
+                             for side in ("parent", "change")}
+    assert got["correct"]

@@ -113,20 +113,20 @@ def test_expansion_checks_form_each_stream_once_per_table(monkeypatch, kind):
 
 
 #: per family: argument auxiliary slots and the lift kinds of the test
-#: object, per component, then the couplings, inverse couplings and the
-#: coupled pure family
+#: object, per component, then the evaluated slot and the coupled pure
+#: family
 _TABLES = {
-    "P": ([()], [["base"]], [], [], None),
-    "V": ([((TAN, CONTRA),)], [["vert", "base"]], [], [], None),
-    "H": ([((TAN, CONTRA),)], [["hor", "base"]], [], [], None),
-    "Vstar": ([((TAN, COV),)], [["theta", "base"]], [], [], None),
+    "P": ([()], [["base"]], None, None),
+    "V": ([((TAN, CONTRA),)], [["vert", "base"]], None, None),
+    "H": ([((TAN, CONTRA),)], [["hor", "base"]], None, None),
+    "Vstar": ([((TAN, COV),)], [["theta", "base"]], None, None),
     "L": ([((TAN, CONTRA), (TAN, COV))], [["vert", "theta", "base"]],
-          [], [], None),
+          None, None),
     "D": ([(), ((TAN, COV),)], [["eval", "base"], ["theta", "base"]],
-          [(0, 1, 0)], [(0, 1, [0])], "Vstar"),
+          0, "Vstar"),
     "C": ([((TAN, CONTRA),), ((TAN, CONTRA), (TAN, COV))],
           [["vert", "eval", "base"], ["vert", "theta", "base"]],
-          [(0, 1, 1)], [(0, 1, [1])], "L"),
+          1, "L"),
 }
 
 
@@ -135,10 +135,9 @@ def test_family_tables_follow_from_the_object_slots(kind):
     scn = builtin_scenario("twisted-bundle")
     ts = scn.total_at(cap=4)
     fam = bundle_family(kind, ts)
-    aux, kinds, couplings, inv_couplings, pure = _TABLES[kind]
+    aux, kinds, eval_at, pure = _TABLES[kind]
     assert [tuple(a) for a in fam.aux] == aux
-    assert fam.couplings == couplings
-    assert fam.inv_couplings == inv_couplings
+    assert fam.eval_at == eval_at
     assert (fam.coupled_pure and fam.coupled_pure.name) == pure
     obj = _object_field(ts.bundle, kind, _family_objects(scn, kind, 47))
     for comp, comp_kinds in enumerate(kinds):
@@ -269,11 +268,8 @@ def test_in_place_sums_match_out_of_place_reference(monkeypatch, kind,
     for tab, entries in pure:
         for key, A in tab.items():
             assert np.array_equal(A.data, entries[key])
-    monkeypatch.setattr(recursions, "_accumulate", _out_of_place)
-    monkeypatch.setattr(recursions, "_add_identity", _dense_identity_term)
-    want = build_coefficients(fam, 3, direction)
-    assert sorted(k for k, _ in got.items()) == \
-        sorted(k for k, _ in want.items())
+    want = _dense_reference(fam, 3, direction)
+    assert sorted(k for k, _ in got.items()) == sorted(want)
     for key, A in want.items():
         B = got.get(*key)
         assert B.degree == A.degree and B.slots == A.slots
@@ -312,9 +308,9 @@ def test_dense_identity_add_is_the_formed_product_added(strided, in_pos):
                        rng.uniform(-1, 1, product.data.shape), 2)
     want = held.data + product.data
     held_before = held.data.copy()
-    new = {key: _dense_map(held)}
-    recursions._add_identity(new, key, _dense_map(A), 1, in_pos, chart.n)
-    got = new[key]
+    term = _dense_map(A).with_pair(1, in_pos, chart.n)
+    got = recursions.PaddedMap(chart, held.slots, held.dims, 2,
+                               _dense_map(held).terms + term.terms)
     assert len(got.terms) == 1 and got.terms[0][2] == ()
     assert got.slots == product.slots
     assert np.array_equal(got.data, want)
@@ -699,19 +695,16 @@ def _dense_reference(spec, m_max, direction, keep_degree=0):
                           _cov_plus_substitutions(spec, A, n_out, rules))
             _dense_identity_term(new, (m + 1, c, s + 1), A.truncated(need),
                                  n_out, A.order - n_out, dim)
-        for src, dst, pass_pos in ([] if inverse else spec.couplings):
-            for s in range(m + 1):
-                if (m, src, s) in entries:
-                    _dense_identity_term(new, (m + 1, dst, s),
-                                         entries[(m, src, s)].truncated(need),
-                                         n_out, pass_pos, dim)
-        for src, dst, moves in (spec.inv_couplings if inverse else []):
-            for s in range(m + 1):
-                if (m, src, s) in pure:
-                    emb = recursions._embed_out_table(
-                        pure[(m, src, s)].truncated(need),
-                        len(spec.coupled_pure.aux[0]), m, moves)
-                    _out_of_place(new, (m + 1, dst, s), emb * -1.0)
+        for s in range(m + 1 if spec.eval_at is not None else 0):
+            if inverse:
+                # the evaluated slot of the pure entry moves last in OUT
+                emb = pure[(m, 0, s)].truncated(need).move_slot(
+                    spec.eval_at, len(spec.coupled_pure.aux[0]) + m - 1)
+                _out_of_place(new, (m + 1, 1, s), emb * -1.0)
+            else:
+                _dense_identity_term(new, (m + 1, 1, s),
+                                     entries[(m, 0, s)].truncated(need),
+                                     n_out, spec.eval_at, dim)
         for key, val in new.items():
             entries[key] = val.truncated(need)
     return entries
