@@ -526,7 +526,7 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
                                   + [(spec.arg_space, COV)] * s, n_out)
             parts.setdefault((c, s), []).append(
                 _cov_term(spec, entries[(m, c, s)], n_out, fix))
-        # the shifts and couplings keep no more degrees than the new level
+        # the shift and coupling terms keep no more degrees than the new level
         # needs; a diagonal's key takes its own shift alone
         for (c, s) in level:
             parts.setdefault((c, s + 1), []).append(
