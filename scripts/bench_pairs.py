@@ -21,8 +21,9 @@ every change run beats every parent run.  A gain is claimable when the
 change wins at least nine tenths of the pairs, the medians differ, in the
 better direction, by more than the parent's interquartile spread, and the
 change fails no larger share of the workload's operations than the parent.
-Every run's figures, the failed operations, the seeds, `nproc` and the
-numpy and BLAS versions are recorded too.
+Every run's figures with its raw `setups` and `walls` samples (from
+perfbench's `info ` line), the failed operations, the seeds, `nproc` and
+the numpy and BLAS versions are recorded too.
 """
 
 from __future__ import annotations
@@ -39,17 +40,27 @@ import numpy as np
 PAIRS = 10
 
 
+def parse_run(stdout):
+    """The final JSON line of a `perfbench/run.py` output, with the set-up
+    and round samples, `setups` and `walls`, of its `info ` line."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    info = json.loads(next(line for line in lines
+                           if line.startswith("info "))[len("info "):])
+    result.update(setups=info["setups"], walls=info["walls"])
+    return result
+
+
 def run_once(checkout, workload, seed, seconds):
-    """One `perfbench/run.py` run; its final JSON line."""
+    """One `perfbench/run.py` run, as `parse_run` reads it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=600 + 10 * seconds)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{checkout} {workload} seed {seed}: exit "
                            f"{proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return parse_run(proc.stdout)
 
 
 def quartiles(values):

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-
 __all__ = ["JetVector", "decompose_jet", "jet_norm", "jet_project",
            "prolong_decompose", "nested_jet_norm", "delta_hat"]
 
@@ -21,20 +18,9 @@ class JetVector:
     """Components (A_0 .. A_m); A_j symmetric in its j argument slots and
     stored with the 1/j! weight already applied."""
 
-    def __init__(self, components, enforce=True, tol=1e-8):
+    def __init__(self, components):
         self.components = list(components)
         self.order = len(self.components) - 1
-        if enforce:
-            for j, a in enumerate(self.components):
-                base = a.order - j
-                sym = a.symmetrized(range(base, base + j)) if j > 1 else a
-                scale = max(float(np.abs(a.data).max()), 1e-30)
-                gap = float(np.abs(sym.data - a.data).max())
-                if gap > tol * scale:
-                    raise ValueError(
-                        f"jet component {j} asymmetric beyond tolerance "
-                        f"({gap / scale:.2e}); ordering or torsion bug upstream")
-                self.components[j] = sym
 
 
 def decompose_jet(T, geo, m):
@@ -45,8 +31,7 @@ def decompose_jet(T, geo, m):
     and the degree-0 part of nabla^j T depends on nabla^j T only to degree
     m - j, so T is truncated to degree m first and each derivative comes
     out one degree lower.  The symmetrization acts on the base-point value,
-    so the components are symmetric by construction and the JetVector
-    guard is not run on them again.
+    so the components are symmetric by construction.
     """
     comps = []
     base = T.order
@@ -56,7 +41,15 @@ def decompose_jet(T, geo, m):
                      * (1.0 / math.factorial(j)))
         if j < m:
             D = geo.cov(D)
-    return JetVector(comps, enforce=False)
+    return JetVector(comps)
+
+
+def _root_sum_of_squares(norms):
+    """sqrt(n_1^2 + n_2^2 + ...), the squares added in the order given."""
+    total = 0.0
+    for n in norms:
+        total += n ** 2
+    return math.sqrt(total)
 
 
 def jet_norm(jet):
@@ -65,43 +58,36 @@ def jet_norm(jet):
     The 1/j! weights and the Gram data are already inside the stored
     components.
     """
-    total = 0.0
-    for a in jet.components:
-        total += a.norm() ** 2
-    return math.sqrt(total)
+    return _root_sum_of_squares(a.norm() for a in jet.components)
 
 
 def jet_project(jet, l):
     if l > jet.order:
         raise ValueError("cannot project a jet upward")
-    return JetVector(jet.components[: l + 1], enforce=False)
+    return JetVector(jet.components[: l + 1])
 
 
 def prolong_decompose(T, geo, k, m):
     """Nested decomposition: entry (j, l) is the order-j component of the
     k-jet of the order-l derivative field, scaled by 1/(j! l!).
 
-    Computed directly (differentiate the symmetrized order-l derivative j
-    more times, then symmetrize the new slots); comparing against
-    `delta_hat` of the flat (k+m)-jet is the commuting-square check.  One
-    `cov` per order: nabla^l T is formed once per l from the previous one,
-    from T truncated to degree k + m, and its symmetrization is carried
-    only to degree k, all that its k-jet reads; at most (m+1)(k+1) calls.
+    Computed directly: column l is `decompose_jet` of the symmetrized
+    order-l derivative, scaled by 1/l!; comparing against `delta_hat` of
+    the flat (k+m)-jet is the commuting-square check.  One `cov` per order:
+    nabla^l T is formed once per l from the previous one, from T truncated
+    to degree k + m, and its symmetrization is carried only to degree k,
+    all that its k-jet reads; at most (m+1)(k+1) calls.
     """
     base = T.order
     D = T.truncated(k + m)
-    rows = [[None] * (m + 1) for _ in range(k + 1)]
+    cols = []
     for l in range(m + 1):
-        top = base + l
-        E = D.truncated(k).symmetrized(range(base, top))
-        for j in range(k + 1):
-            rows[j][l] = (geo.value(E).symmetrized(range(top, top + j))
-                          * (1.0 / (math.factorial(j) * math.factorial(l))))
-            if j < k:
-                E = geo.cov(E)
+        E = D.truncated(k).symmetrized(range(base, base + l))
+        cols.append([a * (1.0 / math.factorial(l))
+                     for a in decompose_jet(E, geo, k).components])
         if l < m:
             D = geo.cov(D)
-    return rows
+    return [list(row) for row in zip(*cols)]
 
 
 def delta_hat(jet, k, m):
@@ -126,13 +112,17 @@ def delta_hat(jet, k, m):
 
 
 def nested_table_gap(rows_a, rows_b):
-    num = 0.0
-    den = 0.0
-    for ra, rb in zip(rows_a, rows_b):
-        for a, b in zip(ra, rb):
-            num += (a - b).norm() ** 2
-            den += b.norm() ** 2
-    return math.sqrt(num) / max(math.sqrt(den), 1e-12)
+    """||table a - table b|| / ||table b||, entry by entry in row order."""
+    pairs = [(a, b) for ra, rb in zip(rows_a, rows_b) for a, b in zip(ra, rb)]
+    num = _root_sum_of_squares((a - b).norm() for a, b in pairs)
+    den = _root_sum_of_squares(b.norm() for _, b in pairs)
+    return num / max(den, 1e-12)
+
+
+def _symmetrized_table(rows):
+    """Each entry (j, l) symmetrized jointly over its last j + l slots."""
+    return [[a.symmetrized(range(a.order - j - l, a.order)) if j + l > 1
+             else a for l, a in enumerate(row)] for j, row in enumerate(rows)]
 
 
 def nested_sym_gap(rows_a, rows_b):
@@ -143,23 +133,10 @@ def nested_sym_gap(rows_a, rows_b):
     mixed entries; full symmetrization removes exactly those, so this gap
     is the curvature-free content of the re-slicing identity.
     """
-    num = 0.0
-    den = 0.0
-    for j, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-        for l, (a, b) in enumerate(zip(ra, rb)):
-            base = a.order - j - l
-            if j + l > 1:
-                a = a.symmetrized(range(base, a.order))
-                b = b.symmetrized(range(base, b.order))
-            num += (a - b).norm() ** 2
-            den += b.norm() ** 2
-    return math.sqrt(num) / max(math.sqrt(den), 1e-12)
+    return nested_table_gap(_symmetrized_table(rows_a),
+                            _symmetrized_table(rows_b))
 
 
 def nested_jet_norm(rows):
     """Jet norm of a nested jet table (components already scaled)."""
-    total = 0.0
-    for row in rows:
-        for a in row:
-            total += a.norm() ** 2
-    return math.sqrt(total)
+    return _root_sum_of_squares(a.norm() for row in rows for a in row)

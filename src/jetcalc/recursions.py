@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FIB, PTN, TAN, FieldTensor, Geometry
-from .tensor_core import COV, CONTRA, TensorShape, whiten_trailing
+from .tensor_core import COV, CONTRA, TensorShape, whitened
 
 __all__ = ["FamilySpec", "CoefficientTable", "PaddedMap", "build_coefficients",
            "verify_expansion", "verify_inverse_pair", "growth_profile",
@@ -70,8 +70,8 @@ class FamilySpec:
     aux: list                      # per component: tuple of (space, variance)
     in_rule: dict                  # (space, variance) -> (sign, structure)
     out_rule: dict
-    # lift(comp, obj, s) -> FieldTensor; lift.base differentiates obj and
-    # lift.of_derivative(comp, ds) lifts one derivative
+    # lift.base differentiates obj and lift.of_derivative(comp, ds) lifts
+    # one derivative
     lift: object
     coupled_pure: object = None    # FamilySpec of the pure lift family
     eval_at: object = None         # its aux slot that component 0 evaluates
@@ -82,10 +82,12 @@ class FamilySpec:
         return len(self.aux[0])
 
     def stream_lifted(self, comp, obj, s):
-        return self.lift(comp, obj, s)
+        """The lift of the s-th derivative of obj, formed anew: the
+        reference that the stream memo `_Streams` is checked against."""
+        return self.lift.of_derivative(comp, self.lift.base.iterated(obj, s))
 
     def stream_total(self, comp, obj, s):
-        return self.geo.iterated(self.lift(comp, obj, 0), s)
+        return self.geo.iterated(self.stream_lifted(comp, obj, 0), s)
 
 
 class _Streams:
@@ -312,21 +314,16 @@ class PaddedMap(FieldTensor):
 
     def norm(self, geo):
         """The Gram norm from the terms alone.  Every core is whitened at
-        the base point by the `pair_whiteners` of its slots (U on an up
-        slot, U^-T on a down slot, U^T U the Gram), which leave each
-        identity an identity, so the inner product of two terms is the
-        plain contraction of their whitened cores, the identities of both
-        terms joining their slots into chains: a chain between core axes is
-        a shared einsum label, and a closed loop of identities contributes
-        its dimension."""
+        the base point by `tensor_core.whitened` (U on an up slot, U^-T on a
+        down slot, U^T U the Gram), which leaves each identity an identity,
+        so the inner product of two terms is the plain contraction of their
+        whitened cores, the identities of both terms joining their slots
+        into chains: a chain between core axes is a shared einsum label, and
+        a closed loop of identities contributes its dimension."""
         n = self.order
-        white = []
-        for core, axes, _ in self.terms:
-            x = np.array(core[:1], order="C")
-            whiten_trailing(x, [None] + [
-                geo.registry[self.slots[a].space].pair_whiteners[
-                    not self.slots[a].up] for a in axes])
-            white.append(x[0])
+        white = [whitened(geo.registry, [self.slots[a] for a in axes],
+                          core[0])
+                 for core, axes, _ in self.terms]
         dots = []
         for t, (_, axes, pairs) in enumerate(self.terms):
             for u in range(t, len(self.terms)):
@@ -635,16 +632,13 @@ def growth_profile(table, geo, slack=2.0, tol=1e-13):
 # --------------------------------------------------------------------------
 
 class _BundleLift:
-    """lift(comp, obj, s): the total-space lift of the s-th derivative of
-    `obj` on the bundle `base`."""
+    """The total-space lift of a derivative of an object on the bundle
+    `base`."""
 
     def __init__(self, ts, evaluate):
         self.ts = ts
         self.base = ts.bundle
         self.evaluate = evaluate
-
-    def __call__(self, comp, obj, s):
-        return self.of_derivative(comp, self.base.iterated(obj, s))
 
     def of_derivative(self, comp, ds):
         # component 0 is the family's own lift, component 1 the pure one
@@ -682,9 +676,6 @@ class _ConnLift:
     def __init__(self, bun):
         self.base = bun
 
-    def __call__(self, comp, obj, s):
-        return self.base.iterated(obj, s)
-
     def of_derivative(self, comp, ds):
         return ds
 
@@ -709,9 +700,6 @@ class _PullbackLift:
         self.pb = pb
         # obj is a scalar FieldTensor on the target chart
         self.base = pb.mapdata.target
-
-    def __call__(self, comp, obj, s):
-        return self.of_derivative(comp, self.base.iterated(obj, s))
 
     def of_derivative(self, comp, ds):
         return self.pb.mapdata.pullback_field(ds)

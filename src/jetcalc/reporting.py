@@ -71,7 +71,9 @@ def load_report_rows(path):
     A row id is the check id, followed by the row's inputs in parentheses
     when it has any: one check id can cover several inputs.  Raises OSError
     when the file cannot be read and ValueError when it is not a jetcalc
-    JSON report.
+    JSON report: a row whose check id, tag, inputs or value is not a
+    string, whose value does not read as a number, or whose pass flag is
+    not a boolean, names the file and the row.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -85,7 +87,19 @@ def load_report_rows(path):
                    else r["check_id"])
             if rid in rows:
                 raise ValueError(f"{path}: row {rid!r} appears twice")
-            rows[rid] = (r["tag"], float(r["value"]), r["passed"])
+            wrong = [key for key in ("check_id", "tag", "inputs", "value")
+                     if not isinstance(r[key], str)]
+            if not isinstance(r["passed"], bool):
+                wrong.append("passed")
+            if wrong:
+                raise ValueError(f"{path}: row {rid!r}: {', '.join(wrong)} "
+                                 f"of the wrong type")
+            try:
+                value = float(r["value"])
+            except ValueError:
+                raise ValueError(f"{path}: row {rid!r}: value "
+                                 f"{r['value']!r} is not a number") from None
+            rows[rid] = (r["tag"], value, r["passed"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a jetcalc report") from exc
     return rows

@@ -77,11 +77,15 @@ def p_infinity(provider, K, m):
     return float(jet_norm_profile(provider, K, m)[:, m].max())
 
 
+def _weighted_sup(prof, weights):
+    """max over points i and orders m of prof[i, m] a_0 .. a_m."""
+    w = weights.prefix_products()[: prof.shape[1]]
+    return float((prof * np.asarray(w)).max())
+
+
 def p_omega(provider, K, weights, m_max):
     """sup over the sample and all orders <= m_max of the weighted jet norm."""
-    prof = jet_norm_profile(provider, K, m_max)
-    w = weights.prefix_products()[: m_max + 1]
-    return float((prof * np.asarray(w)).max())
+    return _weighted_sup(jet_norm_profile(provider, K, m_max), weights)
 
 
 def local_component_profile(provider, K, m_max):
@@ -105,8 +109,7 @@ def local_seminorm(provider, K, weights, m_max):
     """The multi-index seminorm with a_0..a_m / I! weights, |I| <= m."""
     prof = local_component_profile(provider, K, m_max)
     run = np.maximum.accumulate(prof, axis=1)   # sup over |I| <= m
-    w = weights.prefix_products()[: m_max + 1]
-    return float((run * np.asarray(w)).max())
+    return _weighted_sup(run, weights)
 
 
 @dataclass
@@ -175,6 +178,24 @@ def fit_envelope(ms, ratios, slack):
     return C, sigma, coverage
 
 
+def _two_sided_fit(prof_a, prof_b, slack):
+    """`fit_envelope` of prof_a / prof_b and of prof_b / prof_a over every
+    (point, order) where either profile is nonzero: two dicts of C, sigma
+    and coverage."""
+    ms, fwd, bwd = [], [], []
+    for i in range(prof_a.shape[0]):
+        for m in range(prof_a.shape[1]):
+            na, nb = prof_a[i, m], prof_b[i, m]
+            if na < 1e-14 and nb < 1e-14:
+                continue
+            ms.append(m)
+            fwd.append(na / max(nb, 1e-300))
+            bwd.append(nb / max(na, 1e-300))
+    return tuple(dict(zip(("C", "sigma", "coverage"),
+                          fit_envelope(ms, ratios, slack)))
+                 for ratios in (fwd, bwd))
+
+
 def norm_compare(provider_a, provider_b, K, m_max, slack=1.5):
     """Two-sided C sigma^{-m} comparison of jet-norm families.
 
@@ -182,21 +203,10 @@ def norm_compare(provider_a, provider_b, K, m_max, slack=1.5):
     two (metric, connection) pairs; the same underlying section must be fed
     to both.
     """
-    prof_a = jet_norm_profile(provider_a, K, m_max)
-    prof_b = jet_norm_profile(provider_b, K, m_max)
-    ms, fwd, bwd = [], [], []
-    for i in range(prof_a.shape[0]):
-        for m in range(m_max + 1):
-            na, nb = prof_a[i, m], prof_b[i, m]
-            if na < 1e-14 and nb < 1e-14:
-                continue
-            ms.append(m)
-            fwd.append(na / max(nb, 1e-300))
-            bwd.append(nb / max(na, 1e-300))
-    C1, s1, cov1 = fit_envelope(ms, fwd, slack)
-    C2, s2, cov2 = fit_envelope(ms, bwd, slack)
-    return {"forward": {"C": C1, "sigma": s1, "coverage": cov1},
-            "backward": {"C": C2, "sigma": s2, "coverage": cov2}}
+    forward, backward = _two_sided_fit(jet_norm_profile(provider_a, K, m_max),
+                                       jet_norm_profile(provider_b, K, m_max),
+                                       slack)
+    return {"forward": forward, "backward": backward}
 
 
 def topology_equivalence_check(provider, K, weight_family, m_max, slack=1.5):
@@ -207,37 +217,21 @@ def topology_equivalence_check(provider, K, weight_family, m_max, slack=1.5):
     prof_local = local_component_profile(provider, K, m_max)
     run_local = np.maximum.accumulate(prof_local, axis=1)
     prof_jet = jet_norm_profile(provider, K, m_max)
-    ms, fwd, bwd = [], [], []
-    for i in range(prof_jet.shape[0]):
-        for m in range(m_max + 1):
-            lo, jn = run_local[i, m], prof_jet[i, m]
-            if lo < 1e-14 and jn < 1e-14:
-                continue
-            ms.append(m)
-            fwd.append(lo / max(jn, 1e-300))
-            bwd.append(jn / max(lo, 1e-300))
-    C1, s1, cov1 = fit_envelope(ms, fwd, slack)
-    C2, s2, cov2 = fit_envelope(ms, bwd, slack)
-    report = {"local_le_intrinsic": {"C": C1, "sigma": s1, "coverage": cov1},
-              "intrinsic_le_local": {"C": C2, "sigma": s2, "coverage": cov2},
-              "weights": []}
+    local_le, intrinsic_le = _two_sided_fit(run_local, prof_jet, slack)
+    report = {"local_le_intrinsic": local_le,
+              "intrinsic_le_local": intrinsic_le, "weights": []}
     for a in weight_family:
-        w = np.asarray(a.prefix_products()[: m_max + 1])
-        p_loc = float((run_local * w).max())
-        p_int = float((prof_jet * w).max())
+        p_loc = _weighted_sup(run_local, a)
+        p_int = _weighted_sup(prof_jet, a)
         # witness sequences per the rescaling construction
-        b1 = WeightSequence([a.values[0] * C1]
-                            + [v / s1 for v in a.values[1:]], tag="b1")
-        w1 = np.asarray(b1.prefix_products()[: m_max + 1])
-        p_int_b1 = float((prof_jet * w1).max())
-        b2 = WeightSequence([a.values[0] * C2]
-                            + [v / s2 for v in a.values[1:]], tag="b2")
-        w2 = np.asarray(b2.prefix_products()[: m_max + 1])
-        p_loc_b2 = float((run_local * w2).max())
+        b1, b2 = (WeightSequence([a.values[0] * fit["C"]]
+                                 + [v / fit["sigma"] for v in a.values[1:]])
+                  for fit in (local_le, intrinsic_le))
         report["weights"].append({
             "tag": a.tag,
             "local": p_loc, "intrinsic": p_int,
-            "local_le": p_loc <= p_int_b1 * (1 + 1e-9),
-            "intrinsic_le": p_int <= p_loc_b2 * (1 + 1e-9),
+            "local_le": p_loc <= _weighted_sup(prof_jet, b1) * (1 + 1e-9),
+            "intrinsic_le": p_int <= _weighted_sup(run_local, b2)
+            * (1 + 1e-9),
         })
     return report

@@ -1349,7 +1349,7 @@ def suite_continuity(config):
                     bun = ts.bundle
                     obj = _object_field(bun, kind, exprs)
                     fam = bundle_family(kind, ts)
-                    lifted = fam.lift(0, obj, 0)
+                    lifted = fam.stream_lifted(0, obj, 0)
                     for m in range(m_lift + 1):
                         je = jet_norm(decompose_jet(lifted, ts, m))
                         jb = jet_norm(decompose_jet(obj, bun, m))

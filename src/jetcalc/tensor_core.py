@@ -3,8 +3,9 @@
 A slot is a (space, variance) pair resolved against a registry of spaces,
 each of which carries a symmetric positive-definite Gram matrix.  Norms and
 inner products weight every slot by its Gram (inverse Gram on dual slots),
-applied through its Cholesky factor, so non-orthonormal metrics are
-supported throughout.  Every operation that builds a tensor from tensors
+applied through one whitener pair per space, its Cholesky factor U on up
+slots and U^-T on down slots, so non-orthonormal metrics are supported
+throughout.  Every operation that builds a tensor from tensors
 lives on `fields.FieldTensor`; the pointwise algebra of a fibre is the
 degree-0 case of it.  This module keeps what acts on arrays and slots, and
 the shuffle algebra (`sym_product`, `delta_split`, `push`), which acts on
@@ -33,7 +34,7 @@ __all__ = [
     "Slot",
     "TensorShape",
     "DenseTensor",
-    "whiten_trailing",
+    "whitened",
     "symmetrized_data",
     "sym_axes_data",
     "sym_product",
@@ -74,19 +75,10 @@ class VectorSpaceSpec:
         self._upper = lower.T
 
     @cached_property
-    def gram_inv(self):
-        return np.linalg.inv(self.gram)
-
-    @cached_property
     def whiteners(self):
-        """Upper factors U with U^T U = gram and = gram_inv respectively."""
-        return self._upper, np.linalg.cholesky(self.gram_inv).T
-
-    @cached_property
-    def pair_whiteners(self):
-        """U and U^-T, U^T U = gram, for an up and a down slot: they whiten
-        as `whiteners` do, and the identity joining an up slot to a down
-        slot stays the identity (U U^-1)."""
+        """U and U^-T, U upper triangular with U^T U = gram, for an up and a
+        down slot: (U^-T)^T U^-T is the inverse Gram, and the identity
+        joining an up slot to a down slot stays the identity (U U^-1)."""
         return self._upper, np.linalg.inv(self._upper).T
 
 
@@ -135,11 +127,6 @@ class DenseTensor:
     def order(self):
         return len(self.slots)
 
-    def __add__(self, other):
-        if self.slots != other.slots:
-            raise ValueError("slot mismatch in addition")
-        return DenseTensor(self.registry, self.slots, self.data + other.data)
-
     def __sub__(self, other):
         if self.slots != other.slots:
             raise ValueError("slot mismatch in subtraction")
@@ -163,7 +150,21 @@ class DenseTensor:
 WHITEN_CHUNK = 1 << 16
 
 
-def whiten_trailing(x, factors):
+def _whiteners(registry, slots):
+    """The whitener of each slot: U on an up slot, U^-T on a down slot."""
+    return [registry[slot.space].whiteners[not slot.up] for slot in slots]
+
+
+def whitened(registry, slots, x):
+    """A copy of the array x with every axis multiplied by the whitener of
+    its slot in `slots`, so that Gram inner products of such copies are
+    plain contractions."""
+    out = np.array(x, dtype=float, order="C")[np.newaxis]
+    _whiten_trailing(out, [None] + _whiteners(registry, slots))
+    return out[0]
+
+
+def _whiten_trailing(x, factors):
     """Multiply every axis of x but the first, in place, by its whitener
     from `factors`; x is C-contiguous.  WHITEN_CHUNK entries per product."""
     for ax in range(1, x.ndim):
@@ -208,22 +209,20 @@ def _whitened_blocks(a, order):
     if x.ndim == 0:
         yield x.reshape(1)
         return
-    uppers = [a.registry[a.slots[ax].space].whiteners[a.slots[ax].variance
-                                                      == COV]
-              for ax in order]
+    factors = _whiteners(a.registry, [a.slots[ax] for ax in order])
     d0 = x.shape[0]
     step = max(1, WHITEN_CHUNK // (x.size // d0))
     flat = x.reshape(d0, -1) if x.flags.c_contiguous else None
     buf = np.empty((min(step, d0),) + x.shape[1:])
     for p in range(0, d0, step):
-        # U is upper triangular: rows p.. read only x[p:]
-        u = uppers[0][p:p + step, p:]
-        block = buf[:len(u)]
+        # full factor rows: U^-T is lower triangular
+        rows = factors[0][p:p + step]
+        block = buf[:len(rows)]
         if flat is None:    # a strided view: no contiguous copy of it
-            np.einsum("ij,j...->i...", u, x[p:], out=block)
+            np.einsum("ij,j...->i...", rows, x, out=block)
         else:
-            np.matmul(u, flat[p:], out=block.reshape(len(u), -1))
-        whiten_trailing(block, uppers)
+            np.matmul(rows, flat, out=block.reshape(len(rows), -1))
+        _whiten_trailing(block, factors)
         yield block.reshape(-1)
 
 

@@ -1,6 +1,8 @@
-"""The claim rule of `scripts/bench_pairs.py`: `compare` on hand-made runs."""
+"""The claim rule of `scripts/bench_pairs.py`, `compare` on hand-made runs,
+and the samples it keeps of each run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,13 @@ def test_a_claim_is_refused_when_the_change_fails_a_larger_share(
     assert got["failed"] == {side: [10 * failed[side], 10 * attempted[side]]
                              for side in ("parent", "change")}
     assert got["correct"]
+
+
+def test_each_run_keeps_its_setup_and_round_samples():
+    info = {"walls": [0.5, 0.4, 0.6], "cpus": [0.5, 0.4, 0.6],
+            "setups": [0.25, 0.18, 0.26], "workload": "check-matrix"}
+    result = {"correct": True, "attempted": 30, "failed": 0,
+              "metrics": {"setup_s": {"value": 0.25, "unit": "s"}}}
+    stdout = "info " + json.dumps(info) + "\n" + json.dumps(result) + "\n"
+    got = bench_pairs.parse_run(stdout)
+    assert got == dict(result, setups=info["setups"], walls=info["walls"])

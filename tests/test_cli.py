@@ -241,15 +241,29 @@ def test_report_diff_unreadable_input_exits_two(tmp_path):
     csv_report = tmp_path / "report.csv"
     _write_report(csv_report, _ROWS, "csv")
     none = tmp_path / "none.json"
-    # each case names the file that cannot be read
-    for args, culprit in (([good, bad], bad), ([none, good], none),
-                          ([good, nonreport], nonreport),
-                          ([twice, good], twice),
-                          ([good, csv_report], csv_report)):
+    # a row with a field of the wrong type: a value that is no number, a
+    # pass flag that is no boolean, a tag that is no string
+    malformed = []
+    for name, key, bad_value in (("value", "value", "small"),
+                                 ("passed", "passed", "yes"),
+                                 ("tag", "tag", 5)):
+        report = json.loads(good.read_text())
+        report["rows"][0][key] = bad_value
+        path = tmp_path / f"bad-{name}.json"
+        path.write_text(json.dumps(report))
+        malformed.append(([path, good], path, report["rows"][0]["check_id"]))
+    # each case names the file that cannot be read, and the row if one is
+    # at fault
+    for args, culprit, row in [([good, bad], bad, ""), ([none, good], none, ""),
+                               ([good, nonreport], nonreport, ""),
+                               ([twice, good], twice, ""),
+                               ([good, csv_report], csv_report, "")] \
+            + malformed:
         res = run_cli("report", "diff", *map(str, args))
         assert res.returncode == 2, args
         assert "configuration error" in res.stderr
         assert str(culprit) in res.stderr, args
+        assert row in res.stderr, args
         assert "Traceback" not in res.stderr
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from jetcalc.fields import FIB, TAN, FieldTensor, random_field
-from jetcalc.jets import (JetVector, decompose_jet, delta_hat, jet_norm,
-                          jet_project, nested_sym_gap, nested_table_gap,
-                          prolong_decompose)
+from jetcalc.jets import (decompose_jet, delta_hat, jet_norm, jet_project,
+                          nested_sym_gap, nested_table_gap, prolong_decompose)
 from jetcalc.scenarios import builtin_scenario, function_field
 from jetcalc.tensor_core import CONTRA, COV
 
@@ -73,18 +72,6 @@ def test_jet_wellposed_under_high_order_change():
     jb = decompose_jet(other, bun, 2)
     for a, b in zip(ja.components, jb.components):
         assert np.allclose(a.data, b.data, atol=1e-13)
-
-
-def test_asymmetry_guard():
-    fl = builtin_scenario("flat")
-    bun = fl.bundle_at(cap=7)
-    reg = bun.registry
-    from jetcalc.tensor_core import DenseTensor
-    bad = DenseTensor(reg, [(TAN, COV), (TAN, COV)],
-                      np.array([[0.0, 1.0], [0.0, 0.0]]))
-    good = DenseTensor(reg, (), np.array(1.0))
-    with pytest.raises(ValueError):
-        JetVector([good, DenseTensor(reg, [(TAN, COV)], np.zeros(2)), bad])
 
 
 def test_prolong_flat_cubic_by_hand():

@@ -141,7 +141,7 @@ def test_family_tables_follow_from_the_object_slots(kind):
     assert (fam.coupled_pure and fam.coupled_pure.name) == pure
     obj = _object_field(ts.bundle, kind, _family_objects(scn, kind, 47))
     for comp, comp_kinds in enumerate(kinds):
-        got = fam.lift(comp, obj, 1)
+        got = fam.stream_lifted(comp, obj, 1)
         want = ts.lift_mixed(ts.bundle.iterated(obj, 1), comp_kinds)
         assert got.slots == want.slots
         assert np.array_equal(got.data, want.data)

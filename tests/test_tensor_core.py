@@ -57,7 +57,8 @@ def test_space_whiteners_factor_gram_and_inverse():
     assert np.abs(up.T @ up - g).max() < 1e-14
     assert np.abs(down.T @ down - np.linalg.inv(g)).max() < 1e-14
     assert np.array_equal(up, np.triu(up))
-    assert np.array_equal(down, np.triu(down))
+    # U^-T: an identity joining an up slot to a down slot stays one
+    assert np.abs(up @ down.T - np.eye(3)).max() < 1e-14
 
 
 def test_basis_product():
@@ -349,7 +350,7 @@ def _explicit_inner(a, b):
     x = b.data
     for ax, slot in enumerate(a.slots):
         spec = a.registry[slot.space]
-        g = spec.gram if slot.variance == CONTRA else spec.gram_inv
+        g = spec.gram if slot.variance == CONTRA else np.linalg.inv(spec.gram)
         x = np.moveaxis(np.tensordot(g, x, axes=([1], [ax])), 0, ax)
     return float(np.sum(a.data * x))
 
