@@ -291,6 +291,10 @@ class FieldTensor:
     def is_zero(self, tol=0.0):
         return bool(np.all(np.abs(self.data) <= tol))
 
+    def norm(self, geo):
+        """The Gram norm of the base-point value in `geo`."""
+        return geo.value(self).norm()
+
 
 def identity_field(chart, space, dim, degree, up_first=True):
     """The (1,1) identity over a space, exact to every degree."""
@@ -364,7 +368,9 @@ class Geometry:
         return DenseTensor(self.registry, T.slots, T.data[0])
 
     def norm(self, T):
-        return self.value(T).norm()
+        """The Gram norm of T's base-point value, as T's own type forms it:
+        a `PaddedMap` from its terms, never formed."""
+        return T.norm(self)
 
     # --- covariant differentiation -------------------------------------------
 

@@ -164,9 +164,9 @@ class PaddedMap(FieldTensor):
     and a term without pairs, the dense map, holds every term.
     The covariant derivative, shift, action and Gram norm come in closed
     form and never form the map.  `data` forms it anew on every read (for
-    report rows, tests and checks outside the recursion), read-only: a
-    strided view for a map of one term without core axes (`_pair_view`),
-    the dense map otherwise.
+    tests and checks outside the recursion), read-only: a strided view for
+    a map of one term without core axes (`_pair_view`), the dense map
+    otherwise.
     """
 
     def __init__(self, chart, slots, dims, degree, terms):
@@ -592,7 +592,7 @@ def growth_profile(table, geo, slack=2.0, tol=1e-13):
     """
     rows = []
     for (m, c, s), A in sorted(table.items()):
-        rows.append((m, s, c, A.norm(geo)))
+        rows.append((m, s, c, geo.norm(A)))
     offdiag = [r for r in rows if r[0] != r[1] and r[3] > tol]
     if not offdiag:
         return {"rows": rows, "degenerate": True, "coverage": 1.0,

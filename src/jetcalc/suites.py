@@ -1013,13 +1013,25 @@ def suite_recursions(config):
             inputs=(f"C={prof['C']:.3g} sigma={prof['sigma']:.3g} "
                     f"rho={prof['rho']:.3g}"), value=1.0 - prof["coverage"]))
         dim_id = math.sqrt(np.prod([ts4.dims[TAN]] * (go + fam.n_aux_out())))
-        # the Gram norm of the entry's values, not the identity's closed
-        # form, which is dim_id itself
+        # the padded norm of the entry, from its terms; the padded-norm row
+        # below checks that norm against the dense Gram norm
         diag = tab.get(go, 0, go)
         rows.append(CheckRow.residual(
             f"recursions/{kind}-diagonal-norm", f"twisted-bundle/p0/{go}",
             abs(ts4.norm(diag) - dim_id), 1e-9,
             inputs=f"expect sqrt({ts4.dims[TAN]}^{go + fam.n_aux_out()})"))
+        # the padded norm of every entry small enough to form against the
+        # dense Gram norm of the formed map
+        gap, covered = 0.0, 0
+        for A in tab.entries.values():
+            if math.prod(A.dims) > tc.WHITEN_CHUNK:
+                continue
+            want = ts4.norm(A.dense())
+            gap = max(gap, abs(A.norm(ts4) - want) / max(want, 1e-300))
+            covered += 1
+        rows.append(CheckRow.residual(
+            f"recursions/{kind}-padded-norm", f"twisted-bundle/p0/{go}",
+            gap, 1e-13, inputs=f"{covered} of {len(tab.entries)} entries"))
         # template operator bounds at order zero: each substitution term is
         # controlled by the structure tensor norm times the map norm
         B = ts4.b_tensor()
@@ -1528,6 +1540,7 @@ CHECK_MANIFEST = {
         "recursions/C-flat-collapse",
         "recursions/C-growth-coverage",
         "recursions/C-inverse",
+        "recursions/C-padded-norm",
         "recursions/C-template-bound",
         "recursions/CONN-expansion",
         "recursions/CONN-roundtrip",
@@ -1538,6 +1551,7 @@ CHECK_MANIFEST = {
         "recursions/D-flat-collapse",
         "recursions/D-growth-coverage",
         "recursions/D-inverse",
+        "recursions/D-padded-norm",
         "recursions/D-template-bound",
         "recursions/H-diagonal",
         "recursions/H-diagonal-norm",
@@ -1545,6 +1559,7 @@ CHECK_MANIFEST = {
         "recursions/H-flat-collapse",
         "recursions/H-growth-coverage",
         "recursions/H-inverse",
+        "recursions/H-padded-norm",
         "recursions/H-template-bound",
         "recursions/L-diagonal",
         "recursions/L-diagonal-norm",
@@ -1552,6 +1567,7 @@ CHECK_MANIFEST = {
         "recursions/L-flat-collapse",
         "recursions/L-growth-coverage",
         "recursions/L-inverse",
+        "recursions/L-padded-norm",
         "recursions/L-template-bound",
         "recursions/P-diagonal",
         "recursions/P-diagonal-norm",
@@ -1559,6 +1575,7 @@ CHECK_MANIFEST = {
         "recursions/P-flat-collapse",
         "recursions/P-growth-coverage",
         "recursions/P-inverse",
+        "recursions/P-padded-norm",
         "recursions/P-template-bound",
         "recursions/PB-expansion",
         "recursions/PB-inverse",
@@ -1568,6 +1585,7 @@ CHECK_MANIFEST = {
         "recursions/V-flat-collapse",
         "recursions/V-growth-coverage",
         "recursions/V-inverse",
+        "recursions/V-padded-norm",
         "recursions/V-template-bound",
         "recursions/Vstar-diagonal",
         "recursions/Vstar-diagonal-norm",
@@ -1575,6 +1593,7 @@ CHECK_MANIFEST = {
         "recursions/Vstar-flat-collapse",
         "recursions/Vstar-growth-coverage",
         "recursions/Vstar-inverse",
+        "recursions/Vstar-padded-norm",
         "recursions/Vstar-template-bound",
         "recursions/flat-growth-degenerate",
     ),

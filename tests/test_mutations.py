@@ -11,8 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from jetcalc import recursions
 from jetcalc import tensor_core as tc
 from jetcalc.cli import SUITES, SuiteConfig
+from jetcalc.recursions import BUNDLE_FAMILY_KINDS
 
 
 def _down_slots_whitened_by_u(monkeypatch):
@@ -20,6 +22,21 @@ def _down_slots_whitened_by_u(monkeypatch):
     dense or padded, weights a down slot by the Gram, not its inverse."""
     monkeypatch.setattr(tc.VectorSpaceSpec, "whiteners", property(
         lambda spec: (np.linalg.cholesky(spec.gram).T,) * 2))
+
+
+def _padded_down_slots_whitened_by_chol_of_inverse(monkeypatch):
+    """chol(G^-1)^T in place of U^-T on the down slots of padded cores: a
+    core's down axis no longer meets an identity pair as its dual, so the
+    padded Gram norm misses the dense one."""
+    def whitened(registry, slots, x):
+        out = np.array(x, dtype=float)
+        for ax, slot in enumerate(slots):
+            spec = registry[slot.space]
+            w = spec.whiteners[0] if slot.up else \
+                np.linalg.cholesky(np.linalg.inv(spec.gram)).T
+            out = np.moveaxis(np.tensordot(w, out, axes=([1], [ax])), 0, ax)
+        return out
+    monkeypatch.setattr(recursions, "whitened", whitened)
 
 
 #: name -> (patch, suites run, {tag: failing rows at seed 7})
@@ -33,6 +50,11 @@ MUTATIONS = {
          "submersion/norm-horizontal": 9, "submersion/norm-dual": 9,
          "submersion/norm-evaluated": 9,
          "compare/gram-scaling": 1}),
+    "padded-down-slots-whitened-by-chol-of-inverse": (
+        _padded_down_slots_whitened_by_chol_of_inverse,
+        ("recursions",),
+        {f"recursions/{kind}-padded-norm": 1
+         for kind in BUNDLE_FAMILY_KINDS}),
 }
 
 

@@ -799,6 +799,20 @@ def test_padded_entries_keep_the_order_4_table_under_20_mb():
     assert sum(owners.values()) <= 20e6
 
 
+def test_geometry_norm_never_forms_a_padded_map(monkeypatch):
+    # Geometry.norm hands a padded map to its own norm: every entry of the
+    # L order-4 table is normed from its terms, never formed
+    ts = builtin_scenario("twisted-bundle").total_at(cap=4)
+    table = build_coefficients(bundle_family("L", ts), 4, "forward")
+
+    def formed(*args):
+        raise AssertionError("a padded map was formed for its norm")
+    monkeypatch.setattr(recursions.PaddedMap, "dense", formed)
+    monkeypatch.setattr(recursions.PaddedMap, "_pair_view", formed)
+    for _, A in table.items():
+        assert ts.norm(A) == A.norm(ts)
+
+
 @pytest.mark.parametrize("kind", BUNDLE_FAMILY_KINDS)
 def test_padded_norm_is_the_gram_norm_of_the_formed_map(kind):
     # every entry of the order-4 forward table, its cores whitened one by
