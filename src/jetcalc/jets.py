@@ -33,6 +33,8 @@ def decompose_jet(T, geo, m):
     out one degree lower.  The symmetrization acts on the base-point value,
     so the components are symmetric by construction.
     """
+    if m < 0:
+        raise ValueError(f"jet order m must be non-negative, got {m}")
     comps = []
     base = T.order
     D = T.truncated(m)
@@ -62,8 +64,9 @@ def jet_norm(jet):
 
 
 def jet_project(jet, l):
-    if l > jet.order:
-        raise ValueError("cannot project a jet upward")
+    if not 0 <= l <= jet.order:
+        raise ValueError(f"projection order l must lie in 0..{jet.order}, "
+                         f"got {l}")
     return JetVector(jet.components[: l + 1])
 
 

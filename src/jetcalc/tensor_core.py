@@ -145,8 +145,8 @@ class DenseTensor:
         return frobenius_norm(self)
 
 
-#: Entries whitened per matrix product when computing Gram norms (512 KB),
-#: and the size of the blocks a norm whitens one after another.
+#: Entries whitened per matrix product, and entries per dot product when a
+#: Gram norm adds its squares (512 KB).
 WHITEN_CHUNK = 1 << 16
 
 
@@ -158,7 +158,10 @@ def _whiteners(registry, slots):
 def whitened(registry, slots, x):
     """A copy of the array x with every axis multiplied by the whitener of
     its slot in `slots`, so that Gram inner products of such copies are
-    plain contractions."""
+    plain contractions.  The one whitening routine of every Gram norm: a
+    dense value's (in its memory order) and each core of a padded map.
+    The copy is C-contiguous and whitened in place, WHITEN_CHUNK entries
+    per product, so a norm holds one copy of its input and a block."""
     out = np.array(x, dtype=float, order="C")[np.newaxis]
     _whiten_trailing(out, [None] + _whiteners(registry, slots))
     return out[0]
@@ -194,36 +197,10 @@ def _memory_order(x):
     return sorted(range(x.ndim), key=lambda ax: -abs(x.strides[ax]))
 
 
-def _whitened_blocks(a, order):
-    """a.data with every axis multiplied by its slot's whitener, so that
-    Gram inner products become plain dot products, as consecutive flat
-    blocks of the whitened array transposed to the axis `order`.
-
-    The first axis of `order` is whitened one block of output rows at a
-    time (U[rows] @ data), and the other axes in place on that block, so a
-    norm never holds a whitened copy of all of a.  A block is about
-    WHITEN_CHUNK entries but at least one slice of the first axis, a.size /
-    d0 entries: a quarter to a half of a on axes of dimension 2 to 4.
-    """
-    x = np.asarray(a.data, dtype=float).transpose(order)
-    if x.ndim == 0:
-        yield x.reshape(1)
-        return
-    factors = _whiteners(a.registry, [a.slots[ax] for ax in order])
-    d0 = x.shape[0]
-    step = max(1, WHITEN_CHUNK // (x.size // d0))
-    flat = x.reshape(d0, -1) if x.flags.c_contiguous else None
-    buf = np.empty((min(step, d0),) + x.shape[1:])
-    for p in range(0, d0, step):
-        # full factor rows: U^-T is lower triangular
-        rows = factors[0][p:p + step]
-        block = buf[:len(rows)]
-        if flat is None:    # a strided view: no contiguous copy of it
-            np.einsum("ij,j...->i...", rows, x, out=block)
-        else:
-            np.matmul(rows, flat, out=block.reshape(len(rows), -1))
-        _whiten_trailing(block, factors)
-        yield block.reshape(-1)
+def _whitened_flat(a, order):
+    """a.data transposed to the axis `order`, whitened by `whitened`, flat."""
+    return whitened(a.registry, [a.slots[ax] for ax in order],
+                    a.data.transpose(order)).reshape(-1)
 
 
 def _chunk_dots(x, y):
@@ -239,15 +216,13 @@ def inner_product(a, b):
     if a.slots != b.slots:
         raise ValueError("slot mismatch in inner product")
     order = _memory_order(a.data)
-    return math.fsum(dot for xa, xb in zip(_whitened_blocks(a, order),
-                                           _whitened_blocks(b, order))
-                     for dot in _chunk_dots(xa, xb))
+    xa, xb = _whitened_flat(a, order), _whitened_flat(b, order)
+    return math.fsum(_chunk_dots(xa, xb))
 
 
 def frobenius_norm(a):
-    return math.sqrt(math.fsum(
-        dot for x in _whitened_blocks(a, _memory_order(a.data))
-        for dot in _chunk_dots(x, x)))
+    x = _whitened_flat(a, _memory_order(a.data))
+    return math.sqrt(math.fsum(_chunk_dots(x, x)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,11 +279,16 @@ def symmetrized_data(slots, data, axes, lead=0):
     return sym_axes_data(data, [lead + ax for ax in axes])
 
 
-def is_symmetric(a, tol=1e-10):
+#: Relative tolerance of `is_symmetric`, which guards `sym_product` and
+#: `delta_split`.
+SYMMETRY_TOL = 1e-10
+
+
+def is_symmetric(a):
     """Whether a FieldTensor is symmetric in all of its slots."""
     s = a.symmetrized(range(a.order))
     scale = max(float(np.abs(a.data).max()), 1e-30)
-    return float(np.abs(s.data - a.data).max()) <= tol * scale
+    return float(np.abs(s.data - a.data).max()) <= SYMMETRY_TOL * scale
 
 
 def _inverse_perm(perm):
@@ -349,9 +329,9 @@ def _shuffle_sum(t, k, l):
     return acc
 
 
-def sym_product(a, b, tol=1e-10):
+def sym_product(a, b):
     """Shuffle product of symmetric tensors: sum over S_{k,l} of permuted a@b."""
-    if not (is_symmetric(a, tol=tol) and is_symmetric(b, tol=tol)):
+    if not (is_symmetric(a) and is_symmetric(b)):
         raise ValueError("sym_product expects symmetric inputs")
     return _shuffle_sum(a.product(b), a.order, b.order)
 
@@ -379,7 +359,7 @@ def push(a, j1, j2):
     return a.permuted(_inverse_perm(push_order(a.order, j1, j2)))
 
 
-def delta_split(a, r, s, tol=1e-10):
+def delta_split(a, r, s):
     """Split a symmetric (r+s)-tensor into Sym^r (x) Sym^s.
 
     Because the input is symmetric the result equals the input array,
@@ -388,7 +368,7 @@ def delta_split(a, r, s, tol=1e-10):
     """
     if a.order != r + s:
         raise ValueError("order mismatch")
-    if not is_symmetric(a, tol=tol):
+    if not is_symmetric(a):
         raise ValueError("delta_split expects a symmetric input")
     if r == 0 or s == 0:
         return a.copy()

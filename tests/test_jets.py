@@ -58,6 +58,11 @@ def test_projection():
     assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
     with pytest.raises(ValueError):
         jet_project(jet, 5)
+    for l in (-1, -2, -4):
+        with pytest.raises(ValueError, match="projection order l"):
+            jet_project(jet, l)
+    with pytest.raises(ValueError, match="jet order m"):
+        decompose_jet(sec, bun, -1)
 
 
 def test_jet_wellposed_under_high_order_change():

@@ -39,6 +39,15 @@ def _padded_down_slots_whitened_by_chol_of_inverse(monkeypatch):
     monkeypatch.setattr(recursions, "whitened", whitened)
 
 
+def _last_axis_left_unwhitened(monkeypatch):
+    """`_whiten_trailing` one axis short: the last axis of every whitened
+    copy, dense value or padded core, keeps its raw values (an identity
+    factor multiplies it exactly)."""
+    whiten = tc._whiten_trailing
+    monkeypatch.setattr(tc, "_whiten_trailing", lambda x, factors: whiten(
+        x, factors[:-1] + [np.eye(x.shape[-1])]))
+
+
 #: name -> (patch, suites run, {tag: failing rows at seed 7})
 MUTATIONS = {
     "down-slots-whitened-by-U": (
@@ -50,6 +59,16 @@ MUTATIONS = {
          "submersion/norm-horizontal": 9, "submersion/norm-dual": 9,
          "submersion/norm-evaluated": 9,
          "compare/gram-scaling": 1}),
+    "last-axis-left-unwhitened": (
+        _last_axis_left_unwhitened,
+        ("tensor-laws", "submersion", "connection-compare", "recursions"),
+        {"tensor/id-norm": 50, "tensor/otimes-norm": 100,
+         "tensor/sym-contraction": 2, "tensor/sym-projection": 60,
+         "submersion/norm-vertical": 9, "submersion/norm-horizontal": 9,
+         "submersion/norm-dual": 9,
+         "compare/gram-scaling": 1,
+         **{f"recursions/{kind}-padded-norm": 1
+            for kind in BUNDLE_FAMILY_KINDS}}),
     "padded-down-slots-whitened-by-chol-of-inverse": (
         _padded_down_slots_whitened_by_chol_of_inverse,
         ("recursions",),
