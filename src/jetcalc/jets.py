@@ -23,6 +23,13 @@ class JetVector:
         self.order = len(self.components) - 1
 
 
+def _check_orders(**orders):
+    for name, n in orders.items():
+        if n < 0:
+            raise ValueError(
+                f"jet order {name} must be non-negative, got {n}")
+
+
 def decompose_jet(T, geo, m):
     """Decompose the m-jet of a section-like field into jet components.
 
@@ -33,8 +40,7 @@ def decompose_jet(T, geo, m):
     out one degree lower.  The symmetrization acts on the base-point value,
     so the components are symmetric by construction.
     """
-    if m < 0:
-        raise ValueError(f"jet order m must be non-negative, got {m}")
+    _check_orders(m=m)
     comps = []
     base = T.order
     D = T.truncated(m)
@@ -81,6 +87,7 @@ def prolong_decompose(T, geo, k, m):
     to degree k + m, and its symmetrization is carried only to degree k,
     all that its k-jet reads; at most (m+1)(k+1) calls.
     """
+    _check_orders(k=k, m=m)
     base = T.order
     D = T.truncated(k + m)
     cols = []
@@ -101,6 +108,7 @@ def delta_hat(jet, k, m):
     the stored array, so only the factorial rescaling appears (stored
     components carry 1/(j+l)!, the nested table carries 1/(j! l!)).
     """
+    _check_orders(k=k, m=m)
     if jet.order != k + m:
         raise ValueError("jet order must be k+m")
     rows = []

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FIB, PTN, TAN, FieldTensor, Geometry
+from .seminorms import upper_envelope_fit
 from .tensor_core import COV, CONTRA, TensorShape, whitened
 
 __all__ = ["FamilySpec", "CoefficientTable", "PaddedMap", "build_coefficients",
@@ -605,13 +606,10 @@ def growth_profile(table, geo, slack=2.0, tol=1e-13):
         y.append(math.log(val) - math.lgamma(m - s + 1))
     X = np.asarray(X)
     y = np.asarray(y)
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    logC, a, b = coef            # a = log 1/sigma, b = log 1/rho
-    # the template is an upper envelope: lift the intercept by the largest
-    # central-fit residual so the fitted bound covers the sampled range
-    resid = y - (X @ coef)
+    # the template is an upper envelope over the sampled range;
+    # a = log 1/sigma, b = log 1/rho
+    (logC, a, b), resid = upper_envelope_fit(X, y)
     spread = float(np.exp(resid.max() - resid.min()))
-    logC += max(float(resid.max()), 0.0)
     covered = 0
     total = 0
     for (m, s, c, val) in rows:

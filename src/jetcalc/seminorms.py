@@ -18,7 +18,8 @@ from .jets import decompose_jet
 
 __all__ = ["CompactSample", "WeightSequence", "jet_norm_profile",
            "p_infinity", "p_omega", "local_seminorm", "growth_fit",
-           "norm_compare", "topology_equivalence_check", "fit_envelope"]
+           "norm_compare", "topology_equivalence_check", "fit_envelope",
+           "upper_envelope_fit"]
 
 
 @dataclass
@@ -121,6 +122,20 @@ class GrowthFit:
     trivial: bool = False
 
 
+def upper_envelope_fit(X, y):
+    """Least-squares coefficients of y ~ X, the intercept (column 0 of X is
+    ones) lifted by the largest residual so that the fit bounds every
+    sample from above; returns them and the residuals of the central fit.
+
+    Low outliers are harmless for an upper envelope and must not drag the
+    bound down, so the lift is never negative.
+    """
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ coef
+    coef[0] += max(float(resid.max()), 0.0)
+    return coef, resid
+
+
 def growth_fit(provider, K, m_max, slack=1.5):
     """Analyticity certificate: constants with p_inf(m) <= C r^{-m}.
 
@@ -137,9 +152,7 @@ def growth_fit(provider, K, m_max, slack=1.5):
                          max_order=m_max, max_violation=0.0, trivial=True)
     y = np.log(p_inf[mask])
     A = np.stack([np.ones_like(ms, dtype=float), -ms.astype(float)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    logC, logr = coef
-    logC += max(float((y - A @ coef).max()), 0.0)
+    (logC, logr), _ = upper_envelope_fit(A, y)
     C = math.exp(logC) * slack
     r = math.exp(logr)
     viol = float(np.max(np.log(p_inf[mask]) - (math.log(C) - ms * logr)))
@@ -154,12 +167,9 @@ def growth_fit(provider, K, m_max, slack=1.5):
 def fit_envelope(ms, ratios, slack):
     """Fit log(ratio) <= log C + m log(1/sigma) and certify it.
 
-    The slope comes from a log-space least-squares line; the intercept is
-    then lifted to the largest residual, which turns the central fit into a
-    covering bound over the sampled range (low outliers are harmless for an
-    upper envelope and must not drag the certificate down).  The slack
-    multiplies the certified constant and the reported coverage is checked
-    against the slack-inflated bound.
+    The line is `upper_envelope_fit` in log space, a covering bound over
+    the sampled range.  The slack multiplies the certified constant and the
+    reported coverage is checked against the slack-inflated bound.
     """
     ms = np.asarray(ms, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
@@ -168,9 +178,7 @@ def fit_envelope(ms, ratios, slack):
         return 1.0, 1.0, 1.0
     y = np.log(ratios[mask])
     A = np.stack([np.ones(mask.sum()), ms[mask]], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    logC, a = coef
-    logC += max(float((y - A @ coef).max()), 0.0)
+    (logC, a), _ = upper_envelope_fit(A, y)
     C = math.exp(logC)
     sigma = math.exp(-a)
     bound = np.log(C * slack) + a * ms[mask]

@@ -101,60 +101,6 @@ def _context_tables(nvars, cap):
 #: the gathered blocks of a and b, padded, and the chunk's output blocks.
 CHUNK_FLOATS = 1 << 14
 
-#: Floats allowed in each operand of one block of a pair multiplied on its
-#: own (2^20 floats = 8 MB): a row block of the larger map and its product.
-#: A budget near CHUNK_FLOATS would run one-row blocks when the contracted
-#: size is large.
-BLOCK_FLOATS = 1 << 20
-
-
-def _row_blocks(dims, rows):
-    """Cut axes of shape `dims`, read as one flattened (C order) axis of
-    rows, into consecutive blocks of at most `rows` rows (`rows` >= 1).
-
-    Yields (index, first row, row count): the index selects the block on
-    those axes, and its rows are a range of the flattened axis.
-    """
-    cut, trail = len(dims), 1
-    while cut and trail * dims[cut - 1] <= rows:
-        cut -= 1
-        trail *= dims[cut]
-    if cut == 0:
-        yield (), 0, trail
-        return
-    ax = cut - 1
-    step = max(1, rows // trail)
-    for n, head in enumerate(np.ndindex(*dims[:ax])):
-        for q in range(0, dims[ax], step):
-            e = min(q + step, dims[ax])
-            yield (head + (slice(q, e),), (n * dims[ax] + q) * trail,
-                   (e - q) * trail)
-
-
-def _pair_product(ai, bj, dims_a, dims_b, out):
-    """out += ai . bj for one coefficient pair; ai has shape (*dims_a, *K),
-    bj (*K, *dims_b), out (prod(dims_a), prod(dims_b)).
-
-    Runs in blocks along the side with more free entries (rows of ai or
-    columns of bj), so that neither a reshaped copy of a strided block of
-    that side nor a product exceeds BLOCK_FLOATS.  The other side is
-    reshaped whole, a full copy if it is strided: it is assumed small (a
-    vector field or structure tensor against a map in every caller).
-    """
-    fa, fb = out.shape
-    kk = ai.size // fa
-    if fa >= fb:
-        y = bj.reshape(kk, fb)
-        rows = max(1, BLOCK_FLOATS // max(kk, fb))
-        for idx, r0, nr in _row_blocks(dims_a, rows):
-            out[r0:r0 + nr] += ai[idx].reshape(nr, kk) @ y
-    else:
-        x = ai.reshape(fa, kk)
-        lead = (slice(None),) * (bj.ndim - len(dims_b))
-        cols = max(1, BLOCK_FLOATS // max(kk, fa))
-        for idx, c0, nc in _row_blocks(dims_b, cols):
-            out[:, c0:c0 + nc] += x @ bj[lead + idx].reshape(kk, nc)
-
 
 @lru_cache(maxsize=None)
 def _pair_tables(nvars, cap, da, db, dout):
@@ -289,10 +235,10 @@ def _series_contract(a, b, axes_a, axes_b, key):
     padded with zero blocks to the run's width: a chunk gathers the blocks
     of its runs once, and each width in it is one batched matmul written
     straight into its output blocks.  Pairs whose blocks alone exceed
-    CHUNK_FLOATS are multiplied one at a time into their output block, in
-    row blocks of the side with more free entries; scalar series (no tensor
-    axes) take one weighted bincount.  Everything that depends only on the
-    shapes is a cached `_Plan`.
+    CHUNK_FLOATS are multiplied one at a time, each one matmul into its
+    output block; scalar series (no tensor axes) take one weighted
+    bincount.  Everything that depends only on the shapes is a cached
+    `_Plan`.
     """
     if a.ndim == b.ndim == 1:       # scalar series: one weighted count
         pi, pj, pk = _pair_tables(*key)
@@ -309,8 +255,7 @@ def _series_contract(a, b, axes_a, axes_b, key):
         pi, pj, pk = _pair_tables(*key)
         head = (slice(None),) * lead
         for i, j, k in zip(pi.tolist(), pj.tolist(), pk.tolist()):
-            _pair_product(A[head + (i,)], B[j], plan.dims_a, plan.dims_b,
-                          out[k])
+            out[k] += A[head + (i,)].reshape(fa, kk) @ B[j].reshape(kk, fb)
         return out.reshape(shape)
     # the blocks of a that pairs read and a zero block after them, which the
     # pad pairs read
@@ -501,34 +446,20 @@ class TaylorScalar:
         return self._poly_in_nilpotent([e0 / math.factorial(r)
                                         for r in range(self.degree + 1)])
 
+    def _cycle(self, v0, v1):
+        """sum_r c_r h^r, h the zero-constant part of self, with c_r the
+        cycle (v0, v1, -v0, -v1) at r mod 4, over r!."""
+        cycle = (v0, v1, -v0, -v1)
+        return self._poly_in_nilpotent([cycle[r % 4] / math.factorial(r)
+                                        for r in range(self.degree + 1)])
+
     def sin(self):
-        s0, c0 = math.sin(self.value), math.cos(self.value)
         # sin(a + h) = sin a cos h + cos a sin h
-        coeffs = []
-        for r in range(self.degree + 1):
-            if r % 4 == 0:
-                coeffs.append(s0 / math.factorial(r))
-            elif r % 4 == 1:
-                coeffs.append(c0 / math.factorial(r))
-            elif r % 4 == 2:
-                coeffs.append(-s0 / math.factorial(r))
-            else:
-                coeffs.append(-c0 / math.factorial(r))
-        return self._poly_in_nilpotent(coeffs)
+        return self._cycle(math.sin(self.value), math.cos(self.value))
 
     def cos(self):
-        s0, c0 = math.cos(self.value), -math.sin(self.value)
-        coeffs = []
-        for r in range(self.degree + 1):
-            if r % 4 == 0:
-                coeffs.append(s0 / math.factorial(r))
-            elif r % 4 == 1:
-                coeffs.append(c0 / math.factorial(r))
-            elif r % 4 == 2:
-                coeffs.append(-s0 / math.factorial(r))
-            else:
-                coeffs.append(-c0 / math.factorial(r))
-        return self._poly_in_nilpotent(coeffs)
+        # cos(a + h) = cos a cos h - sin a sin h
+        return self._cycle(math.cos(self.value), -math.sin(self.value))
 
     def compose_args(self, args):
         """Evaluate this series at TaylorScalar arguments.

@@ -219,3 +219,18 @@ def test_one_pass_jets_exhaust_the_degree_budget():
     for k, m in ((2, 2), (0, 4), (4, 0)):
         with pytest.raises(ValueError, match="degree budget exhausted"):
             prolong_decompose(sec, bun, k, m)
+
+
+
+
+def test_nested_tables_reject_negative_orders():
+    bun = builtin_scenario("twisted-bundle").bundle_at(cap=5)
+    sec = random_field(bun.chart, [(FIB, CONTRA)], (2,), 3)
+    for k, m, name in ((-1, 2, "k"), (2, -1, "m"), (-1, -1, "k")):
+        with pytest.raises(ValueError, match=f"jet order {name} must be"):
+            prolong_decompose(sec, bun, k, m)
+    # k + m is the jet's order, so only the sign can fail
+    jet = decompose_jet(sec, bun, 3)
+    for k, m, name in ((4, -1, "m"), (-1, 4, "k")):
+        with pytest.raises(ValueError, match=f"jet order {name} must be"):
+            delta_hat(jet, k, m)

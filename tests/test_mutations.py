@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from jetcalc import recursions
+from jetcalc import recursions, taylor
 from jetcalc import tensor_core as tc
 from jetcalc.cli import SUITES, SuiteConfig
 from jetcalc.recursions import BUNDLE_FAMILY_KINDS
@@ -48,6 +48,23 @@ def _last_axis_left_unwhitened(monkeypatch):
         x, factors[:-1] + [np.eye(x.shape[-1])]))
 
 
+def _per_pair_products_scaled(monkeypatch):
+    """Every tensor contraction whose blocks are too large to chunk, so
+    that the series kernel multiplies its pairs one at a time, comes out
+    scaled by 1 + 1e-6."""
+    contract = taylor._series_contract
+
+    def scaled(a, b, axes_a, axes_b, key):
+        out = contract(a, b, axes_a, axes_b, key)
+        if a.ndim == b.ndim == 1:
+            return out
+        plan = taylor._contract_plan(key, taylor.CHUNK_FLOATS, a.shape[1:],
+                                     b.shape[1:], tuple(axes_a),
+                                     tuple(axes_b))
+        return out if plan.chunks else out * (1 + 1e-6)
+    monkeypatch.setattr(taylor, "_series_contract", scaled)
+
+
 #: name -> (patch, suites run, {tag: failing rows at seed 7})
 MUTATIONS = {
     "down-slots-whitened-by-U": (
@@ -69,6 +86,11 @@ MUTATIONS = {
          "compare/gram-scaling": 1,
          **{f"recursions/{kind}-padded-norm": 1
             for kind in BUNDLE_FAMILY_KINDS}}),
+    "per-pair-product-scaled": (
+        _per_pair_products_scaled,
+        ("recursions",),
+        {f"recursions/{kind}-diagonal": 1
+         for kind in ("V", "H", "Vstar", "L", "C")}),
     "padded-down-slots-whitened-by-chol-of-inverse": (
         _padded_down_slots_whitened_by_chol_of_inverse,
         ("recursions",),
