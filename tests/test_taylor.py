@@ -401,6 +401,25 @@ def test_mul_and_scale_series_match_reference(monkeypatch, budget):
     assert np.allclose(got.data, want, rtol=0, atol=1e-13)
 
 
+#: strided operands under chunk budgets of one float (every tensor pair one
+#: at a time), a few floats (small blocks batched, larger ones one at a
+#: time), and a few whole blocks per chunk
+@pytest.mark.parametrize("block", [1, 7, 24])
+@pytest.mark.parametrize("case", _CONTRACT_CASES)
+def test_pair_blocks_match_pairwise_reference(monkeypatch, block, case):
+    monkeypatch.setattr(taylor, "CHUNK_FLOATS", block)
+    dims_a, dims_b, axes_a, axes_b = case
+    ctx = TaylorContext(2, 3)
+    rng = np.random.default_rng(block)
+    for da, db, dout in [(3, 3, 3), (3, 2, 1)]:
+        a = _strided(rng.uniform(-1, 1, (ctx.size(da),) + dims_a))
+        b = _strided(rng.uniform(-1, 1, (ctx.size(db),) + dims_b))
+        got = ctx.contract(a, da, b, db, axes_a, axes_b, dout)
+        want = _pairwise_contract(ctx, a, da, b, db, axes_a, axes_b, dout)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("big", ["a", "b"])
 def test_one_pair_contraction_memory_is_bounded(big):
     # one coefficient pair whose strided 4 M-float map (32 MB) is contracted
