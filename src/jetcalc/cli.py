@@ -11,8 +11,10 @@
 `verify` rejects a flag that the run would not read: `--scenario` with any
 suite but recursions, `--family` or `--max-order` without `--scenario`, and
 a `--threshold` key that is neither a check tag of the selected suites nor
-the first segment of one.  It also rejects a `--threshold` value that is
-not a finite number (`nan`, `inf`).  `fit growth` rejects `--seed` and
+the first segment of one.  It rejects a repeated `--family` and two
+`--scenario` files of one scenario name, either of which would write rows
+twice, and a `--threshold` value that is not a finite number (`nan`,
+`inf`).  `fit growth` rejects `--seed` and
 `fit compare` rejects `--family`.  The report's `config` block echoes the
 seed when a selected suite reads it (and lists it under `ignored` when none
 does) and, with `--scenario` files, the max order, families and scenario
@@ -130,6 +132,8 @@ def _check_flags(args, names, overrides):
         if kind not in BUNDLE_FAMILY_KINDS:
             raise ValueError(f"unknown family {kind!r}, expected one of "
                              f"{', '.join(BUNDLE_FAMILY_KINDS)}")
+        if args.family.count(kind) > 1:
+            raise ValueError(f"--family {kind!r} is given more than once")
     keys = {part for name in names
             for tag in suites_mod.CHECK_MANIFEST[name]
             for part in (tag, tag.split("/")[0])}
@@ -154,6 +158,11 @@ def cmd_verify(args):
         config = SuiteConfig(
             seed=args.seed, families=tuple(args.family or ()),
             scenarios=[load_scenario(p) for p in (args.scenario or ())])
+        scenario_names = [scn.name for scn in config.scenarios]
+        for name in scenario_names:
+            if scenario_names.count(name) > 1:
+                raise ValueError(f"scenario name {name!r} is shared by more "
+                                 f"than one --scenario file")
         if args.max_order is not None:
             config.max_order = args.max_order
     except (ValueError, OSError, KeyError, TypeError) as exc:

@@ -296,21 +296,19 @@ class FieldTensor:
         return geo.value(self).norm()
 
 
-def identity_field(chart, space, dim, degree, up_first=True):
+def identity_field(chart, space, dim, degree):
     """The (1,1) identity over a space, exact to every degree."""
-    slots = [(space, CONTRA), (space, COV)] if up_first else \
-        [(space, COV), (space, CONTRA)]
     data = np.zeros((chart.ctx.size(degree), dim, dim))
     data[0] = np.eye(dim)
-    return FieldTensor(chart, slots, data, degree)
+    return FieldTensor(chart, [(space, CONTRA), (space, COV)], data, degree)
 
 
-def random_field(chart, slots, dims, seed, degree=None, scale=1.0):
+def random_field(chart, slots, dims, seed, degree=None):
     """A random polynomial field: coefficients decay factorially with the
     order, so samples behave like analytic data with an O(1) radius."""
     degree = chart.cap if degree is None else degree
     rng = np.random.Generator(np.random.PCG64(seed))
-    data = rng.uniform(-scale, scale,
+    data = rng.uniform(-1.0, 1.0,
                        size=(chart.ctx.size(degree),) + tuple(dims))
     fac = np.array([1.0 / math.factorial(I.order)
                     for I in chart.ctx.indices[: chart.ctx.size(degree)]])

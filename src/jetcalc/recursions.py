@@ -63,17 +63,18 @@ EVALUATING_FAMILIES = ("D", "C")
 
 BUNDLE_FAMILY_KINDS = tuple(FAMILY_SLOTS)
 
+#: entry norms at or below this count as zero in `growth_profile`
+ZERO_NORM = 1e-13
+
 
 @dataclass
 class FamilySpec:
     name: str
     geo: Geometry                  # differentiates coefficients and lifts
     aux: list                      # per component: tuple of (space, variance)
-    in_rule: dict                  # (space, variance) -> (sign, structure)
-    out_rule: dict
-    # lift.base differentiates obj and lift.of_derivative(comp, ds) lifts
-    # one derivative
-    lift: object
+    structure: dict                # space -> the structure tensor S
+    base: Geometry                 # the geometry the test object lives on
+    lift: object                   # lift(comp, ds): the lift of one derivative
     coupled_pure: object = None    # FamilySpec of the pure lift family
     eval_at: object = None         # its aux slot that component 0 evaluates
     shift_tensor: object = None    # defaults to the tangent identity
@@ -85,7 +86,7 @@ class FamilySpec:
     def stream_lifted(self, comp, obj, s):
         """The lift of the s-th derivative of obj, formed anew: the
         reference that the stream memo `_Streams` is checked against."""
-        return self.lift.of_derivative(comp, self.lift.base.iterated(obj, s))
+        return self.lift(comp, self.base.iterated(obj, s))
 
     def stream_total(self, comp, obj, s):
         return self.geo.iterated(self.stream_lifted(comp, obj, 0), s)
@@ -94,7 +95,7 @@ class FamilySpec:
 class _Streams:
     """The derivative streams of one object under one family, each formed
     once: the base stream of every order (the object's derivative on the
-    lift's base geometry, as `cov` of the one of order s - 1), the lifted
+    family's base geometry, as `cov` of the one of order s - 1), the lifted
     stream of every order (the lift of that derivative), and the
     total-space stream of order s as `geo.cov` of the one of order s - 1.
     Both streams of order 0 are the lift itself, as in `FamilySpec`."""
@@ -109,10 +110,9 @@ class _Streams:
     def lifted(self, comp, s):
         key = (comp, s)
         if key not in self._lifted:
-            lift = self.spec.lift
             while len(self._base) <= s:
-                self._base.append(lift.base.cov(self._base[-1]))
-            self._lifted[key] = lift.of_derivative(comp, self._base[s])
+                self._base.append(self.spec.base.cov(self._base[-1]))
+            self._lifted[key] = self.spec.lift(comp, self._base[s])
         return self._lifted[key]
 
     def total(self, comp, s):
@@ -456,11 +456,16 @@ def _chain(root, x):
     return x
 
 
-def _slot_rules(rules, layout, first):
+def _slot_rules(structure, layout, first, inverse):
     """{map position: (sign, S)} for the slots of `layout`, which start at
-    position `first` of the map, that `rules` corrects."""
-    return {first + p: rules[key] for p, key in enumerate(layout)
-            if key in rules}
+    position `first` of the map, whose space has a structure tensor S: the
+    sign of the tensor derivation D_S (+S on an up slot, -S on a down slot)
+    forward, the opposite inverse."""
+    sign = -1.0 if inverse else 1.0
+    return {first + p: (sign if variance == CONTRA else -sign,
+                        structure[space])
+            for p, (space, variance) in enumerate(layout)
+            if space in structure}
 
 
 def _cov_term(spec, A, n_out, corrections):
@@ -517,11 +522,12 @@ def build_coefficients(spec, m_max, direction="forward", keep_degree=0):
             # the structure tensor corrects the output slots (inverse) or
             # the argument slots (forward) inside the covariant derivative
             if inverse:
-                fix = _slot_rules(spec.out_rule, list(spec.aux[0])
-                                  + [(spec.arg_space, COV)] * m, 0)
+                fix = _slot_rules(spec.structure, list(spec.aux[0])
+                                  + [(spec.arg_space, COV)] * m, 0, inverse)
             else:
-                fix = _slot_rules(spec.in_rule, list(spec.aux[c])
-                                  + [(spec.arg_space, COV)] * s, n_out)
+                fix = _slot_rules(spec.structure, list(spec.aux[c])
+                                  + [(spec.arg_space, COV)] * s, n_out,
+                                  inverse)
             parts.setdefault((c, s), []).append(
                 _cov_term(spec, entries[(m, c, s)], n_out, fix))
         # the shift and coupling terms keep no more degrees than the new level
@@ -583,44 +589,31 @@ def verify_inverse_pair(spec, table_inv, obj, m):
                      spec.geo)
 
 
-def growth_profile(table, geo, slack=2.0, tol=1e-13):
+def growth_profile(table, geo, slack=2.0):
     """Entry norms plus a fitted factorial-weighted envelope.
 
     Fits log||A^m_s|| ~ log C - m log sigma - (m-s) log rho + log (m-s)! by
-    least squares and reports the fraction of nonzero entries covered by the
-    slack-inflated bound.  A degenerate (all-zero off-diagonal) profile is
-    reported as such.
+    least squares over the entries of norm above `ZERO_NORM` and reports
+    the fraction of them covered by the slack-inflated bound.  A degenerate
+    (all-zero off-diagonal) profile is reported as such.
     """
-    rows = []
-    for (m, c, s), A in sorted(table.items()):
-        rows.append((m, s, c, geo.norm(A)))
-    offdiag = [r for r in rows if r[0] != r[1] and r[3] > tol]
-    if not offdiag:
+    rows = [(m, s, c, geo.norm(A)) for (m, c, s), A in sorted(table.items())]
+    nonzero = [row for row in rows if row[3] > ZERO_NORM]
+    if all(m == s for m, s, _, _ in nonzero):
         return {"rows": rows, "degenerate": True, "coverage": 1.0,
                 "C": 0.0, "sigma": 1.0, "rho": 1.0, "slack": slack}
-    X, y = [], []
-    for (m, s, c, val) in rows:
-        if val <= tol:
-            continue
-        X.append([1.0, float(m), float(m - s)])
-        y.append(math.log(val) - math.lgamma(m - s + 1))
-    X = np.asarray(X)
-    y = np.asarray(y)
+    X = np.asarray([[1.0, float(m), float(m - s)] for m, s, _, _ in nonzero])
+    y = np.asarray([math.log(val) - math.lgamma(m - s + 1)
+                    for m, s, _, val in nonzero])
     # the template is an upper envelope over the sampled range;
     # a = log 1/sigma, b = log 1/rho
     (logC, a, b), resid = upper_envelope_fit(X, y)
     spread = float(np.exp(resid.max() - resid.min()))
-    covered = 0
-    total = 0
-    for (m, s, c, val) in rows:
-        if val <= tol:
-            continue
-        bound = math.exp(logC + a * m + b * (m - s)
-                         + math.lgamma(m - s + 1)) * slack
-        total += 1
-        covered += int(val <= bound)
+    covered = sum(val <= math.exp(logC + a * m + b * (m - s)
+                                  + math.lgamma(m - s + 1)) * slack
+                  for m, s, _, val in nonzero)
     return {"rows": rows, "degenerate": False,
-            "coverage": covered / max(total, 1),
+            "coverage": covered / len(nonzero),
             "C": math.exp(logC), "sigma": math.exp(-a), "rho": math.exp(-b),
             "central_spread": spread, "slack": slack}
 
@@ -629,20 +622,6 @@ def growth_profile(table, geo, slack=2.0, tol=1e-13):
 # concrete families
 # --------------------------------------------------------------------------
 
-class _BundleLift:
-    """The total-space lift of a derivative of an object on the bundle
-    `base`."""
-
-    def __init__(self, ts, evaluate):
-        self.ts = ts
-        self.base = ts.bundle
-        self.evaluate = evaluate
-
-    def of_derivative(self, comp, ds):
-        # component 0 is the family's own lift, component 1 the pure one
-        return self.ts.lift(ds, self.evaluate and comp == 0)
-
-
 def bundle_family(kind, ts):
     """A lift family over a total-space geometry, derived from the slots of
     its test object (`FAMILY_SLOTS`)."""
@@ -650,14 +629,13 @@ def bundle_family(kind, ts):
         raise ValueError(f"unknown bundle family {kind}")
     slots = FAMILY_SLOTS[kind]
     evaluate = kind in EVALUATING_FAMILIES
-    B = ts.b_tensor()
     # every base slot lifts to a tangent slot of E with the same variance
     lifted = [(TAN, variance) for _space, variance in slots]
+    # component 0 is the family's own lift, component 1 the pure one
     spec = FamilySpec(
-        name=kind, geo=ts, aux=[lifted],
-        in_rule={(TAN, COV): (-1.0, B), (TAN, CONTRA): (+1.0, B)},
-        out_rule={(TAN, COV): (+1.0, B), (TAN, CONTRA): (-1.0, B)},
-        lift=_BundleLift(ts, evaluate))
+        name=kind, geo=ts, aux=[lifted], structure={TAN: ts.b_tensor()},
+        base=ts.bundle,
+        lift=lambda comp, ds: ts.lift(ds, evaluate and comp == 0))
     if evaluate:
         # component 0 loses the evaluated slot; component 1 is the pure
         # family of the same slots, coupled in at that slot's position
@@ -670,44 +648,27 @@ def bundle_family(kind, ts):
     return spec
 
 
-class _ConnLift:
-    def __init__(self, bun):
-        self.base = bun
-
-    def of_derivative(self, comp, ds):
-        return ds
-
-
 def conn_family(bun, bun_bar):
     """Connection-change family on the base: compares two (affine, linear)
-    connection pairs on the same bundle."""
+    connection pairs on the same bundle; a changed connection corrects each
+    slot by the difference of its space's connections, as the lift families
+    do by B."""
     from .fields import connection_difference
-    s_m = connection_difference(bun_bar.conns[TAN], bun.conns[TAN])
-    s_e = connection_difference(bun_bar.conns[FIB], bun.conns[FIB])
-    # a changed connection corrects up slots with +S and down slots with -S,
-    # the same signed-substitution pattern as the lift families
-    in_rule = {(TAN, COV): (-1.0, s_m), (FIB, CONTRA): (+1.0, s_e)}
-    out_rule = {(TAN, COV): (+1.0, s_m), (FIB, CONTRA): (-1.0, s_e)}
+    structure = {space: connection_difference(bun_bar.conns[space],
+                                              bun.conns[space])
+                 for space in (TAN, FIB)}
     return FamilySpec(
-        name="CONN", geo=bun_bar, aux=[[(FIB, CONTRA)]],
-        in_rule=in_rule, out_rule=out_rule, lift=_ConnLift(bun))
-
-
-class _PullbackLift:
-    def __init__(self, pb):
-        self.pb = pb
-        # obj is a scalar FieldTensor on the target chart
-        self.base = pb.mapdata.target
-
-    def of_derivative(self, comp, ds):
-        return self.pb.mapdata.pullback_field(ds)
+        name="CONN", geo=bun_bar, aux=[[(FIB, CONTRA)]], structure=structure,
+        base=bun, lift=lambda comp, ds: ds)
 
 
 def pullback_family(pbgeo):
+    # the test object is a scalar FieldTensor on the target chart
     return FamilySpec(
-        name="PB", geo=pbgeo, aux=[[]], in_rule={}, out_rule={},
-        lift=_PullbackLift(pbgeo), shift_tensor=pbgeo.conversion(),
-        arg_space=PTN)
+        name="PB", geo=pbgeo, aux=[[]], structure={},
+        base=pbgeo.mapdata.target,
+        lift=lambda comp, ds: pbgeo.mapdata.pullback_field(ds),
+        shift_tensor=pbgeo.conversion(), arg_space=PTN)
 
 
 def pullback_inverse_residual(pbgeo, table_fwd, obj, m):

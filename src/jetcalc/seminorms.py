@@ -21,6 +21,9 @@ __all__ = ["CompactSample", "WeightSequence", "jet_norm_profile",
            "norm_compare", "topology_equivalence_check", "fit_envelope",
            "upper_envelope_fit"]
 
+#: the factor that inflates a fitted envelope constant into a covering bound
+ENVELOPE_SLACK = 1.5
+
 
 @dataclass
 class CompactSample:
@@ -42,6 +45,8 @@ class WeightSequence:
     tag: str = "custom"
 
     def __post_init__(self):
+        if not self.values:
+            raise ValueError("a weight sequence needs at least one weight")
         if any(a <= 0 for a in self.values):
             raise ValueError("weights must be strictly positive")
 
@@ -80,6 +85,10 @@ def p_infinity(provider, K, m):
 
 def _weighted_sup(prof, weights):
     """max over points i and orders m of prof[i, m] a_0 .. a_m."""
+    if len(weights.values) < prof.shape[1]:
+        raise ValueError(f"a weight sequence of length "
+                         f"{len(weights.values)} for orders 0.."
+                         f"{prof.shape[1] - 1} needs length {prof.shape[1]}")
     w = weights.prefix_products()[: prof.shape[1]]
     return float((prof * np.asarray(w)).max())
 
@@ -117,7 +126,6 @@ def local_seminorm(provider, K, weights, m_max):
 class GrowthFit:
     C: float
     r: float
-    max_order: int
     max_violation: float
     trivial: bool = False
 
@@ -136,12 +144,12 @@ def upper_envelope_fit(X, y):
     return coef, resid
 
 
-def growth_fit(provider, K, m_max, slack=1.5):
+def growth_fit(provider, K, m_max):
     """Analyticity certificate: constants with p_inf(m) <= C r^{-m}.
 
     Least-squares in log space over the sampled orders, then the constant is
-    inflated by `slack`; the reported violation is measured against the
-    inflated bound (so <= 0 certifies the sampled range).
+    inflated by `ENVELOPE_SLACK`; the reported violation is measured against
+    the inflated bound (so <= 0 certifies the sampled range).
     """
     prof = jet_norm_profile(provider, K, m_max)
     p_inf = prof.max(axis=0)
@@ -149,27 +157,26 @@ def growth_fit(provider, K, m_max, slack=1.5):
     ms = np.arange(m_max + 1)[mask]
     if len(ms) < 2:
         return GrowthFit(C=float(p_inf.max(initial=0.0)), r=1.0,
-                         max_order=m_max, max_violation=0.0, trivial=True)
+                         max_violation=0.0, trivial=True)
     y = np.log(p_inf[mask])
     A = np.stack([np.ones_like(ms, dtype=float), -ms.astype(float)], axis=1)
     (logC, logr), _ = upper_envelope_fit(A, y)
-    C = math.exp(logC) * slack
+    C = math.exp(logC) * ENVELOPE_SLACK
     r = math.exp(logr)
     viol = float(np.max(np.log(p_inf[mask]) - (math.log(C) - ms * logr)))
     # a polynomial section has finitely many nonzero orders and its profile
     # flattens; certify it trivially when the tail is constant
     tail = p_inf[max(m_max - 3, 0):]
     trivial = bool(np.allclose(tail, p_inf[-1], rtol=1e-12))
-    return GrowthFit(C=C, r=r, max_order=m_max, max_violation=viol,
-                     trivial=trivial)
+    return GrowthFit(C=C, r=r, max_violation=viol, trivial=trivial)
 
 
-def fit_envelope(ms, ratios, slack):
+def fit_envelope(ms, ratios):
     """Fit log(ratio) <= log C + m log(1/sigma) and certify it.
 
     The line is `upper_envelope_fit` in log space, a covering bound over
-    the sampled range.  The slack multiplies the certified constant and the
-    reported coverage is checked against the slack-inflated bound.
+    the sampled range.  The reported coverage is checked against the bound
+    inflated by `ENVELOPE_SLACK`.
     """
     ms = np.asarray(ms, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
@@ -181,12 +188,12 @@ def fit_envelope(ms, ratios, slack):
     (logC, a), _ = upper_envelope_fit(A, y)
     C = math.exp(logC)
     sigma = math.exp(-a)
-    bound = np.log(C * slack) + a * ms[mask]
+    bound = np.log(C * ENVELOPE_SLACK) + a * ms[mask]
     coverage = float(np.mean(y <= bound + 1e-12))
     return C, sigma, coverage
 
 
-def _two_sided_fit(prof_a, prof_b, slack):
+def _two_sided_fit(prof_a, prof_b):
     """`fit_envelope` of prof_a / prof_b and of prof_b / prof_a over every
     (point, order) where either profile is nonzero: two dicts of C, sigma
     and coverage."""
@@ -200,11 +207,11 @@ def _two_sided_fit(prof_a, prof_b, slack):
             fwd.append(na / max(nb, 1e-300))
             bwd.append(nb / max(na, 1e-300))
     return tuple(dict(zip(("C", "sigma", "coverage"),
-                          fit_envelope(ms, ratios, slack)))
+                          fit_envelope(ms, ratios)))
                  for ratios in (fwd, bwd))
 
 
-def norm_compare(provider_a, provider_b, K, m_max, slack=1.5):
+def norm_compare(provider_a, provider_b, K, m_max):
     """Two-sided C sigma^{-m} comparison of jet-norm families.
 
     `provider_a`/`provider_b` map a point to (geometry, field) built from the
@@ -212,12 +219,11 @@ def norm_compare(provider_a, provider_b, K, m_max, slack=1.5):
     to both.
     """
     forward, backward = _two_sided_fit(jet_norm_profile(provider_a, K, m_max),
-                                       jet_norm_profile(provider_b, K, m_max),
-                                       slack)
+                                       jet_norm_profile(provider_b, K, m_max))
     return {"forward": forward, "backward": backward}
 
 
-def topology_equivalence_check(provider, K, weight_family, m_max, slack=1.5):
+def topology_equivalence_check(provider, K, weight_family, m_max):
     """Local vs intrinsic seminorms generate the same topology, in the
     finite-order quantitative form: for each weight sequence, a rescaled
     sequence (b_0 = C a_0, b_j = a_j / sigma) dominates the other side.
@@ -225,7 +231,7 @@ def topology_equivalence_check(provider, K, weight_family, m_max, slack=1.5):
     prof_local = local_component_profile(provider, K, m_max)
     run_local = np.maximum.accumulate(prof_local, axis=1)
     prof_jet = jet_norm_profile(provider, K, m_max)
-    local_le, intrinsic_le = _two_sided_fit(run_local, prof_jet, slack)
+    local_le, intrinsic_le = _two_sided_fit(run_local, prof_jet)
     report = {"local_le_intrinsic": local_le,
               "intrinsic_le_local": intrinsic_le, "weights": []}
     for a in weight_family:

@@ -1374,8 +1374,8 @@ def suite_continuity(config):
                         continue
                     ms_down.append(m)
                     down_ratio.append(jb / max(je_by_m[m], 1e-300))
-        C_up, s_up, cov_up = fit_envelope(ms_up, up_ratio, 1.5)
-        C_dn, s_dn, cov_dn = fit_envelope(ms_down, down_ratio, 1.5)
+        C_up, s_up, cov_up = fit_envelope(ms_up, up_ratio)
+        C_dn, s_dn, cov_dn = fit_envelope(ms_down, down_ratio)
         rows.append(CheckRow.flag(
             f"continuity/lift-bounds-{kind}", f"twisted-bundle/K/{m_lift}",
             min(cov_up, cov_dn) >= 1.0 - 1e-12,
@@ -1412,7 +1412,7 @@ def suite_continuity(config):
                     jb = jet_norm(decompose_jet(X, base, m + 1))
                     ms.append(m)
                     ratios.append(je / max(jb, 1e-300))
-    C, sigma, cov = fit_envelope(ms, ratios, 1.5)
+    C, sigma, cov = fit_envelope(ms, ratios)
     rows.append(CheckRow.flag(
         "continuity/tangent-envelope", "mixed/K/2", cov >= 1.0 - 1e-12,
         inputs=f"C={C:.3g} sigma={sigma:.3g}"))

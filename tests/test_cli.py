@@ -562,3 +562,28 @@ def test_scenario_run_that_exhausts_its_degree_budget_exits_two(
     err = capsys.readouterr().err
     assert err == "configuration error: degree budget exhausted\n"
     assert not out.exists()
+
+
+def test_repeated_family_or_scenario_name_exits_two_naming_it(tmp_path,
+                                                               capsys):
+    # either would write every row of the repeated family or scenario
+    # twice, a report that `report diff` refuses
+    from jetcalc import cli
+    flat = _flat_scenario(tmp_path)
+    other = tmp_path / "other" / "flat.json"
+    other.parent.mkdir()
+    other.write_text(open(flat).read())
+    out = tmp_path / "r.json"
+    for argv, named in (
+            (["--scenario", flat, "--family", "V", "--family", "V"], "'V'"),
+            (["--scenario", flat, "--scenario", str(other)],
+             "'customflat'")):
+        assert cli.main(["verify", "recursions", *argv, "--max-order", "1",
+                         "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert not out.exists()
+    assert cli.main(["verify", "recursions", "--scenario", flat,
+                     "--family", "P", "--family", "V", "--max-order", "1",
+                     "--out", str(out)]) == 0
+    assert cli.main(["report", "diff", str(out), str(out)]) == 0

@@ -15,6 +15,7 @@ from jetcalc import recursions, taylor
 from jetcalc import tensor_core as tc
 from jetcalc.cli import SUITES, SuiteConfig
 from jetcalc.recursions import BUNDLE_FAMILY_KINDS
+from jetcalc.tensor_core import CONTRA
 
 
 def _down_slots_whitened_by_u(monkeypatch):
@@ -65,6 +66,27 @@ def _per_pair_products_scaled(monkeypatch):
     monkeypatch.setattr(taylor, "_series_contract", scaled)
 
 
+def _down_slots_corrected_with_up_sign(monkeypatch):
+    """Every slot a recursion step corrects takes the sign of an up slot
+    (+S forward, -S inverse), whatever its variance."""
+    rules = recursions._slot_rules
+    monkeypatch.setattr(
+        recursions, "_slot_rules",
+        lambda structure, layout, first, inverse: rules(
+            structure, [(space, CONTRA) for space, _ in layout], first,
+            inverse))
+
+
+def _inverse_corrected_with_forward_signs(monkeypatch):
+    """The inverse tables correct their slots with the signs of D_S, as the
+    forward tables do, not the opposite ones."""
+    rules = recursions._slot_rules
+    monkeypatch.setattr(
+        recursions, "_slot_rules",
+        lambda structure, layout, first, inverse: rules(
+            structure, layout, first, False))
+
+
 #: name -> (patch, suites run, {tag: failing rows at seed 7})
 MUTATIONS = {
     "down-slots-whitened-by-U": (
@@ -91,6 +113,23 @@ MUTATIONS = {
         ("recursions",),
         {f"recursions/{kind}-diagonal": 1
          for kind in ("V", "H", "Vstar", "L", "C")}),
+    "down-slots-corrected-with-up-sign": (
+        _down_slots_corrected_with_up_sign,
+        ("recursions",),
+        {**{f"recursions/{kind}-expansion": 10
+            for kind in ("P", "V", "H", "D", "C")},
+         **{f"recursions/{kind}-inverse": 2
+            for kind in ("P", "V", "H", "D", "C")},
+         "recursions/Vstar-expansion": 19, "recursions/L-expansion": 19,
+         "recursions/Vstar-inverse": 3, "recursions/L-inverse": 3,
+         "recursions/CONN-expansion": 2, "recursions/CONN-roundtrip": 2}),
+    "inverse-corrected-with-forward-signs": (
+        _inverse_corrected_with_forward_signs,
+        ("recursions",),
+        {**{f"recursions/{kind}-inverse": 3
+            for kind in ("V", "H", "Vstar", "L", "C")},
+         "recursions/P-inverse": 2, "recursions/D-inverse": 2,
+         "recursions/CONN-roundtrip": 3}),
     "padded-down-slots-whitened-by-chol-of-inverse": (
         _padded_down_slots_whitened_by_chol_of_inverse,
         ("recursions",),

@@ -78,7 +78,7 @@ def test_expansion_checks_form_each_stream_once_per_table(monkeypatch, kind):
     tables = [build_coefficients(fam, M, "forward") for _ in range(2)]
     want = [_uncached_residual(fam, tables[0], obj, m) for m in range(M + 1)]
     covs, base_covs, lifts = [], [], []
-    cov, base_cov, lift = ts.cov, ts.bundle.cov, fam.lift.of_derivative
+    cov, base_cov, lift = ts.cov, ts.bundle.cov, fam.lift
 
     def counted_cov(T, corrections=None):
         covs.append(T)
@@ -94,7 +94,7 @@ def test_expansion_checks_form_each_stream_once_per_table(monkeypatch, kind):
 
     monkeypatch.setattr(ts, "cov", counted_cov)
     monkeypatch.setattr(ts.bundle, "cov", counted_base_cov)
-    monkeypatch.setattr(fam.lift, "of_derivative", counted_lift)
+    monkeypatch.setattr(fam, "lift", counted_lift)
     for tab in tables:
         covs.clear()
         base_covs.clear()
@@ -238,7 +238,7 @@ def _dense_identity_term(new, key, A, n_out, in_pos, dim):
     """Reference shift and coupling term: A (x) id formed as a product, its
     id down slot moved to OUT position `n_out` and its up slot to position
     `in_pos` of the IN-dual block, then summed out of place."""
-    eye = identity_field(A.chart, TAN, dim, A.degree, up_first=False)
+    eye = identity_field(A.chart, TAN, dim, A.degree).permuted([1, 0])
     t = A.product(eye).move_slot(A.order, n_out)
     _out_of_place(new, key, t.move_slot(t.order - 1, n_out + 1 + in_pos))
 
@@ -335,15 +335,14 @@ def _rules_of(spec, A, m, c, s, direction):
     argument block (forward), with their rules, spelled out slot by slot."""
     n_out = spec.n_aux_out() + m
     if direction == "inverse":
-        layout, rules, first = list(spec.aux[0]) + [(TAN, COV)] * m, \
-            spec.out_rule, 0
+        layout, sign, first = list(spec.aux[0]) + [(TAN, COV)] * m, -1.0, 0
     else:
-        layout, rules, first = list(spec.aux[c]) + [(TAN, COV)] * s, \
-            spec.in_rule, n_out
+        layout, sign, first = list(spec.aux[c]) + [(TAN, COV)] * s, 1.0, \
+            n_out
     assert len(layout) == (n_out if direction == "inverse"
                            else A.order - n_out)
-    return {first + p: rules[key] for p, key in enumerate(layout)
-            if key in rules}
+    return {first + p: (sign if var == CONTRA else -sign, spec.structure[sp])
+            for p, (sp, var) in enumerate(layout) if sp in spec.structure}
 
 
 def _conn_spec():
@@ -769,7 +768,7 @@ def test_build_check_and_profile_never_form_a_padded_map(monkeypatch, kind):
     monkeypatch.setattr(recursions.PaddedMap, "data", property(formed))
     scn = builtin_scenario("twisted-bundle")
     spec = _spec(kind)
-    base = spec.lift.base
+    base = spec.base
     obj = section_field(base, scn.random_section(48)) if kind == "CONN" \
         else _object_field(base, kind, _family_objects(scn, kind, 47))
     fwd = build_coefficients(spec, 3, "forward")

@@ -54,6 +54,22 @@ def test_p_omega_order_zero_and_monotone():
     assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
 
+def test_weight_sequence_shorter_than_the_orders_is_rejected():
+    # numpy broadcast one weight over every order; two raised its own error
+    prov = line_provider("(exp x1)", cap=5)
+    with pytest.raises(ValueError, match="weight"):
+        WeightSequence([])
+    for values in ([0.5], [0.5, 0.5]):
+        short = WeightSequence(values)
+        msg = f"length {len(values)} for orders 0..3 needs length 4"
+        with pytest.raises(ValueError, match=msg):
+            p_omega(prov, K0, short, 3)
+        with pytest.raises(ValueError, match=msg):
+            local_seminorm(prov, K0, short, 3)
+        with pytest.raises(ValueError, match=msg):
+            topology_equivalence_check(prov, K0, [short], 3)
+
+
 def test_local_seminorm_monomial():
     prov = line_provider("(* 0.5 (* x1 (* x1 x1)))", cap=6)
     a = WeightSequence.geometric(0.5, 6)
@@ -79,7 +95,7 @@ def test_growth_fit_radii():
 
 
 def test_fit_envelope_trivial_case():
-    C, sigma, cov = fit_envelope([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0], 1.5)
+    C, sigma, cov = fit_envelope([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0])
     assert C == pytest.approx(1.0)
     assert sigma == pytest.approx(1.0)
     assert cov == 1.0

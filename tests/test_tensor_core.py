@@ -26,9 +26,9 @@ def make_geometry(dims, seed=0, orthonormal=False):
     return point_geometry(grams)
 
 
-def rand(geo, slots, seed, scale=1.0):
+def rand(geo, slots, seed):
     return random_field(geo.chart, slots, [geo.dims[s] for s, _ in slots],
-                        seed, degree=0, scale=scale)
+                        seed, degree=0)
 
 
 def const(geo, slots, data):
@@ -82,7 +82,7 @@ def test_product_norm_multiplicative():
 def test_product_with_zero():
     geo = make_geometry({"V": 2})
     a = rand(geo, [("V", COV)], 1)
-    z = rand(geo, [("V", COV)], 2, scale=0.0)
+    z = FieldTensor.zeros(geo.chart, [("V", COV)], [2], 0)
     assert geo.norm(a.product(z)) == 0.0
 
 
@@ -335,7 +335,7 @@ def test_random_tensor_determinism():
     assert a.data.shape == (1, 3, 3)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
-    z = rand(geo, [("V", COV)] * 2, 7, scale=0.0)
+    z = FieldTensor.zeros(geo.chart, [("V", COV)] * 2, [3, 3], 0)
     assert geo.norm(z) == 0.0
 
 
