@@ -14,6 +14,7 @@ constant term.
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -595,19 +596,30 @@ def _variable(node, n):
     return node[1]
 
 
-def expand(expr, base, degree, ctx=None):
-    """Taylor-expand an expression tree at `base` through `degree`."""
-    if isinstance(expr, str):
-        expr = parse_expr(expr)
-    base = np.asarray(base, dtype=float)
-    ctx = ctx or TaylorContext(len(base), degree)
+#: Expansions held by the memo that every `expand` call shares.  A series
+#: of n variables through degree d holds C(n + d, d) floats.  One seed-7
+#: `verify all` makes 910 distinct expansions: 106 KB of coefficients under
+#: 0.4 MB of keys.  The largest series of any suite or benchmark workload
+#: holds 66 floats (two variables through degree 10), so 2,048 arrays of
+#: that size are 1.1 MB.
+EXPAND_MEMO = 2048
+
+
+@lru_cache(maxsize=EXPAND_MEMO)
+def _expansion(key, base, nvars, degree, cap):
+    """The coefficients of the tree whose `marshal` bytes are `key`,
+    expanded through `degree` at the point whose float64 bytes are `base`,
+    on the tables of `nvars` variables and cap `cap`.  The array is shared
+    by every caller, so it is read-only."""
+    point = np.frombuffer(base)
+    ctx = TaylorContext(nvars, cap)
 
     def ev(node):
         if isinstance(node, float):
             return TaylorScalar.constant(ctx, node, degree)
         if node[0] == "x":
-            i = _variable(node, len(base))
-            return TaylorScalar.variable(ctx, i, base[i], degree)
+            i = _variable(node, len(point))
+            return TaylorScalar.variable(ctx, i, point[i], degree)
         op = node[0]
         if op == "exp":
             return ev(node[1]).exp()
@@ -619,7 +631,26 @@ def expand(expr, base, degree, ctx=None):
             return ev(node[1]) ** int(node[2])
         return _fold(op, [ev(a) for a in node[1:]])
 
-    return ev(expr)
+    coeffs = ev(marshal.loads(key)).coeffs
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def expand(expr, base, degree, ctx=None):
+    """Taylor-expand an expression tree at `base` through `degree`.
+
+    Every call reads one memo of at most `EXPAND_MEMO` coefficient arrays,
+    keyed by the tree, the bytes of the point, the variable count, the
+    degree and the cap.  The tree's key is its `marshal` bytes (format 2,
+    without shared references), which write each float in binary, so -0.0
+    and 0.0 stay apart, as tuples would not keep them.  The coefficients
+    are read-only; each call returns a new series on `ctx`."""
+    if isinstance(expr, str):
+        expr = parse_expr(expr)
+    base = np.asarray(base, dtype=float)
+    ctx = ctx or TaylorContext(len(base), degree)
+    return TaylorScalar(ctx, degree, _expansion(
+        marshal.dumps(expr, 2), base.tobytes(), ctx.nvars, degree, ctx.cap))
 
 
 def eval_expr(expr, point):
@@ -692,6 +723,8 @@ def finite_difference_check(expr, base, I, step=1e-3):
     which is enough for |I| <= 4 on smooth data.
     """
     I = MultiIndex(I)
+    if isinstance(expr, str):   # parsed once for every point it visits
+        expr = parse_expr(expr)
     t = expand(expr, base, max(I.order, 1) + 1)
     exact = partial(t, I)
     f1 = _fd_plain(expr, base, I, step)

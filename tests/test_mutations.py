@@ -87,6 +87,21 @@ def _inverse_corrected_with_forward_signs(monkeypatch):
             structure, layout, first, False))
 
 
+def _expansion_memo_keyed_without_base_point(monkeypatch):
+    """The memo of `taylor.expand` keyed by the tree, variable count,
+    degree and cap alone: the first point an expression is expanded at
+    answers for every later point."""
+    expansion = taylor._expansion
+    memo = {}
+
+    def keyed(key, base, nvars, degree, cap):
+        if (key, nvars, degree, cap) not in memo:
+            memo[key, nvars, degree, cap] = expansion(key, base, nvars,
+                                                      degree, cap)
+        return memo[key, nvars, degree, cap]
+    monkeypatch.setattr(taylor, "_expansion", keyed)
+
+
 #: name -> (patch, suites run, {tag: failing rows at seed 7})
 MUTATIONS = {
     "down-slots-whitened-by-U": (
@@ -130,6 +145,10 @@ MUTATIONS = {
             for kind in ("V", "H", "Vstar", "L", "C")},
          "recursions/P-inverse": 2, "recursions/D-inverse": 2,
          "recursions/CONN-roundtrip": 3}),
+    "expansion-memo-keyed-without-base-point": (
+        _expansion_memo_keyed_without_base_point,
+        ("geometry",),
+        {"geometry/sphere-coefficients": 2}),
     "padded-down-slots-whitened-by-chol-of-inverse": (
         _padded_down_slots_whitened_by_chol_of_inverse,
         ("recursions",),

@@ -823,3 +823,19 @@ def test_padded_norm_is_the_gram_norm_of_the_formed_map(kind):
         want = ts.norm(A.dense())
         worst = max(worst, abs(A.norm(ts) - want) / max(want, 1e-300))
     assert worst <= 1e-13
+
+
+def test_padded_norm_joins_each_pair_of_term_structures_once(monkeypatch):
+    # the chains of two terms depend on their structures alone: the cached
+    # norms equal the ones that join the slots of every pair anew, and a
+    # second pass over the table joins none
+    ts = builtin_scenario("twisted-bundle").total_at(cap=4)
+    table = build_coefficients(bundle_family("L", ts), 4, "forward")
+    chains = recursions._pair_chains
+    chains.cache_clear()
+    cached = [A.norm(ts) for _, A in table.items()]
+    misses = chains.cache_info().misses
+    assert [A.norm(ts) for _, A in table.items()] == cached
+    assert chains.cache_info().misses == misses
+    monkeypatch.setattr(recursions, "_pair_chains", chains.__wrapped__)
+    assert [A.norm(ts) for _, A in table.items()] == cached

@@ -1,3 +1,4 @@
+import marshal
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,16 @@ def test_fd_linear_exact():
 
 def test_fd_third_order():
     assert finite_difference_check("(sin x1)", [0.0], (3,), 1e-3) < 1e-6
+
+
+def test_fd_check_parses_its_expression_once(monkeypatch):
+    parsed = []
+    parse = taylor.parse_expr
+    monkeypatch.setattr(taylor, "parse_expr",
+                        lambda text: parsed.append(text) or parse(text))
+    e = "(* (sin x1) (exp x2))"
+    assert finite_difference_check(e, [0.2, -0.1], (1, 1), 1e-3) < 1e-6
+    assert parsed == [e]
 
 
 def test_reciprocal_requires_nonzero():
@@ -473,3 +484,82 @@ def test_parser_rejects_operators_without_arguments_and_x0():
     for bad in ("(+)", "(-)", "(*)", "(/)", "x0", "(+ 1 x0)"):
         with pytest.raises(ValueError):
             parse_expr(bad)
+
+
+def _unmemoised(expr, base, degree, ctx=None):
+    """The coefficient bytes of `expand` computed without its memo."""
+    base = np.asarray(base, dtype=float)
+    nvars, cap = (len(base), degree) if ctx is None else (ctx.nvars, ctx.cap)
+    return taylor._expansion.__wrapped__(
+        marshal.dumps(parse_expr(expr), 2), base.tobytes(), nvars, degree,
+        cap).tobytes()
+
+
+_EXPANSIONS = [
+    ("(* (exp (* 0.3 x1)) (cos x2))", [0.4, -0.7], 5, None),
+    ("(/ 1 (+ 1 (* x1 x1)))", [0.0], 6, None),
+    ("(- (^ (sin x1) 3) (* -0.5 x2 x3))", [0.1, 0.2, -0.3], 4,
+     TaylorContext(3, 6)),
+    ("(+ x1 0)", [-0.0], 3, TaylorContext(1, 2)),
+]
+
+
+@pytest.mark.parametrize("expr,base,degree,ctx", _EXPANSIONS)
+def test_memoised_expansion_equals_an_unmemoised_one(expr, base, degree,
+                                                     ctx):
+    cold = expand(expr, base, degree, ctx)
+    warm = expand(expr, base, degree, ctx)
+    assert warm.coeffs is cold.coeffs
+    assert warm.degree == cold.degree == degree
+    assert cold.coeffs.tobytes() == _unmemoised(expr, base, degree, ctx)
+
+
+def test_memoised_expansion_refuses_writes():
+    t = expand("(sin (+ x1 x2))", [0.3, 0.1], 4)
+    for write in (lambda c: c.__setitem__(0, 1.0),
+                  lambda c: c.__iadd__(1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write(t.coeffs)
+    assert t.coeffs.tobytes() == _unmemoised("(sin (+ x1 x2))", [0.3, 0.1], 4)
+
+
+# pairs of calls that differ in one part of the key: point (signed zero
+# included), degree, cap, variable count, and a signed-zero constant
+_KEY_PARTS = {
+    "point": (("(exp x1)", [0.1], 3, None), ("(exp x1)", [0.2], 3, None)),
+    "point-signed-zero": (("x1", [0.0], 2, None), ("x1", [-0.0], 2, None)),
+    "degree": (("(sin x1)", [0.5], 3, TaylorContext(1, 5)),
+               ("(sin x1)", [0.5], 4, TaylorContext(1, 5))),
+    "cap": (("(cos x1)", [0.5], 5, TaylorContext(1, 3)),
+            ("(cos x1)", [0.5], 5, TaylorContext(1, 5))),
+    "variable-count": (("(exp x1)", [0.5], 3, TaylorContext(1, 3)),
+                       ("(exp x1)", [0.5], 3, TaylorContext(2, 3))),
+    "constant-signed-zero": (("(+ 0 0)", [1.0], 2, None),
+                             ("(+ -0 -0)", [1.0], 2, None)),
+}
+
+
+@pytest.mark.parametrize("part", sorted(_KEY_PARTS))
+@pytest.mark.parametrize("second_first", [False, True])
+def test_memo_keeps_every_part_of_its_key_apart(part, second_first):
+    calls = _KEY_PARTS[part][::-1] if second_first else _KEY_PARTS[part]
+    taylor._expansion.cache_clear()
+    got = [expand(*call).coeffs.tobytes() for call in calls]
+    assert got == [_unmemoised(*call) for call in calls]
+    assert got[0] != got[1]
+
+
+def test_memoised_expansion_carries_the_callers_ctx():
+    ctxs = [TaylorContext(2, 4), TaylorContext(2, 4)]
+    got = [expand("(* x1 (exp x2))", [0.2, 0.3], 4, ctx) for ctx in ctxs]
+    assert [t.ctx for t in got] == ctxs and got[0] is not got[1]
+    assert got[0].coeffs is got[1].coeffs
+    chart = Chart([0.2, 0.3], 4)
+    assert chart.expand("(* x1 (exp x2))").ctx is chart.ctx
+
+
+def test_expansion_memo_stays_within_its_bound():
+    assert taylor._expansion.cache_info().maxsize == taylor.EXPAND_MEMO
+    for i in range(taylor.EXPAND_MEMO + 10):
+        expand(float(i), [0.0], 0)
+    assert taylor._expansion.cache_info().currsize == taylor.EXPAND_MEMO
